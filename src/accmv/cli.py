@@ -27,7 +27,7 @@ from .estimators import (
     estimate_ra,
 )
 from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
-from .inference import bootstrap, if_variance_ipw, if_variance_mr, if_variance_ra, normal_ci
+from .inference import bootstrap, critical_value, if_variance_ipw, if_variance_mr, if_variance_ra, normal_ci
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
 from .simgen import SimDesign, generate, misspec_masks, oracle_value, verify_oracles
@@ -253,6 +253,7 @@ def _resolved(args) -> dict:
 
 
 def cmd_fit(args) -> int:
+    critical_value(args.level)       # reject a bad level before any fitting
     ds = load_csv(args.data, _schema(args))
     strata = build_strata(ds)
     f = _functional(args, ds.d)
@@ -334,6 +335,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_regress(args) -> int:
+    critical_value(args.level)       # reject a bad level before any fitting
     ds = load_csv(args.data, _schema(args))
     strata = build_strata(ds)
     if args.score_kind == "linear":

@@ -67,6 +67,12 @@ class Dataset:
                 f"p + d = {p + d} exceeds the cap of {MAX_TOTAL_DIM}; "
                 "pattern-stratified models need few variables"
             )
+        for block, M in (("X", X), ("L", L)):
+            if np.isinf(M).any():
+                i, j = np.argwhere(np.isinf(M))[0]
+                raise DataError(
+                    f"{block}[{i}, {j}] is {M[i, j]}: values must be finite, with NaN marking missing cells"
+                )
         self.X = X
         self.L = L
         self.n = X.shape[0]
@@ -91,13 +97,6 @@ class Dataset:
 
     def a_pattern(self, code: int) -> Pattern:
         return Pattern(code, self.d)
-
-    def x_block(self, rows, r: Pattern) -> np.ndarray:
-        """X values at r's coordinates for the given record positions."""
-        return self.X[np.ix_(np.asarray(rows, dtype=int), list(r.indices))]
-
-    def l_block(self, rows, a: Pattern) -> np.ndarray:
-        return self.L[np.ix_(np.asarray(rows, dtype=int), list(a.indices))]
 
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
@@ -180,7 +179,8 @@ class StratumIndex:
     The pool for r is every record with all primaries observed and R >= r;
     it is what both nuisance-model families are fitted on.  Pools for the
     patterns appearing with incomplete primaries are materialized eagerly,
-    others on demand.
+    others on demand.  `designs` caches the model designs built from these
+    rows (see `glm.pair_view`), so they live exactly as long as the index.
     """
 
     p: int
@@ -191,6 +191,8 @@ class StratumIndex:
     by_pair: dict = field(default_factory=dict)   # (r_code, a_code) -> index array
     pools: dict = field(default_factory=dict)     # r_code -> index array
     complete_code: int = 0
+    designs: object = field(default=None, repr=False, compare=False)
+    _pairs: list | None = field(default=None, repr=False, compare=False)
 
     def stratum(self, pair: PatternPair) -> np.ndarray:
         return self.by_pair.get(pair.key, np.empty(0, dtype=int))
@@ -204,10 +206,12 @@ class StratumIndex:
 
     def pairs(self) -> list[PatternPair]:
         """All pattern pairs present in the data, ascending (r, a) codes."""
-        return [
-            PatternPair(Pattern(rv, self.p), Pattern(av, self.d))
-            for rv, av in sorted(self.by_pair)
-        ]
+        if self._pairs is None:       # by_pair is complete once build_strata returns
+            self._pairs = [
+                PatternPair(Pattern(rv, self.p), Pattern(av, self.d))
+                for rv, av in sorted(self.by_pair)
+            ]
+        return list(self._pairs)
 
     def incomplete_pairs(self) -> list[PatternPair]:
         """Pairs with at least one primary missing: the ones needing models."""

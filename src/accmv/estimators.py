@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, PositivityError
-from .glm import design_matrix
+from .glm import pair_view
 from .patterns import Pattern, PatternPair
 
 TILT_CLAMP = 30.0
@@ -60,17 +60,17 @@ def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) ->
     r_codes = ds.r_codes[rows]
     for key in sorted(odds):
         model = odds[key]
-        r, a = Pattern(key[0], ds.p), Pattern(key[1], ds.d)
-        assert a.value != ds.complete_code, "odds models exist only for incomplete primary patterns"
-        sel = (r_codes & r.value) == r.value
-        subset = rows[sel]
+        pr = PatternPair(Pattern(key[0], ds.p), Pattern(key[1], ds.d))
+        assert pr.a.value != ds.complete_code, "odds models exist only for incomplete primary patterns"
+        sel = (r_codes & pr.r.value) == pr.r.value     # complete rows in the pool of r
         vals = np.zeros(rows.size)
-        if subset.size:
-            v = model.predict(ds.x_block(subset, r), ds.l_block(subset, a))
+        if sel.any():
+            view = pair_view(ds, strata, pr)
+            v = model.predict(view.xr_pool, view.la_pool)
             if tilt is not None:
                 delta, center = tilt
-                miss = [j for j in range(ds.d) if not a.bits[j]]
-                expo = (ds.L[np.ix_(subset, miss)] - np.asarray(center)[miss]) @ np.asarray(delta)[miss]
+                miss = [j for j in range(ds.d) if j not in pr.a.indices]
+                expo = (ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]) @ np.asarray(delta)[miss]
                 v = v * np.exp(np.clip(expo, -TILT_CLAMP, TILT_CLAMP))
             vals[sel] = v
         table.contrib[key] = vals
@@ -161,8 +161,8 @@ def estimate_ra(ds: Dataset, strata: StratumIndex, outcomes: dict, f: Functional
     pairs = _require_models(strata, outcomes, "outcome")
     per = _complete_terms(ds, strata, f, ds.n)
     for pr in pairs:
-        rows = strata.stratum(pr)
-        m = outcomes[pr.key].predict(ds.x_block(rows, pr.r), ds.l_block(rows, pr.a))
+        view = pair_view(ds, strata, pr)
+        m = outcomes[pr.key].predict(view.xr_case, view.la_case)
         per[(str(pr.r), str(pr.a))] = float(m.sum() / ds.n)
     return ThetaEstimate(
         theta_hat=float(sum(per.values())), method="ra", per_stratum=per, n=ds.n
@@ -180,11 +180,10 @@ def estimate_mr(
     per = _complete_terms(ds, strata, f, ds.n)
     for pr in pairs:
         om, gm = outcomes[pr.key], odds[pr.key]
-        pool = strata.pool(pr.r)
-        xr_p, la_p = ds.x_block(pool, pr.r), ds.l_block(pool, pr.a)
-        aug = (f(ds.L[pool]) - om.predict(xr_p, la_p)) @ gm.predict(xr_p, la_p)
-        rows = strata.stratum(pr)
-        plug = om.predict(ds.x_block(rows, pr.r), ds.l_block(rows, pr.a)).sum()
+        view = pair_view(ds, strata, pr)
+        xr_p, la_p = view.xr_pool, view.la_pool
+        aug = (f(ds.L[view.pool]) - om.predict(xr_p, la_p)) @ gm.predict(xr_p, la_p)
+        plug = om.predict(view.xr_case, view.la_case).sum()
         per[(str(pr.r), str(pr.a))] = float((aug + plug) / ds.n)
     return ThetaEstimate(
         theta_hat=float(sum(per.values())), method="mr", per_stratum=per, n=ds.n
@@ -218,21 +217,8 @@ def augmentation_mean(ds, strata, odds, outcomes, f) -> float:
     the MR and RA estimates built from the same models."""
     total = 0.0
     for pr in strata.incomplete_pairs():
-        pool = strata.pool(pr.r)
-        xr, la = ds.x_block(pool, pr.r), ds.l_block(pool, pr.a)
-        total += float((f(ds.L[pool]) - outcomes[pr.key].predict(xr, la)) @ odds[pr.key].predict(xr, la))
+        view = pair_view(ds, strata, pr)
+        xr, la = view.xr_pool, view.la_pool
+        total += float((f(ds.L[view.pool]) - outcomes[pr.key].predict(xr, la)) @ odds[pr.key].predict(xr, la))
     return total / ds.n
 
-
-# re-exported for modules that assemble designs alongside weights
-__all__ = [
-    "WeightTable",
-    "ThetaEstimate",
-    "compute_weights",
-    "estimate_ipw",
-    "estimate_ra",
-    "estimate_mr",
-    "estimate_complete_case",
-    "augmentation_mean",
-    "design_matrix",
-]

@@ -9,12 +9,14 @@ Two families, both on the design (1, x_r, l_a):
   least squares on the pool.
 
 Both retain the normalizing matrices needed to evaluate per-record influence
-contributions of the estimated coefficients.
+contributions of the estimated coefficients.  The designs of each pattern
+pair are built once per stratum index and shared through `pair_view`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +44,7 @@ def design_matrix(ds: Dataset, rows, pair: PatternPair, keep=None):
     Raises if any requested covariate is unobserved (precondition guard).
     """
     rows = np.asarray(rows, dtype=int)
-    cov = np.hstack([ds.x_block(rows, pair.r), ds.l_block(rows, pair.a)])
+    cov = np.hstack([ds.X[np.ix_(rows, pair.r.indices)], ds.L[np.ix_(rows, pair.a.indices)]])
     names = [ds.x_names[j] for j in pair.r.indices] + [ds.l_names[j] for j in pair.a.indices]
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
@@ -54,6 +56,79 @@ def design_matrix(ds: Dataset, rows, pair: PatternPair, keep=None):
         raise ValueError(f"unobserved covariate in design for {pair}")
     Z = np.hstack([np.ones((cov.shape[0], 1)), cov])
     return Z, ("intercept", *names)
+
+
+class KeptDesign(NamedTuple):
+    """Design (1, x_r, l_a) of one pattern pair under one keep mask."""
+
+    stacked: np.ndarray              # case rows over pool rows, as in PairView.rows
+    case: np.ndarray
+    pool: np.ndarray
+    names: tuple[str, ...]
+
+
+class PairView:
+    """Case stratum and pool of one pattern pair with their designs.
+
+    `rows` stacks the case rows over the pool rows, `y` labels them 1/0.  The
+    design of each keep mask is built on first use with `design_matrix` on
+    `rows`; its case and pool parts are row slices of it.  The fits,
+    estimators and influence functions all read these shared designs.
+    """
+
+    def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair):
+        self.ds = ds
+        self.pair = pair
+        self.case = case
+        self.pool = pool
+        self.rows = np.concatenate([case, pool])
+        self.y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
+        self.rows.flags.writeable = self.y.flags.writeable = False
+        self._kept = {}
+
+    def design(self, keep=None) -> KeptDesign:
+        """Designs restricted to the non-intercept columns `keep` marks."""
+        key = None if keep is None else tuple(bool(k) for k in keep)
+        if key not in self._kept:
+            Z, names = design_matrix(self.ds, self.rows, self.pair, key)
+            Z.flags.writeable = False    # shared by every caller, and so are its slices
+            nc = self.case.size
+            self._kept[key] = KeptDesign(Z, Z[:nc], Z[nc:], names)
+        return self._kept[key]
+
+    # x_r and l_a blocks, as columns of the unmasked design
+    @property
+    def xr_case(self) -> np.ndarray:
+        return self.design().case[:, 1:1 + len(self.pair.r.indices)]
+
+    @property
+    def la_case(self) -> np.ndarray:
+        return self.design().case[:, 1 + len(self.pair.r.indices):]
+
+    @property
+    def xr_pool(self) -> np.ndarray:
+        return self.design().pool[:, 1:1 + len(self.pair.r.indices)]
+
+    @property
+    def la_pool(self) -> np.ndarray:
+        return self.design().pool[:, 1 + len(self.pair.r.indices):]
+
+
+class _DesignCache:
+    def __init__(self, ds: Dataset):
+        self.ds = ds
+        self.pairs = {}              # (r, a) codes -> PairView
+
+
+def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
+    """The designs of `pair`, built on first use and cached on `strata`."""
+    cache = strata.designs
+    if cache is None or cache.ds is not ds:
+        cache = strata.designs = _DesignCache(ds)
+    view = cache.pairs.get(pair.key)
+    if view is None:
+        view = cache.pairs[pair.key] = PairView(ds, strata.stratum(pair), strata.pool(pair.r), pair)
+    return view
 
 
 def _clamped_eta(Z, coef):
@@ -183,9 +258,9 @@ def fit_odds(
         raise SmallStratumError(
             f"{pair}: case stratum has {case.size} and pool has {pool.size} records, need >= {n_min}"
         )
-    rows = np.concatenate([case, pool])
-    y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
-    Z, names = design_matrix(ds, rows, pair, keep)
+    view = pair_view(ds, strata, pair)
+    y = view.y
+    Z, _, _, names = view.design(keep)
     n = ds.n
 
     alpha = np.zeros(Z.shape[1])
@@ -294,7 +369,7 @@ def fit_outcome(
             scale_coords = present
 
     rho = ds.L[pool, resp_coord] if resp_coord is not None else f(ds.L[pool])
-    Z, names = design_matrix(ds, pool, pair, keep)
+    _, _, Z, names = pair_view(ds, strata, pair).design(keep)
     if np.linalg.matrix_rank(Z) < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
     beta, _, _, _ = np.linalg.lstsq(Z, rho, rcond=None)
@@ -312,39 +387,6 @@ def fit_outcome(
         resp_coord=resp_coord,
         scale_coords=scale_coords,
     )
-
-
-def psi_odds(model: OddsModel, ds: Dataset, strata: StratumIndex) -> np.ndarray:
-    """Per-record influence contributions to the fitted odds coefficients,
-    shape (n, k); zero rows outside the case stratum and pool."""
-    case = strata.stratum(model.pair)
-    pool = strata.pool(model.pair.r)
-    rows = np.concatenate([case, pool])
-    y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
-    Z, _ = design_matrix(ds, rows, model.pair, model.keep)
-    p = 1.0 / (1.0 + np.exp(-_clamped_eta(Z, model.alpha)))
-    contrib = Z * (y - p)[:, None]
-    out = np.zeros((ds.n, model.alpha.size))
-    try:
-        out[rows] = np.linalg.solve(model.info, contrib.T).T
-    except np.linalg.LinAlgError:
-        raise SingularityError(f"{model.pair}: singular information matrix")
-    return out
-
-
-def psi_outcome(model: OutcomeModel, ds: Dataset, strata: StratumIndex, f: Functional) -> np.ndarray:
-    """Per-record influence contributions to the fitted regression
-    coefficients, shape (n, k); zero rows outside the pool."""
-    pool = strata.pool(model.pair.r)
-    Z, _ = design_matrix(ds, pool, model.pair, model.keep)
-    rho = ds.L[pool, model.resp_coord] if model.resp_coord is not None else f(ds.L[pool])
-    resid = rho - Z @ model.beta
-    out = np.zeros((ds.n, model.beta.size))
-    try:
-        out[pool] = np.linalg.solve(model.gram, (Z * resid[:, None]).T).T
-    except np.linalg.LinAlgError:
-        raise SingularityError(f"{model.pair}: singular design gram matrix")
-    return out
 
 
 def fit_all_odds(ds, strata, n_min: int = DEFAULT_N_MIN, keep: dict | None = None) -> dict:

@@ -10,6 +10,7 @@ the entire pipeline, nuisance refits included.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from scipy.stats import norm
 from .data import Dataset
 from .errors import AccmvError, BootstrapInstabilityError, ConfigError
 from .estimators import _require_models
-from .glm import design_matrix
+from .glm import LINPRED_CLAMP, pair_view
 
 DEFAULT_B = 500
 DEFAULT_LEVEL = 0.95
@@ -50,8 +51,15 @@ class CiReport:
         return {k: getattr(self, k) for k in ("estimate", "se", "lower", "upper", "level", "method", "B", "seed")}
 
 
+def critical_value(level) -> float:
+    """Two-sided standard-normal quantile of a confidence level in (0, 1)."""
+    if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
+        raise ConfigError(f"confidence level must be in (0, 1), got {level!r}")
+    return float(norm.ppf(0.5 + level / 2.0))
+
+
 def normal_ci(estimate, se, level: float = DEFAULT_LEVEL, method: str = "influence", **kw) -> CiReport:
-    z = norm.ppf(0.5 + level / 2.0)
+    z = critical_value(level)
     return CiReport(
         estimate=float(estimate),
         se=float(se),
@@ -69,18 +77,16 @@ def _fitted(model) -> bool:
 
 def _odds_score_rows(ds, strata, model):
     """Per-record coefficient score of one odds fit and the rows it lives on."""
-    case = strata.stratum(model.pair)
-    pool = strata.pool(model.pair.r)
-    rows = np.concatenate([case, pool])
-    y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
-    Z, _ = design_matrix(ds, rows, model.pair, model.keep)
-    p = 1.0 / (1.0 + np.exp(-np.clip(Z @ model.alpha, -30.0, 30.0)))
-    return rows, Z * (y - p)[:, None]
+    view = pair_view(ds, strata, model.pair)
+    Z = view.design(model.keep).stacked
+    p = 1.0 / (1.0 + np.exp(-np.clip(Z @ model.alpha, -LINPRED_CLAMP, LINPRED_CLAMP)))
+    return view.rows, Z * (view.y - p)[:, None]
 
 
 def _outcome_residual_rows(ds, strata, model, f):
-    pool = strata.pool(model.pair.r)
-    Z, _ = design_matrix(ds, pool, model.pair, model.keep)
+    view = pair_view(ds, strata, model.pair)
+    pool = view.pool
+    Z = view.design(model.keep).pool
     rho = ds.L[pool, model.resp_coord] if model.resp_coord is not None else f(ds.L[pool])
     return pool, Z, rho - Z @ model.beta
 
@@ -97,12 +103,13 @@ def if_variance_ipw(ds, strata, odds, f, theta_hat: float) -> tuple[float, Influ
     phi[complete] += f_complete
     for pr in pairs:
         model = odds[pr.key]
-        pool = strata.pool(pr.r)
-        Zp, _ = design_matrix(ds, pool, pr, model.keep)
-        ovals = model.predict(ds.x_block(pool, pr.r), ds.l_block(pool, pr.a))
+        view = pair_view(ds, strata, pr)
+        pool = view.pool
+        ovals = model.predict(view.xr_pool, view.la_pool)
         fo = fmap[pool] * ovals
         phi[pool] += fo
         if _fitted(model):
+            Zp = view.design(model.keep).pool
             grad_mean = Zp.T @ fo / n        # mean of f * grad of odds over the pool
             rows, score = _odds_score_rows(ds, strata, model)
             phi[rows] += score @ np.linalg.solve(model.info, grad_mean)
@@ -120,11 +127,11 @@ def if_variance_ra(ds, strata, outcomes, f, theta_hat: float) -> tuple[float, In
     phi[complete] += f(ds.L[complete]) if complete.size else 0.0
     for pr in pairs:
         model = outcomes[pr.key]
-        rows = strata.stratum(pr)
-        xr, la = ds.x_block(rows, pr.r), ds.l_block(rows, pr.a)
-        phi[rows] += model.predict(xr, la)
+        view = pair_view(ds, strata, pr)
+        la = view.la_case
+        phi[view.case] += model.predict(view.xr_case, la)
         if _fitted(model):
-            Zs, _ = design_matrix(ds, rows, pr, model.keep)
+            Zs = view.design(model.keep).case
             g = model.scale_values(la, pr.a)
             grad_mean = Zs.T @ g / n         # mean gradient of the prediction over the stratum
             pool, Zp, resid = _outcome_residual_rows(ds, strata, model, f)
@@ -148,25 +155,24 @@ def if_variance_mr(ds, strata, odds, outcomes, f, theta_hat: float) -> tuple[flo
     phi[complete] += f_complete
     for pr in pairs:
         om, gm = outcomes[pr.key], odds[pr.key]
-        pool = strata.pool(pr.r)
-        strat = strata.stratum(pr)
-        xr_p, la_p = ds.x_block(pool, pr.r), ds.l_block(pool, pr.a)
-        xr_s, la_s = ds.x_block(strat, pr.r), ds.l_block(strat, pr.a)
+        view = pair_view(ds, strata, pr)
+        pool = view.pool
+        xr_p, la_p = view.xr_pool, view.la_pool
+        la_s = view.la_case
         o_pool = gm.predict(xr_p, la_p)
         m_pool = om.predict(xr_p, la_p)
         resid_pool = fmap[pool] - m_pool
         phi[pool] += resid_pool * o_pool
-        phi[strat] += om.predict(xr_s, la_s)
+        phi[view.case] += om.predict(view.xr_case, la_s)
         if _fitted(om):
-            Zm_s, _ = design_matrix(ds, strat, pr, om.keep)
-            Zm_p, _ = design_matrix(ds, pool, pr, om.keep)
+            _, Zm_s, Zm_p, _ = view.design(om.keep)
             g_s = om.scale_values(la_s, pr.a)
             g_p = om.scale_values(la_p, pr.a)
             grad_mean = (Zm_s.T @ g_s - Zm_p.T @ (g_p * o_pool)) / n
             prow, Zp, resid = _outcome_residual_rows(ds, strata, om, f)
             phi[prow] += (Zp * resid[:, None]) @ np.linalg.solve(om.gram, grad_mean)
         if _fitted(gm):
-            Zo_p, _ = design_matrix(ds, pool, pr, gm.keep)
+            Zo_p = view.design(gm.keep).pool
             grad_mean = Zo_p.T @ (resid_pool * o_pool) / n
             rows, score = _odds_score_rows(ds, strata, gm)
             phi[rows] += score @ np.linalg.solve(gm.info, grad_mean)
@@ -222,6 +228,7 @@ def bootstrap(
     """
     if B < 2:
         raise ConfigError(f"bootstrap needs B >= 2, got {B}")
+    z = critical_value(level)
     point = np.atleast_1d(np.asarray(pipeline(ds), dtype=float))
     children = np.random.SeedSequence(seed).spawn(B)
     reps = []
@@ -237,7 +244,6 @@ def bootstrap(
         raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit")
     mat = np.vstack(reps)
     se = mat.std(axis=0, ddof=1)
-    z = norm.ppf(0.5 + level / 2.0)
     lo_q, hi_q = np.quantile(mat, [(1 - level) / 2.0, (1 + level) / 2.0], axis=0)
 
     def squeeze(v):

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
 from .estimators import _require_models, compute_weights
-from .glm import design_matrix
+from .glm import pair_view
+from .inference import _fitted, _odds_score_rows, critical_value
 
 EE_TOL = 1e-8
 EE_MAX_ITER = 100
@@ -181,7 +181,7 @@ class MpmEstimate:
         return np.sqrt(np.diag(self.covariance))
 
     def wald_table(self, level: float = 0.95) -> list[dict]:
-        z = norm.ppf(0.5 + level / 2.0)
+        z = critical_value(level)
         se = self.standard_errors()
         return [
             {
@@ -294,8 +294,6 @@ def sandwich_variance(
     u[wt.rows] = spec.score(theta_hat, Lc) * w[:, None]
     A = spec.jacobian_sum(theta_hat, Lc, w) / n
     if not naive:
-        from .inference import _fitted, _odds_score_rows  # shared per-model machinery
-
         s_complete = spec.score(theta_hat, Lc)
         r_codes = ds.r_codes[wt.rows]
         for key in sorted(odds):
@@ -303,10 +301,10 @@ def sandwich_variance(
             if not _fitted(model):
                 continue
             pr = model.pair
-            sel = (r_codes & pr.r.value) == pr.r.value
-            pool = wt.rows[sel]
-            Zp, _ = design_matrix(ds, pool, pr, model.keep)
-            ovals = model.predict(ds.x_block(pool, pr.r), ds.l_block(pool, pr.a))
+            sel = (r_codes & pr.r.value) == pr.r.value     # complete rows in the pool of r
+            view = pair_view(ds, strata, pr)
+            Zp = view.design(model.keep).pool
+            ovals = model.predict(view.xr_pool, view.la_pool)
             # (q, k) mean of score (outer) gradient of the odds over the pool
             Cmat = s_complete[sel].T @ (Zp * ovals[:, None]) / n
             rows, score = _odds_score_rows(ds, strata, model)

@@ -28,6 +28,10 @@ class Pattern:
             raise ValueError(f"pattern length must be in [1, {MAX_LENGTH}], got {self.length}")
         if not 0 <= self.value < (1 << self.length):
             raise ValueError(f"pattern value {self.value} out of range for length {self.length}")
+        # derived once: patterns are immutable and these are read on every design lookup
+        bits = tuple((self.value >> (self.length - 1 - j)) & 1 for j in range(self.length))
+        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_indices", tuple(j for j, b in enumerate(bits) if b))
 
     @classmethod
     def from_string(cls, s: str) -> "Pattern":
@@ -53,12 +57,12 @@ class Pattern:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.length - 1 - j)) & 1 for j in range(self.length))
+        return self._bits
 
     @property
     def indices(self) -> tuple[int, ...]:
         """0-based coordinates that are observed, in coordinate order."""
-        return tuple(j for j in range(self.length) if self.bits[j])
+        return self._indices
 
     @property
     def popcount(self) -> int:

@@ -13,12 +13,12 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Dataset, Functional, StratumIndex, build_strata
 from .errors import AccmvError, BootstrapInstabilityError, ConfigError, DegenerateNormalizationError
 from .estimators import _require_models, compute_weights
 from .glm import fit_all_odds
+from .inference import critical_value
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,7 @@ def sweep(
     intervals from the per-point replicate spread are attached."""
     if not spec.grid:
         raise ConfigError("sweep needs a nonempty grid")
+    z = critical_value(level)
     grid = list(spec.grid)
     ests = [tilted_estimate(ds, strata, odds, f, spec, m) for m in grid]
     lo = [float("nan")] * len(grid)
@@ -131,7 +132,6 @@ def sweep(
             raise BootstrapInstabilityError(f"{n_failed}/{B} sweep replicates failed to fit")
         mat = np.asarray(reps)
         se = mat.std(axis=0, ddof=1)
-        z = norm.ppf(0.5 + level / 2.0)
         lo = [float(e - z * s) for e, s in zip(ests, se)]
         hi = [float(e + z * s) for e, s in zip(ests, se)]
     return SensitivityCurve(

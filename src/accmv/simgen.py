@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, Functional, build_strata
 from .errors import ConfigError
 from .estimators import compute_weights
-from .glm import design_matrix
+from .glm import pair_view
 from .patterns import Pattern, PatternPair
 
 KINDS = ("single", "multiple", "mpm")
@@ -348,13 +348,11 @@ def verify_oracles(design: SimDesign, n_big: int | None = None, seed=None) -> Or
     for key in sorted(truth.odds):
         model = truth.odds[key]
         pr = model.pair
-        case = strata.stratum(pr)
-        pool = strata.pool(pr.r)
-        if case.size == 0 or pool.size == 0:
+        if strata.stratum(pr).size == 0 or strata.pool(pr.r).size == 0:
             continue
-        Zc, names = design_matrix(ds, case, pr)
-        Zp, _ = design_matrix(ds, pool, pr)
-        ovals = model.predict(ds.x_block(pool, pr.r), ds.l_block(pool, pr.a))
+        view = pair_view(ds, strata, pr)
+        _, Zc, Zp, names = view.design()
+        ovals = model.predict(view.xr_pool, view.la_pool)
         for j, nm in enumerate(names):
             vals = np.concatenate([Zc[:, j], -ovals * Zp[:, j]])
             _mean_check(rows, f"odds {pr} moment[{nm}]", vals, n, 0.0)
@@ -364,24 +362,23 @@ def verify_oracles(design: SimDesign, n_big: int | None = None, seed=None) -> Or
     for key in sorted(truth.outcomes):
         model = truth.outcomes[key]
         pr = model.pair
-        pool = strata.pool(pr.r)
-        if pool.size == 0:
+        if strata.pool(pr.r).size == 0:
             continue
-        Zp, names = design_matrix(ds, pool, pr)
-        resid = f(ds.L[pool]) - model.predict(ds.x_block(pool, pr.r), ds.l_block(pool, pr.a))
+        view = pair_view(ds, strata, pr)
+        _, _, Zp, names = view.design()
+        resid = f(ds.L[view.pool]) - model.predict(view.xr_pool, view.la_pool)
         for j, nm in enumerate(names):
             _mean_check(rows, f"regression {pr} orth[{nm}]", resid * Zp[:, j], n, 0.0)
 
     if design.kind == "multiple":
         # pointwise windows for the richest pool regression
-        pr = _pair("multiple", 3, 0)
+        view = pair_view(ds, strata, _pair("multiple", 3, 0))
         model = truth.outcomes[(3, 0)]
-        pool = strata.pool(pr.r)
-        xp = ds.x_block(pool, pr.r)
-        resid = f(ds.L[pool]) - model.predict(xp, ds.l_block(pool, pr.a))
+        xp = view.xr_pool
+        resid = f(ds.L[view.pool]) - model.predict(xp, view.la_pool)
         for c in (0.5, 1.0, 1.5):
             g = ((np.abs(xp[:, 0] - c) <= 0.25) & (np.abs(xp[:, 1] - c) <= 0.25)).astype(float)
-            _mean_check(rows, f"regression {pr} window@{c}", resid * g, n, 0.0)
+            _mean_check(rows, f"regression {view.pair} window@{c}", resid * g, n, 0.0)
 
     if design.kind in ("single", "multiple"):
         # target through the weighting identity with oracle odds
@@ -394,32 +391,28 @@ def verify_oracles(design: SimDesign, n_big: int | None = None, seed=None) -> Or
         complete = np.flatnonzero(ds.complete_mask)
         v[complete] = f(ds.L[complete])
         for pr in strata.incomplete_pairs():
-            srows = strata.stratum(pr)
-            v[srows] = truth.outcomes[pr.key].predict(ds.x_block(srows, pr.r), ds.l_block(srows, pr.a))
+            view = pair_view(ds, strata, pr)
+            v[view.case] = truth.outcomes[pr.key].predict(view.xr_case, view.la_case)
         _mean_check(rows, "theta via oracle regressions", v, n, truth.theta_true)
 
     if design.kind == "mpm":
-        complete = ds.complete_mask
         # incomplete-vs-complete mass ratios implied by the mechanism:
         # E[g I(R=0, A=a)] = 1/2 E[g I(A=1_d)]             for g of L_a
         # E[g I(R=1, A=a)] = E[exp(x/2) g I(R=1, A=1_d)]   for g of (X, L_a)
+        # the reference records R >= r with all primaries observed are the pool of r
         for a in (0, 1, 2):
             for rv in (0, 1):
                 pr = _pair("mpm", rv, a)
-                case = strata.stratum(pr)
-                if case.size == 0:
+                if strata.stratum(pr).size == 0:
                     continue
-                if rv == 0:
-                    ref = np.flatnonzero(complete)
-                    wref = np.full(ref.size, 0.5)
-                else:
-                    ref = np.flatnonzero(complete & (ds.r_codes == 1))
-                    wref = np.exp(0.5 * ds.X[ref, 0])
-                la_case, la_ref = ds.l_block(case, pr.a), ds.l_block(ref, pr.a)
+                view = pair_view(ds, strata, pr)
+                case, ref = view.case, view.pool
+                wref = np.full(ref.size, 0.5) if rv == 0 else np.exp(0.5 * view.xr_pool[:, 0])
+                la_case, la_ref = view.la_case, view.la_pool
                 pairs_g = [(np.ones(case.size), np.ones(ref.size))]
                 pairs_g += [(la_case[:, j], la_ref[:, j]) for j in range(la_case.shape[1])]
                 if rv == 1:
-                    pairs_g.append((ds.X[case, 0], ds.X[ref, 0]))
+                    pairs_g.append((view.xr_case[:, 0], view.xr_pool[:, 0]))
                 for j, (g_case, g_ref) in enumerate(pairs_g):
                     vals = np.concatenate([g_case, -wref * g_ref])
                     _mean_check(rows, f"mechanism {pr} moment[{j}]", vals, n, 0.0)

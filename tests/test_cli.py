@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from accmv.cli import main, run_table
+from accmv.cli import main, run_table, table_replicate
 from accmv.data import Schema, load_csv
 from accmv.errors import ConfigError
 from accmv.sensitivity import SensitivityCurve
@@ -213,3 +213,76 @@ def test_run_table_validation():
         run_table(4, 1, 100, 0)
     with pytest.raises(ConfigError):
         run_table(1, 0, 100, 0)
+
+# One seeded replicate per table at n = 2000: (estimate, SE) of every row, as
+# computed when each pair's designs were still rebuilt at every call site.
+GOLDEN_REPLICATES = {
+    1: {
+        "ipw": (0.9352541098259984, 0.1942018698192057),
+        "ipw_wrong": (0.9076350760843674, 0.19387846521436142),
+        "ra": (0.8781935572379991, 0.042423183733435996),
+        "ra_wrong": (0.92178475471347, 0.04370938166190159),
+        "mr": (0.9481556520762889, 0.08897354844473078),
+        "mr_ipw_wrong": (0.9583846007325867, 0.08918628941385283),
+        "mr_ra_wrong": (0.9720420005890674, 0.08919167626182169),
+        "mr_both_wrong": (1.0019757982080577, 0.08885609648504032),
+        "complete_case": (0.729277816715434, 0.03396608540111472),
+    },
+    2: {
+        "ipw": (1.3613835113859463, 0.07020369045629955),
+        "ipw_wrong": (1.45318522725106, 0.07405593116557685),
+        "ra": (1.365431307221462, 0.061896174551720716),
+        "ra_wrong": (1.3190177587035292, 0.06092598199296164),
+        "mr": (1.3756272023676894, 0.06332160990495535),
+        "mr_ipw_wrong": (1.369757600350471, 0.06249460930417329),
+        "mr_ra_wrong": (1.3742109902002873, 0.0651121456858293),
+        "mr_both_wrong": (1.3813048377827504, 0.06431494926236529),
+        "complete_case": (1.5374829222925606, 0.08937372348132723),
+    },
+    3: {
+        "ipw": ([-0.9871162968229462, 0.5614309268339748], [0.04053401878049083, 0.05045767682005974]),
+        "complete_case": ([-1.021431976395845, 0.5472559278554014], [0.04164637019037957, 0.03954028382014093]),
+    },
+}
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_table_replicate_golden(table):
+    got = table_replicate(table, 2000, 9000 + table)
+    want = GOLDEN_REPLICATES[table]
+    assert list(got) == list(want)
+    for name, (est, se) in want.items():
+        np.testing.assert_allclose(got[name][0], est, rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(got[name][1], se, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("level", ["1.5", "0", "-0.2", "1"])
+def test_level_outside_unit_interval_exits_2(single_csv, mpm_csv, level, capsys):
+    commands = [
+        ["fit", "--data", single_csv, *DATA_ARGS, "--method", "ra"],
+        ["regress", "--data", mpm_csv, "--x-cols", "Y1", "--l-cols", "Y2,Y3",
+         "--response", "Y3", "--predictors", "Y2"],
+    ]
+    for argv in commands:
+        assert run([*argv, f"--level={level}"]) == 2
+        err = capsys.readouterr().err
+        assert "confidence level must be in (0, 1)" in err
+
+
+def test_sensitivity_has_no_level_option(single_csv, tmp_path, capsys):
+    argv = ["sensitivity", "--data", single_csv, *DATA_ARGS, "--grid=0,1"]
+    with pytest.raises(SystemExit) as exc:          # argparse rejects the unknown flag
+        run([*argv, "--level=1.5"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"level": 1.5}))
+    assert run([*argv, "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_level_from_config_is_checked(single_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for bad in (1.5, "0.9", None):
+        cfg.write_text(json.dumps({"level": bad}))
+        assert run(["fit", "--data", single_csv, *DATA_ARGS, "--config", str(cfg)]) == 2
+    capsys.readouterr()

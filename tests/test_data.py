@@ -140,6 +140,16 @@ def test_functional_validation():
         Functional("threshold", (0, 1), (7.0,))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["X", "L"])
+def test_dataset_rejects_infinite_cells(block, bad):
+    X, L = np.ones((4, 2)), np.ones((4, 1))
+    X[0, 1] = L[1, 0] = np.nan                  # missing cells stay allowed
+    (X if block == "X" else L)[2, 0] = bad
+    with pytest.raises(DataError, match=rf"{block}\[2, 0\].*finite"):
+        Dataset(X, L)
+
+
 def test_dimension_cap():
     with pytest.raises(ConfigError):
         Dataset(np.ones((2, 10)), np.ones((2, 3)))

@@ -11,10 +11,11 @@ from accmv.glm import (
     fit_outcome,
     odds_negloglik,
     odds_score_hessian,
-    psi_odds,
-    psi_outcome,
+    pair_view,
 )
+from accmv.inference import _odds_score_rows, _outcome_residual_rows
 from accmv.patterns import Pattern, PatternPair
+from accmv.simgen import SimDesign, generate, misspec_masks
 
 F1 = Functional("coordinate", (0,))
 
@@ -167,6 +168,22 @@ def test_rank_deficient_design():
         fit_outcome(ds, strata, pair(3, 0), F1)
 
 
+def psi_odds(model, ds, strata):
+    """Per-record influence contributions to the odds coefficients, (n, k)."""
+    rows, score = _odds_score_rows(ds, strata, model)
+    out = np.zeros((ds.n, model.alpha.size))
+    out[rows] = np.linalg.solve(model.info, score.T).T
+    return out
+
+
+def psi_outcome(model, ds, strata, f):
+    """Per-record influence contributions to the regression coefficients, (n, k)."""
+    pool, Z, resid = _outcome_residual_rows(ds, strata, model, f)
+    out = np.zeros((ds.n, model.beta.size))
+    out[pool] = np.linalg.solve(model.gram, (Z * resid[:, None]).T).T
+    return out
+
+
 def test_psi_odds_mean_zero_and_cov(single_20k):
     ds, strata = single_20k
     for pr in strata.incomplete_pairs():
@@ -209,3 +226,48 @@ def test_fit_all_families(multiple_20k):
     # decomposed fits regress the unobserved factor and scale by the observed one
     assert outs[(0, 1)].resp_coord == 0 and outs[(0, 1)].scale_coords == (1,)
     assert outs[(0, 0)].resp_coord is None and outs[(0, 0)].scale_coords == ()
+
+
+@pytest.mark.parametrize("kind", ["single", "multiple", "mpm"])
+def test_pair_view_designs_equal_design_matrix(kind):
+    ds = generate(SimDesign(kind, 3000, 31))
+    strata = build_strata(ds)
+    masks = {}
+    for family in ("odds", "outcome"):
+        for key, keep in misspec_masks(kind, family).items():
+            masks.setdefault(key, []).append(keep)
+    pairs = strata.incomplete_pairs()
+    assert set(masks) <= {pr.key for pr in pairs}
+    for pr in pairs:
+        view = pair_view(ds, strata, pr)
+        case, pool = strata.stratum(pr), strata.pool(pr.r)
+        assert np.array_equal(view.case, case) and np.array_equal(view.pool, pool)
+        assert np.array_equal(view.rows, np.concatenate([case, pool]))
+        assert np.array_equal(view.y, np.r_[np.ones(case.size), np.zeros(pool.size)])
+        for keep in (None, *masks.get(pr.key, ())):
+            d = view.design(keep)
+            Zc, names = design_matrix(ds, case, pr, keep)
+            Zp, _ = design_matrix(ds, pool, pr, keep)
+            Zs, _ = design_matrix(ds, view.rows, pr, keep)
+            assert np.array_equal(d.case, Zc) and np.array_equal(d.pool, Zp)
+            assert np.array_equal(d.stacked, Zs) and d.stacked.flags.c_contiguous
+            assert not (d.stacked.flags.writeable or d.pool.flags.writeable or view.xr_case.flags.writeable)
+            assert d.names == names
+        for rows, xr, la in ((case, view.xr_case, view.la_case), (pool, view.xr_pool, view.la_pool)):
+            assert np.array_equal(xr, ds.X[rows][:, pr.r.indices])
+            assert np.array_equal(la, ds.L[rows][:, pr.a.indices])
+
+
+def test_pair_view_cached_on_its_strata(single_20k):
+    ds, strata = single_20k
+    pr = pair(3, 0)
+    view = pair_view(ds, strata, pr)
+    assert pair_view(ds, strata, pr) is view
+    assert view.design((True, False)) is view.design((True, False))
+    other = build_strata(ds)
+    fresh = pair_view(ds, other, pr)
+    assert fresh is not view                               # a new index builds its own
+    copy = ds.subset(np.arange(ds.n))
+    assert pair_view(copy, other, pr) is not fresh         # another dataset gets no stale designs
+    with pytest.raises(ValueError, match="keep mask"):
+        view.design((True,))

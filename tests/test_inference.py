@@ -77,7 +77,7 @@ def test_zero_residual_outcome_gives_plugin_spread_only():
     h[complete] = F1(ds.L[complete])
     for pr in strata.incomplete_pairs():
         rows = strata.stratum(pr)
-        h[rows] = outs[pr.key].predict(ds.x_block(rows, pr.r), ds.l_block(rows, pr.a))
+        h[rows] = outs[pr.key].predict(ds.X[rows][:, pr.r.indices], ds.L[rows][:, pr.a.indices])
     np.testing.assert_allclose(iv.values, h - est.theta_hat, atol=1e-10)
 
 

@@ -96,3 +96,12 @@ def test_bounds():
         Pattern(4, 2)
     with pytest.raises(ValueError):
         Pattern.from_string("10x")
+
+
+def test_bits_and_indices_derived_from_value():
+    for length in range(1, 6):
+        for pat in all_patterns(length):
+            bits = tuple(int(c) for c in str(pat))
+            assert pat.bits == bits
+            assert pat.indices == tuple(j for j, b in enumerate(bits) if b)
+            assert pat == Pattern(pat.value, length) and hash(pat) == hash(Pattern(pat.value, length))
