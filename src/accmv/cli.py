@@ -27,7 +27,7 @@ from .estimators import (
     estimate_ra,
 )
 from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
-from .inference import bootstrap, critical_value, if_variance_ipw, if_variance_mr, if_variance_ra, normal_ci
+from .inference import bootstrap, critical_value, normal_ci
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
 from .simgen import SimDesign, generate, misspec_masks, oracle_value, verify_oracles
@@ -67,30 +67,17 @@ def _mean_table_rows(ds, strata, kind, f, n_min=10):
     outs_bad = _refit_outcomes(ds, strata, outs_ok, kind, f, n_min, decompose)
 
     rows = {}
-
-    def put_ipw(name, odds):
-        est = estimate_ipw(ds, strata, odds, f)
-        se, _ = if_variance_ipw(ds, strata, odds, f, est.theta_hat)
-        rows[name] = (est.theta_hat, se)
-
-    def put_ra(name, outs):
-        est = estimate_ra(ds, strata, outs, f)
-        se, _ = if_variance_ra(ds, strata, outs, f, est.theta_hat)
-        rows[name] = (est.theta_hat, se)
-
-    def put_mr(name, odds, outs):
-        est = estimate_mr(ds, strata, odds, outs, f)
-        se, _ = if_variance_mr(ds, strata, odds, outs, f, est.theta_hat)
-        rows[name] = (est.theta_hat, se)
-
-    put_ipw("ipw", odds_ok)
-    put_ipw("ipw_wrong", odds_bad)
-    put_ra("ra", outs_ok)
-    put_ra("ra_wrong", outs_bad)
-    put_mr("mr", odds_ok, outs_ok)
-    put_mr("mr_ipw_wrong", odds_bad, outs_ok)
-    put_mr("mr_ra_wrong", odds_ok, outs_bad)
-    put_mr("mr_both_wrong", odds_bad, outs_bad)
+    for name, est in (
+        ("ipw", estimate_ipw(ds, strata, odds_ok, f, influence=True)),
+        ("ipw_wrong", estimate_ipw(ds, strata, odds_bad, f, influence=True)),
+        ("ra", estimate_ra(ds, strata, outs_ok, f, influence=True)),
+        ("ra_wrong", estimate_ra(ds, strata, outs_bad, f, influence=True)),
+        ("mr", estimate_mr(ds, strata, odds_ok, outs_ok, f, influence=True)),
+        ("mr_ipw_wrong", estimate_mr(ds, strata, odds_bad, outs_ok, f, influence=True)),
+        ("mr_ra_wrong", estimate_mr(ds, strata, odds_ok, outs_bad, f, influence=True)),
+        ("mr_both_wrong", estimate_mr(ds, strata, odds_bad, outs_bad, f, influence=True)),
+    ):
+        rows[name] = (est.theta_hat, est.influence.se)
 
     cc = estimate_complete_case(ds, f)
     fv = f(ds.L[np.flatnonzero(ds.complete_mask)])
@@ -201,6 +188,44 @@ def _int_list(s):
     return tuple(int(x) for x in s.split(",")) if s else ()
 
 
+# element type of the values each list option's converter produces
+_LIST_ITEMS = {_csv_list: str, _float_list: float, _int_list: int}
+
+
+def _config_scalar(key, kind, val):
+    """`val` as a bool, int, float or str; only JSON integers convert (to float)."""
+    if isinstance(val, bool):
+        ok = kind is bool
+    elif kind is float:
+        ok = isinstance(val, (int, float))
+    else:
+        ok = isinstance(val, kind)
+    if not ok:
+        raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {val!r}")
+    return kind(val)
+
+
+def _config_value(key, action, val):
+    """A config entry converted as its option would convert it on the command line.
+
+    List options take a JSON list or the string their flag takes; the other
+    options take a JSON value of their own type.
+    """
+    if action.type in _LIST_ITEMS:
+        if isinstance(val, str):
+            try:
+                return action.type(val)
+            except ValueError as e:
+                raise ConfigError(f"config key {key!r}: {e}") from None
+        if not isinstance(val, list):
+            raise ConfigError(f"config key {key!r}: expected a list or a comma-separated string, got {val!r}")
+        return tuple(_config_scalar(key, _LIST_ITEMS[action.type], v) for v in val)
+    val = _config_scalar(key, bool if action.nargs == 0 else action.type or str, val)
+    if action.choices is not None and val not in action.choices:
+        raise ConfigError(f"config key {key!r}: {val!r} is not one of {list(action.choices)}")
+    return val
+
+
 def _apply_config(args):
     if not getattr(args, "config", None):
         return args
@@ -211,13 +236,14 @@ def _apply_config(args):
         raise ConfigError(f"config file not found: {args.config}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {args.config}: {e}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {args.config}: expected a JSON object")
+    actions = {a.dest: a for a in args.parser._actions if a.option_strings}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise ConfigError(f"config key {key!r} does not match any option of this subcommand")
-        if isinstance(val, list):
-            val = tuple(val)
-        setattr(args, attr, val)
+        setattr(args, attr, _config_value(key, actions[attr], val))
     return args
 
 
@@ -243,7 +269,7 @@ def _write_json(path, payload):
 
 
 def _resolved(args) -> dict:
-    skip = {"func"}
+    skip = {"func", "parser"}
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items() if k not in skip}
 
 
@@ -265,46 +291,26 @@ def cmd_fit(args) -> int:
         if n_case < 2 * args.n_min or n_pool < 2 * args.n_min:
             warnings.append(f"small stratum {pr}: case {n_case}, pool {n_pool}")
 
-    def run(dsx):
-        sx = build_strata(dsx)
+    def estimate(dsx, sx, influence=False):
+        if method == "cc":
+            return estimate_complete_case(dsx, f)
         if method == "ipw":
             return estimate_ipw(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), f,
-                                self_normalize=args.self_normalize).theta_hat
+                                self_normalize=args.self_normalize, influence=influence)
+        outs = fit_all_outcomes(dsx, sx, f, n_min=args.n_min, decompose=args.decompose_product)
         if method == "ra":
-            return estimate_ra(dsx, sx, fit_all_outcomes(dsx, sx, f, n_min=args.n_min,
-                                                         decompose=args.decompose_product), f).theta_hat
-        if method == "mr":
-            return estimate_mr(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min),
-                               fit_all_outcomes(dsx, sx, f, n_min=args.n_min,
-                                                decompose=args.decompose_product), f).theta_hat
-        if method == "cc":
-            return estimate_complete_case(dsx, f).theta_hat
-        raise ConfigError(f"unknown method {method!r}")
+            return estimate_ra(dsx, sx, outs, f, influence=influence)
+        return estimate_mr(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), outs, f,
+                           influence=influence)
 
-    if method == "ipw":
-        odds = fit_all_odds(ds, strata, n_min=args.n_min)
-        est = estimate_ipw(ds, strata, odds, f, self_normalize=args.self_normalize)
-        se = None
-        if not args.self_normalize:
-            se, iv = if_variance_ipw(ds, strata, odds, f, est.theta_hat)
-            est.influence = iv.values
-    elif method == "ra":
-        outs = fit_all_outcomes(ds, strata, f, n_min=args.n_min, decompose=args.decompose_product)
-        est = estimate_ra(ds, strata, outs, f)
-        se, iv = if_variance_ra(ds, strata, outs, f, est.theta_hat)
-        est.influence = iv.values
-    elif method == "mr":
-        odds = fit_all_odds(ds, strata, n_min=args.n_min)
-        outs = fit_all_outcomes(ds, strata, f, n_min=args.n_min, decompose=args.decompose_product)
-        est = estimate_mr(ds, strata, odds, outs, f)
-        se, iv = if_variance_mr(ds, strata, odds, outs, f, est.theta_hat)
-        est.influence = iv.values
+    est = estimate(ds, strata, influence=not (method == "ipw" and args.self_normalize))
+    if est.influence is not None:
+        se = est.influence.se
     elif method == "cc":
-        est = estimate_complete_case(ds, f)
         fv = f(ds.L[np.flatnonzero(ds.complete_mask)])
         se = float(fv.std(ddof=1) / np.sqrt(fv.size))
     else:
-        raise ConfigError(f"unknown method {method!r}; choose ipw, ra, mr, or cc")
+        se = None
 
     report = {
         "config": _resolved(args),
@@ -315,7 +321,8 @@ def cmd_fit(args) -> int:
     if se is not None:
         report["influence"] = normal_ci(est.theta_hat, se, args.level).to_dict()
     if args.bootstrap:
-        boot = bootstrap(ds, run, B=args.bootstrap, seed=args.seed or 0, level=args.level)
+        boot = bootstrap(ds, lambda dsx: estimate(dsx, build_strata(dsx)).theta_hat,
+                         B=args.bootstrap, seed=args.seed or 0, level=args.level)
         report["bootstrap"] = boot.to_dict()
 
     print(f"method={method}  estimate={est.theta_hat:.6g}  n={ds.n}")
@@ -473,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--out", help="JSON report path")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("regress", help="marginal parametric model via the weighted estimating equation")
     _add_data_opts(p)
@@ -485,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the estimated-weights correction from the sandwich")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--out", help="JSON report path")
-    p.set_defaults(func=cmd_regress)
+    p.set_defaults(func=cmd_regress, parser=p)
 
     p = sub.add_parser("sensitivity", help="exponential-tilting sweep of the self-normalized IPW estimate")
     _add_data_opts(p)
@@ -497,14 +504,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bootstrap", type=int, default=0, metavar="B")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="curve CSV path (delta, estimate, ci_lo, ci_hi)")
-    p.set_defaults(func=cmd_sensitivity)
+    p.set_defaults(func=cmd_sensitivity, parser=p)
 
     p = sub.add_parser("simulate", help="write a benchmark-design dataset as CSV")
     p.add_argument("--design", required=True, choices=["single", "multiple", "mpm"])
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, parser=p)
 
     p = sub.add_parser("table", help="replicate one of the three benchmark tables")
     p.add_argument("--table", type=int, required=True, choices=[1, 2, 3])
@@ -514,14 +521,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0, help="0 uses all cores")
     p.add_argument("--out", help="summary CSV path")
     p.add_argument("--dump-replicates", help="optional per-replicate CSV dump")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, parser=p)
 
     p = sub.add_parser("verify-oracles", help="Monte Carlo re-derivation of the closed-form truths")
     p.add_argument("--design", required=True, choices=["single", "multiple", "mpm"])
     p.add_argument("--n-big", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--out", help="JSON report path")
-    p.set_defaults(func=cmd_verify_oracles)
+    p.set_defaults(func=cmd_verify_oracles, parser=p)
     return ap
 
 

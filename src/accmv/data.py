@@ -24,28 +24,21 @@ DEFAULT_MISSING_TOKENS = ("", "NA")
 
 
 @dataclass
-class Record:
-    """One observation: optional auxiliaries x (length p), optional primaries l (length d)."""
-
-    x: np.ndarray
-    l: np.ndarray
-
-    @property
-    def r(self) -> Pattern:
-        return Pattern.from_bits(~np.isnan(self.x))
-
-    @property
-    def a(self) -> Pattern:
-        return Pattern.from_bits(~np.isnan(self.l))
-
-
-@dataclass
 class Schema:
     """Column roles for CSV ingestion."""
 
     x_cols: tuple[str, ...]
     l_cols: tuple[str, ...]
     missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS
+
+    def __post_init__(self):
+        roles = (*self.x_cols, *self.l_cols)
+        repeated = sorted({c for c in roles if roles.count(c) > 1})
+        if repeated:
+            raise ConfigError(
+                f"column(s) {repeated} listed more than once across the auxiliary and primary roles; "
+                "each CSV column takes one role"
+            )
 
 
 class Dataset:
@@ -84,9 +77,6 @@ class Dataset:
         self.r_codes = _mask_codes(~np.isnan(X))
         self.a_codes = _mask_codes(~np.isnan(L))
         self.complete_code = (1 << d) - 1
-
-    def record(self, i: int) -> Record:
-        return Record(self.X[i].copy(), self.L[i].copy())
 
     @property
     def complete_mask(self) -> np.ndarray:
@@ -291,8 +281,3 @@ class Functional:
             t = ",".join(str(v) for v in self.thresholds)
             return f"P(L[{c}] <= [{t}])"
         return "custom"
-
-
-def evaluate(f: Functional, l) -> float:
-    """Evaluate f at a single fully observed primary vector."""
-    return float(f(np.atleast_2d(l))[0])

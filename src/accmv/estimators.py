@@ -1,11 +1,13 @@
 """Point estimators for theta = E[f(L)] under available complete-case
 identification.
 
-All three estimators decompose theta over pattern-pair strata.  Strata with
-all primaries observed contribute their empirical mean directly; every other
-stratum is handled through its fitted odds (IPW), its fitted outcome
-regression (RA), or the augmented combination of both (MR).  Strata absent
-from the data contribute no term and require no model.
+All three estimators are one augmented formula over pattern-pair strata.
+Strata with all primaries observed contribute their empirical mean directly;
+every other stratum contributes its regression plug-in plus the
+odds-weighted regression residual over its pool (MR).  IPW is that formula
+with the regression set to zero, RA with the odds set to zero.  One pass
+over the pairs gives the estimate and, on request, its influence vector.
+Strata absent from the data contribute no term and require no model.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, PositivityError
-from .glm import pair_view
+from .glm import fitted, odds_score_rows, outcome_residual_rows, pair_view, view_values
 from .patterns import Pattern, PatternPair
 
 TILT_CLAMP = 30.0
@@ -66,7 +68,7 @@ def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) ->
         vals = np.zeros(rows.size)
         if sel.any():
             view = pair_view(ds, strata, pr)
-            v = model.predict(view.xr_pool, view.la_pool)
+            v = view_values(model, view, "pool")
             if tilt is not None:
                 delta, center = tilt
                 miss = [j for j in range(ds.d) if j not in pr.a.indices]
@@ -79,11 +81,24 @@ def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) ->
 
 
 @dataclass
+class InfluenceVector:
+    """Centered per-record influence values of an estimate."""
+
+    values: np.ndarray
+    method: str
+
+    @property
+    def se(self) -> float:
+        v = self.values
+        return float(np.sqrt(np.mean((v - v.mean()) ** 2) / v.size))
+
+
+@dataclass
 class ThetaEstimate:
     """Point estimate with its exact per-stratum decomposition.
 
-    `influence` holds per-record influence values once a variance routine has
-    attached them; it stays out of serialized reports.
+    `influence` holds the per-record influence values when the estimate was
+    asked for them; it stays out of serialized reports.
     """
 
     theta_hat: float
@@ -92,7 +107,7 @@ class ThetaEstimate:
     n: int
     self_normalized: bool = False
     diagnostics: dict | None = None
-    influence: np.ndarray | None = None
+    influence: InfluenceVector | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -113,14 +128,76 @@ def _require_models(strata: StratumIndex, models: dict, family: str) -> list[Pat
     return pairs
 
 
-def _complete_terms(ds, strata, f, denom) -> dict:
-    out = {}
+def _walk(ds, strata, f, odds=None, outcomes=None, influence=False):
+    """One pass over the pattern pairs for the augmented estimator.
+
+    An incomplete pair (r, a) contributes  sum_case m + sum_pool (f - m) O,
+    with the odds O taken as zero when `odds` is None (regression adjustment)
+    and the regression m as zero when `outcomes` is None (weighting).  Each
+    model is evaluated once per pair.  Returns the raw sum of every stratum,
+    complete strata first, the summed augmentation terms, and with
+    `influence` the uncentered influence values: f on complete records, the
+    per-pair terms on their records, and one correction per fitted model.
+    """
+    if odds is not None:
+        _require_models(strata, odds, "odds")
+    if outcomes is not None:
+        _require_models(strata, outcomes, "outcome")
+    n = ds.n
+    complete = np.flatnonzero(ds.complete_mask)
+    fmap = np.zeros(n)
+    if complete.size:
+        fmap[complete] = f(ds.L[complete])
+    sums = {}
     for pr in strata.pairs():
-        if pr.a.value != ds.complete_code:
+        if pr.a.value == ds.complete_code:
+            sums[(str(pr.r), str(pr.a))] = fmap[strata.stratum(pr)].sum()
+    phi = fmap.copy() if influence else None
+    aug_total = 0.0
+    for pr in strata.incomplete_pairs():
+        view = pair_view(ds, strata, pr)
+        gm = odds[pr.key] if odds is not None else None
+        om = outcomes[pr.key] if outcomes is not None else None
+        term = 0.0
+        if om is not None:
+            m_case = view_values(om, view, "case")
+            term = m_case.sum()
+        if gm is not None:
+            o_pool = view_values(gm, view, "pool")
+            resid = fmap[view.pool]
+            if om is not None:
+                resid = resid - view_values(om, view, "pool")
+            aug = resid @ o_pool
+            aug_total += aug
+            term = aug + term
+        sums[(str(pr.r), str(pr.a))] = term
+        if not influence:
             continue
-        rows = strata.stratum(pr)
-        out[(str(pr.r), str(pr.a))] = float(f(ds.L[rows]).sum() / denom)
-    return out
+        if gm is not None:
+            ro = resid * o_pool
+            phi[view.pool] += ro
+        if om is not None:
+            phi[view.case] += m_case
+        if fitted(om):
+            Zm = view.design(om.keep)
+            grad = Zm.case.T @ om.scale_values(view.la_case, pr.a)
+            if gm is not None:
+                grad = grad - Zm.pool.T @ (om.scale_values(view.la_pool, pr.a) * o_pool)
+            pool, Z, res = outcome_residual_rows(ds, strata, om, f)
+            phi[pool] += res * (Z @ (om.gram_inv @ (grad / n)))
+        if fitted(gm):
+            grad = view.design(gm.keep).pool.T @ ro / n
+            rows, Z, res = odds_score_rows(ds, strata, gm)
+            phi[rows] += res * (Z @ (gm.info_inv @ grad))
+    return sums, aug_total, phi
+
+
+def _estimate(ds, method, walk, denom, **extra) -> ThetaEstimate:
+    sums, _, phi = walk
+    per = {k: float(v / denom) for k, v in sums.items()}
+    theta = float(sum(per.values()))
+    iv = InfluenceVector(phi - theta, method) if phi is not None else None
+    return ThetaEstimate(theta_hat=theta, method=method, per_stratum=per, n=ds.n, influence=iv, **extra)
 
 
 def estimate_ipw(
@@ -129,65 +206,40 @@ def estimate_ipw(
     odds: dict,
     f: Functional,
     self_normalize: bool = False,
+    influence: bool = False,
 ) -> ThetaEstimate:
     """Weight the complete-primary records by 1 + Q and average f.
 
     The default divisor is n; with self_normalize=True the sum of weights is
     used instead, which is the convention the tilted sensitivity estimator
-    mandates.
+    mandates.  The influence vector exists for the divisor n only.
     """
-    pairs = _require_models(strata, odds, "odds")
+    if self_normalize and influence:
+        raise ConfigError("no influence-function SE for the self-normalized IPW estimate")
+    walk = _walk(ds, strata, f, odds=odds, influence=influence)
     wt = compute_weights(ds, strata, odds)
-    fvals = f(ds.L[wt.rows]) if wt.rows.size else np.empty(0)
     denom = float(wt.total.sum()) if self_normalize else float(ds.n)
     if denom == 0.0:
         raise PositivityError("no records with all primary variables observed")
-    per = _complete_terms(ds, strata, f, denom)
-    for pr in pairs:
-        per[(str(pr.r), str(pr.a))] = float(fvals @ wt.contrib[pr.key] / denom)
-    return ThetaEstimate(
-        theta_hat=float(sum(per.values())),
-        method="ipw",
-        per_stratum=per,
-        n=ds.n,
-        self_normalized=self_normalize,
-        diagnostics=wt.diagnostics(),
-    )
+    return _estimate(ds, "ipw", walk, denom, self_normalized=self_normalize, diagnostics=wt.diagnostics())
 
 
-def estimate_ra(ds: Dataset, strata: StratumIndex, outcomes: dict, f: Functional) -> ThetaEstimate:
+def estimate_ra(
+    ds: Dataset, strata: StratumIndex, outcomes: dict, f: Functional, influence: bool = False
+) -> ThetaEstimate:
     """Average f over complete-primary records and the fitted regression
     prediction over every other record."""
-    pairs = _require_models(strata, outcomes, "outcome")
-    per = _complete_terms(ds, strata, f, ds.n)
-    for pr in pairs:
-        view = pair_view(ds, strata, pr)
-        m = outcomes[pr.key].predict(view.xr_case, view.la_case)
-        per[(str(pr.r), str(pr.a))] = float(m.sum() / ds.n)
-    return ThetaEstimate(
-        theta_hat=float(sum(per.values())), method="ra", per_stratum=per, n=ds.n
-    )
+    return _estimate(ds, "ra", _walk(ds, strata, f, outcomes=outcomes, influence=influence), ds.n)
 
 
 def estimate_mr(
-    ds: Dataset, strata: StratumIndex, odds: dict, outcomes: dict, f: Functional
+    ds: Dataset, strata: StratumIndex, odds: dict, outcomes: dict, f: Functional,
+    influence: bool = False,
 ) -> ThetaEstimate:
     """Augmented estimator: per stratum, the regression plug-in plus the
     odds-weighted residual of the regression over the pool.  Consistent when,
     pattern by pattern, either nuisance model is correct."""
-    pairs = _require_models(strata, odds, "odds")
-    _require_models(strata, outcomes, "outcome")
-    per = _complete_terms(ds, strata, f, ds.n)
-    for pr in pairs:
-        om, gm = outcomes[pr.key], odds[pr.key]
-        view = pair_view(ds, strata, pr)
-        xr_p, la_p = view.xr_pool, view.la_pool
-        aug = (f(ds.L[view.pool]) - om.predict(xr_p, la_p)) @ gm.predict(xr_p, la_p)
-        plug = om.predict(view.xr_case, view.la_case).sum()
-        per[(str(pr.r), str(pr.a))] = float((aug + plug) / ds.n)
-    return ThetaEstimate(
-        theta_hat=float(sum(per.values())), method="mr", per_stratum=per, n=ds.n
-    )
+    return _estimate(ds, "mr", _walk(ds, strata, f, odds=odds, outcomes=outcomes, influence=influence), ds.n)
 
 
 def estimate_complete_case(ds: Dataset, f: Functional) -> ThetaEstimate:
@@ -215,10 +267,4 @@ def estimate_complete_case(ds: Dataset, f: Functional) -> ThetaEstimate:
 def augmentation_mean(ds, strata, odds, outcomes, f) -> float:
     """Mean of the odds-weighted regression residuals; the exact gap between
     the MR and RA estimates built from the same models."""
-    total = 0.0
-    for pr in strata.incomplete_pairs():
-        view = pair_view(ds, strata, pr)
-        xr, la = view.xr_pool, view.la_pool
-        total += float((f(ds.L[view.pool]) - outcomes[pr.key].predict(xr, la)) @ odds[pr.key].predict(xr, la))
-    return total / ds.n
-
+    return float(_walk(ds, strata, f, odds=odds, outcomes=outcomes)[1] / ds.n)

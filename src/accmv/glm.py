@@ -16,6 +16,7 @@ pair are built once per stratum index and shared through `pair_view`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -168,6 +169,11 @@ class OddsModel:
     n_iter: int = 0
     nll_path: list = field(default_factory=list)
 
+    @cached_property
+    def info_inv(self) -> np.ndarray:
+        """Inverse of `info`, shared by every influence correction of this fit."""
+        return np.linalg.inv(self.info)
+
     def linpred(self, xr, la) -> np.ndarray:
         cov = np.hstack([np.atleast_2d(xr), np.atleast_2d(la)])
         if self.keep is not None:
@@ -209,6 +215,11 @@ class OutcomeModel:
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
+
+    @cached_property
+    def gram_inv(self) -> np.ndarray:
+        """Inverse of `gram`, shared by every influence correction of this fit."""
+        return np.linalg.inv(self.gram)
 
     def _affine(self, xr, la) -> np.ndarray:
         cov = np.hstack([np.atleast_2d(xr), np.atleast_2d(la)])
@@ -407,3 +418,45 @@ def fit_all_outcomes(
         pr.key: fit_outcome(ds, strata, pr, f, n_min=n_min, keep=keep.get(pr.key), decompose=decompose)
         for pr in strata.incomplete_pairs()
     }
+
+
+def view_values(model, view: PairView, part: str) -> np.ndarray:
+    """Values of `model` on the "case" or "pool" rows of `view`.
+
+    Fitted models multiply their coefficients into the shared design of their
+    keep mask; any other model (an oracle) goes through its `predict`.
+    """
+    if isinstance(model, OddsModel):
+        eta = getattr(view.design(model.keep), part) @ model.alpha
+        return np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
+    if isinstance(model, OutcomeModel):
+        vals = getattr(view.design(model.keep), part) @ model.beta
+        if model.scale_coords:
+            vals = vals * model.scale_values(getattr(view, "la_" + part), model.pair.a)
+        return vals
+    return model.predict(getattr(view, "xr_" + part), getattr(view, "la_" + part))
+
+
+def fitted(model) -> bool:
+    """True for estimated models, which carry the matrices their influence
+    corrections need; known functions contribute no correction."""
+    return getattr(model, "info", None) is not None or getattr(model, "gram", None) is not None
+
+
+def odds_score_rows(ds, strata, model):
+    """Rows, design and label residuals y - p of one odds fit; the per-record
+    coefficient score is the design row times the residual."""
+    view = pair_view(ds, strata, model.pair)
+    Z = view.design(model.keep).stacked
+    p = 1.0 / (1.0 + np.exp(-_clamped_eta(Z, model.alpha)))
+    return view.rows, Z, view.y - p
+
+
+def outcome_residual_rows(ds, strata, model, f):
+    """Pool rows, design and residuals of one outcome fit; the per-record
+    coefficient score is the design row times the residual."""
+    view = pair_view(ds, strata, model.pair)
+    pool = view.pool
+    Z = view.design(model.keep).pool
+    rho = ds.L[pool, model.resp_coord] if model.resp_coord is not None else f(ds.L[pool])
+    return pool, Z, rho - Z @ model.beta

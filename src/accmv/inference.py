@@ -4,8 +4,10 @@ Influence-function ("theoretical") variances plug the empirical analogs of
 the relevant derivative means into the asymptotic linear expansion of each
 estimator, adding one correction term per estimated nuisance model.  Models
 supplied as known functions (anything without fitted metadata) contribute no
-correction.  The nonparametric bootstrap resamples whole records and reruns
-the entire pipeline, nuisance refits included.
+correction.  The influence values come from the estimators' own pass over
+the pattern pairs, which `estimate_*(..., influence=True)` also attaches.
+The nonparametric bootstrap resamples whole records and reruns the entire
+pipeline, nuisance refits included.
 """
 
 from __future__ import annotations
@@ -18,22 +20,10 @@ from scipy.stats import norm
 
 from .data import Dataset
 from .errors import AccmvError, BootstrapInstabilityError, ConfigError
-from .estimators import _require_models
-from .glm import LINPRED_CLAMP, pair_view
+from .estimators import InfluenceVector, _walk
 
 DEFAULT_B = 500
 DEFAULT_LEVEL = 0.95
-
-
-@dataclass
-class InfluenceVector:
-    values: np.ndarray
-    method: str
-
-    @property
-    def se(self) -> float:
-        v = self.values
-        return float(np.sqrt(np.mean((v - v.mean()) ** 2) / v.size))
 
 
 @dataclass
@@ -71,114 +61,25 @@ def normal_ci(estimate, se, level: float = DEFAULT_LEVEL, method: str = "influen
     )
 
 
-def _fitted(model) -> bool:
-    return getattr(model, "info", None) is not None or getattr(model, "gram", None) is not None
-
-
-def _odds_score_rows(ds, strata, model):
-    """Per-record coefficient score of one odds fit and the rows it lives on."""
-    view = pair_view(ds, strata, model.pair)
-    Z = view.design(model.keep).stacked
-    p = 1.0 / (1.0 + np.exp(-np.clip(Z @ model.alpha, -LINPRED_CLAMP, LINPRED_CLAMP)))
-    return view.rows, Z * (view.y - p)[:, None]
-
-
-def _outcome_residual_rows(ds, strata, model, f):
-    view = pair_view(ds, strata, model.pair)
-    pool = view.pool
-    Z = view.design(model.keep).pool
-    rho = ds.L[pool, model.resp_coord] if model.resp_coord is not None else f(ds.L[pool])
-    return pool, Z, rho - Z @ model.beta
+def _influence(ds, strata, f, theta_hat, method, **models) -> tuple[float, InfluenceVector]:
+    iv = InfluenceVector(_walk(ds, strata, f, influence=True, **models)[2] - theta_hat, method)
+    return iv.se, iv
 
 
 def if_variance_ipw(ds, strata, odds, f, theta_hat: float) -> tuple[float, InfluenceVector]:
     """Influence-function SE for the inverse-probability-weighted estimate."""
-    pairs = _require_models(strata, odds, "odds")
-    n = ds.n
-    phi = np.zeros(n)
-    complete = np.flatnonzero(ds.complete_mask)
-    f_complete = f(ds.L[complete]) if complete.size else np.empty(0)
-    fmap = np.zeros(n)
-    fmap[complete] = f_complete
-    phi[complete] += f_complete
-    for pr in pairs:
-        model = odds[pr.key]
-        view = pair_view(ds, strata, pr)
-        pool = view.pool
-        ovals = model.predict(view.xr_pool, view.la_pool)
-        fo = fmap[pool] * ovals
-        phi[pool] += fo
-        if _fitted(model):
-            Zp = view.design(model.keep).pool
-            grad_mean = Zp.T @ fo / n        # mean of f * grad of odds over the pool
-            rows, score = _odds_score_rows(ds, strata, model)
-            phi[rows] += score @ np.linalg.solve(model.info, grad_mean)
-    phi -= theta_hat
-    iv = InfluenceVector(values=phi, method="ipw")
-    return iv.se, iv
+    return _influence(ds, strata, f, theta_hat, "ipw", odds=odds)
 
 
 def if_variance_ra(ds, strata, outcomes, f, theta_hat: float) -> tuple[float, InfluenceVector]:
     """Influence-function SE for the regression-adjustment estimate."""
-    pairs = _require_models(strata, outcomes, "outcome")
-    n = ds.n
-    phi = np.zeros(n)
-    complete = np.flatnonzero(ds.complete_mask)
-    phi[complete] += f(ds.L[complete]) if complete.size else 0.0
-    for pr in pairs:
-        model = outcomes[pr.key]
-        view = pair_view(ds, strata, pr)
-        la = view.la_case
-        phi[view.case] += model.predict(view.xr_case, la)
-        if _fitted(model):
-            Zs = view.design(model.keep).case
-            g = model.scale_values(la, pr.a)
-            grad_mean = Zs.T @ g / n         # mean gradient of the prediction over the stratum
-            pool, Zp, resid = _outcome_residual_rows(ds, strata, model, f)
-            phi[pool] += (Zp * resid[:, None]) @ np.linalg.solve(model.gram, grad_mean)
-    phi -= theta_hat
-    iv = InfluenceVector(values=phi, method="ra")
-    return iv.se, iv
+    return _influence(ds, strata, f, theta_hat, "ra", outcomes=outcomes)
 
 
 def if_variance_mr(ds, strata, odds, outcomes, f, theta_hat: float) -> tuple[float, InfluenceVector]:
     """Influence-function SE for the multiply-robust estimate, with correction
     terms for both nuisance families."""
-    pairs = _require_models(strata, odds, "odds")
-    _require_models(strata, outcomes, "outcome")
-    n = ds.n
-    phi = np.zeros(n)
-    complete = np.flatnonzero(ds.complete_mask)
-    f_complete = f(ds.L[complete]) if complete.size else np.empty(0)
-    fmap = np.zeros(n)
-    fmap[complete] = f_complete
-    phi[complete] += f_complete
-    for pr in pairs:
-        om, gm = outcomes[pr.key], odds[pr.key]
-        view = pair_view(ds, strata, pr)
-        pool = view.pool
-        xr_p, la_p = view.xr_pool, view.la_pool
-        la_s = view.la_case
-        o_pool = gm.predict(xr_p, la_p)
-        m_pool = om.predict(xr_p, la_p)
-        resid_pool = fmap[pool] - m_pool
-        phi[pool] += resid_pool * o_pool
-        phi[view.case] += om.predict(view.xr_case, la_s)
-        if _fitted(om):
-            _, Zm_s, Zm_p, _ = view.design(om.keep)
-            g_s = om.scale_values(la_s, pr.a)
-            g_p = om.scale_values(la_p, pr.a)
-            grad_mean = (Zm_s.T @ g_s - Zm_p.T @ (g_p * o_pool)) / n
-            prow, Zp, resid = _outcome_residual_rows(ds, strata, om, f)
-            phi[prow] += (Zp * resid[:, None]) @ np.linalg.solve(om.gram, grad_mean)
-        if _fitted(gm):
-            Zo_p = view.design(gm.keep).pool
-            grad_mean = Zo_p.T @ (resid_pool * o_pool) / n
-            rows, score = _odds_score_rows(ds, strata, gm)
-            phi[rows] += score @ np.linalg.solve(gm.info, grad_mean)
-    phi -= theta_hat
-    iv = InfluenceVector(values=phi, method="mr")
-    return iv.se, iv
+    return _influence(ds, strata, f, theta_hat, "mr", odds=odds, outcomes=outcomes)
 
 
 @dataclass

@@ -22,8 +22,8 @@ import numpy as np
 from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
 from .estimators import _require_models, compute_weights
-from .glm import pair_view
-from .inference import _fitted, _odds_score_rows, critical_value
+from .glm import fitted, odds_score_rows, pair_view, view_values
+from .inference import critical_value
 
 EE_TOL = 1e-8
 EE_MAX_ITER = 100
@@ -298,17 +298,17 @@ def sandwich_variance(
         r_codes = ds.r_codes[wt.rows]
         for key in sorted(odds):
             model = odds[key]
-            if not _fitted(model):
+            if not fitted(model):
                 continue
             pr = model.pair
             sel = (r_codes & pr.r.value) == pr.r.value     # complete rows in the pool of r
             view = pair_view(ds, strata, pr)
             Zp = view.design(model.keep).pool
-            ovals = model.predict(view.xr_pool, view.la_pool)
+            ovals = view_values(model, view, "pool")
             # (q, k) mean of score (outer) gradient of the odds over the pool
             Cmat = s_complete[sel].T @ (Zp * ovals[:, None]) / n
-            rows, score = _odds_score_rows(ds, strata, model)
-            u[rows] += score @ np.linalg.solve(model.info, Cmat.T)
+            rows, Z, res = odds_score_rows(ds, strata, model)
+            u[rows] += res[:, None] * (Z @ (model.info_inv @ Cmat.T))
     ubar = u.mean(axis=0)
     M = (u - ubar).T @ (u - ubar) / n
     try:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 MAX_LENGTH = 16
 
 
@@ -117,18 +115,3 @@ def dominated_set(r: Pattern) -> list[Pattern]:
 
 def all_patterns(length: int) -> list[Pattern]:
     return [Pattern(v, length) for v in range(1 << length)]
-
-
-def extract(v, r: Pattern) -> np.ndarray:
-    """Subvector of v at the coordinates r marks observed.
-
-    Every requested coordinate must actually be present (non-NaN).
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape[-1] != r.length:
-        raise ValueError(f"vector length {v.shape[-1]} does not match pattern length {r.length}")
-    idx = list(r.indices)
-    out = v[..., idx]
-    if np.isnan(out).any():
-        raise ValueError(f"coordinate requested by pattern {r} is unobserved")
-    return out

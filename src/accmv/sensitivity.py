@@ -83,14 +83,6 @@ class SensitivityCurve:
             for m, est, lo, hi in zip(self.multipliers, self.estimates, self.ci_lower, self.ci_upper):
                 w.writerow([repr(float(m)), repr(float(est)), repr(float(lo)), repr(float(hi))])
 
-    @staticmethod
-    def read_csv(path) -> list[dict]:
-        with open(path, newline="") as fh:
-            return [
-                {k: float(v) for k, v in row.items()}
-                for row in csv.DictReader(fh)
-            ]
-
 
 def sweep(
     ds: Dataset,

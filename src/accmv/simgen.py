@@ -51,20 +51,10 @@ class SimDesign:
             raise ConfigError("n must be >= 1")
 
 
-class OracleOdds:
-    """Known odds function for one pattern pair; duck-compatible with the
-    fitted models but carries no estimation metadata."""
+class OracleModel:
+    """Known odds or regression function for one pattern pair; duck-compatible
+    with the fitted models but carries no estimation metadata."""
 
-    def __init__(self, pair: PatternPair, fn):
-        self.pair = pair
-        self._fn = fn
-
-    def predict(self, xr, la) -> np.ndarray:
-        out = self._fn(np.atleast_2d(xr), np.atleast_2d(la))
-        return np.asarray(out, dtype=float) * np.ones(np.atleast_2d(xr).shape[0])
-
-
-class OracleOutcome:
     def __init__(self, pair: PatternPair, fn):
         self.pair = pair
         self._fn = fn
@@ -189,19 +179,19 @@ def oracle_value(kind: str) -> GroundTruth:
     """Exact closed-form target plus oracle nuisance handles per pair."""
     if kind == "single":
         odds = {
-            (0, 0): OracleOdds(_pair(kind, 0, 0), lambda x, l: 0.25),
-            (1, 0): OracleOdds(_pair(kind, 1, 0), lambda x, l: 0.5 * np.exp(2.0 * x[:, 0])),
-            (2, 0): OracleOdds(_pair(kind, 2, 0), lambda x, l: 0.5 * np.exp(2.0 * x[:, 0])),
-            (3, 0): OracleOdds(
+            (0, 0): OracleModel(_pair(kind, 0, 0), lambda x, l: 0.25),
+            (1, 0): OracleModel(_pair(kind, 1, 0), lambda x, l: 0.5 * np.exp(2.0 * x[:, 0])),
+            (2, 0): OracleModel(_pair(kind, 2, 0), lambda x, l: 0.5 * np.exp(2.0 * x[:, 0])),
+            (3, 0): OracleModel(
                 _pair(kind, 3, 0),
                 lambda x, l: np.exp(8.0 / 3.0 * x[:, 0] - 4.0 / 3.0 * x[:, 1] - 4.0 / 3.0),
             ),
         }
         outcomes = {
-            (0, 0): OracleOutcome(_pair(kind, 0, 0), lambda x, l: 0.75),
-            (1, 0): OracleOutcome(_pair(kind, 1, 0), lambda x, l: x[:, 0] / 2.0 + 1.0),
-            (2, 0): OracleOutcome(_pair(kind, 2, 0), lambda x, l: x[:, 0] / 2.0 + 1.0),
-            (3, 0): OracleOutcome(_pair(kind, 3, 0), lambda x, l: (x[:, 0] + x[:, 1]) / 3.0 + 2.0 / 3.0),
+            (0, 0): OracleModel(_pair(kind, 0, 0), lambda x, l: 0.75),
+            (1, 0): OracleModel(_pair(kind, 1, 0), lambda x, l: x[:, 0] / 2.0 + 1.0),
+            (2, 0): OracleModel(_pair(kind, 2, 0), lambda x, l: x[:, 0] / 2.0 + 1.0),
+            (3, 0): OracleModel(_pair(kind, 3, 0), lambda x, l: (x[:, 0] + x[:, 1]) / 3.0 + 2.0 / 3.0),
         }
         return GroundTruth(kind, 89.0 / 96.0, odds, outcomes, default_functional(kind), "E[L1] = 89/96")
 
@@ -210,32 +200,32 @@ def oracle_value(kind: str) -> GroundTruth:
 
         odds = {}
         for a in (1, 2):
-            odds[(0, a)] = OracleOdds(_pair(kind, 0, a), lambda x, l: 0.25 * np.exp(0.375 - l[:, 0] / 2.0))
-            odds[(1, a)] = OracleOdds(_pair(kind, 1, a), lambda x, l: 0.5)
-            odds[(2, a)] = OracleOdds(_pair(kind, 2, a), lambda x, l: 0.5)
-            odds[(3, a)] = OracleOdds(_pair(kind, 3, a), lambda x, l: 1.0)
-        odds[(0, 0)] = OracleOdds(_pair(kind, 0, 0), lambda x, l: 0.25)
-        odds[(1, 0)] = OracleOdds(_pair(kind, 1, 0), lambda x, l: half_slope(x[:, 0]))
-        odds[(2, 0)] = OracleOdds(_pair(kind, 2, 0), lambda x, l: half_slope(x[:, 0]))
-        odds[(3, 0)] = OracleOdds(_pair(kind, 3, 0), lambda x, l: 1.0)
+            odds[(0, a)] = OracleModel(_pair(kind, 0, a), lambda x, l: 0.25 * np.exp(0.375 - l[:, 0] / 2.0))
+            odds[(1, a)] = OracleModel(_pair(kind, 1, a), lambda x, l: 0.5)
+            odds[(2, a)] = OracleModel(_pair(kind, 2, a), lambda x, l: 0.5)
+            odds[(3, a)] = OracleModel(_pair(kind, 3, a), lambda x, l: 1.0)
+        odds[(0, 0)] = OracleModel(_pair(kind, 0, 0), lambda x, l: 0.25)
+        odds[(1, 0)] = OracleModel(_pair(kind, 1, 0), lambda x, l: half_slope(x[:, 0]))
+        odds[(2, 0)] = OracleModel(_pair(kind, 2, 0), lambda x, l: half_slope(x[:, 0]))
+        odds[(3, 0)] = OracleModel(_pair(kind, 3, 0), lambda x, l: 1.0)
 
         outcomes = {
-            (0, 0): OracleOutcome(_pair(kind, 0, 0), lambda x, l: 1.5),
-            (1, 0): OracleOutcome(_pair(kind, 1, 0), lambda x, l: 0.25 + (x[:, 0] / 2.0 + 0.5) ** 2),
-            (2, 0): OracleOutcome(_pair(kind, 2, 0), lambda x, l: 0.25 + (x[:, 0] / 2.0 + 0.5) ** 2),
-            (3, 0): OracleOutcome(
+            (0, 0): OracleModel(_pair(kind, 0, 0), lambda x, l: 1.5),
+            (1, 0): OracleModel(_pair(kind, 1, 0), lambda x, l: 0.25 + (x[:, 0] / 2.0 + 0.5) ** 2),
+            (2, 0): OracleModel(_pair(kind, 2, 0), lambda x, l: 0.25 + (x[:, 0] / 2.0 + 0.5) ** 2),
+            (3, 0): OracleModel(
                 _pair(kind, 3, 0), lambda x, l: 1.0 / 6.0 + (x[:, 0] + x[:, 1] + 1.0) ** 2 / 9.0
             ),
         }
         for a in (1, 2):
-            outcomes[(0, a)] = OracleOutcome(_pair(kind, 0, a), lambda x, l: 0.5 * l[:, 0] * (l[:, 0] + 1.0))
-            outcomes[(1, a)] = OracleOutcome(
+            outcomes[(0, a)] = OracleModel(_pair(kind, 0, a), lambda x, l: 0.5 * l[:, 0] * (l[:, 0] + 1.0))
+            outcomes[(1, a)] = OracleModel(
                 _pair(kind, 1, a), lambda x, l: l[:, 0] * (x[:, 0] + l[:, 0] + 1.0) / 3.0
             )
-            outcomes[(2, a)] = OracleOutcome(
+            outcomes[(2, a)] = OracleModel(
                 _pair(kind, 2, a), lambda x, l: l[:, 0] * (x[:, 0] + l[:, 0] + 1.0) / 3.0
             )
-            outcomes[(3, a)] = OracleOutcome(
+            outcomes[(3, a)] = OracleModel(
                 _pair(kind, 3, a), lambda x, l: l[:, 0] * (x[:, 0] + x[:, 1] + l[:, 0] + 1.0) / 4.0
             )
         return GroundTruth(kind, 175.0 / 128.0, odds, outcomes, default_functional(kind), "E[L1*L2] = 175/128")
@@ -243,8 +233,8 @@ def oracle_value(kind: str) -> GroundTruth:
     if kind == "mpm":
         odds = {}
         for a in (0, 1, 2):
-            odds[(0, a)] = OracleOdds(_pair(kind, 0, a), lambda x, l: 0.5)
-            odds[(1, a)] = OracleOdds(_pair(kind, 1, a), lambda x, l: np.exp(0.5 * x[:, 0]))
+            odds[(0, a)] = OracleModel(_pair(kind, 0, a), lambda x, l: 0.5)
+            odds[(1, a)] = OracleModel(_pair(kind, 1, a), lambda x, l: np.exp(0.5 * x[:, 0]))
         return GroundTruth(
             kind, np.array([-1.0, 0.5]), odds, {}, None, "E[L2 | L1] = -1 + L1 / 2"
         )

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,11 +7,15 @@ import pytest
 from accmv.cli import main, run_table, table_replicate
 from accmv.data import Schema, load_csv
 from accmv.errors import ConfigError
-from accmv.sensitivity import SensitivityCurve
 
 
 def run(argv):
     return main(argv)
+
+
+def read_curve(path):
+    with open(path, newline="") as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
 
 
 @pytest.fixture(scope="module")
@@ -170,10 +175,10 @@ def test_sensitivity_matches_self_normalized_fit(single_csv, tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     sn = json.loads(fit_out.read_text())["estimate"]["estimate"]
-    curve = SensitivityCurve.read_csv(sens_out)
+    curve = read_curve(sens_out)
     assert abs(curve[0]["estimate"] - sn) <= 1e-12
     # reload is lossless (NaN CI fields compare equal under assert_equal)
-    np.testing.assert_equal(curve, SensitivityCurve.read_csv(sens_out))
+    np.testing.assert_equal(curve, read_curve(sens_out))
 
 
 def test_config_overrides_flags(single_csv, tmp_path, capsys):
@@ -286,3 +291,78 @@ def test_level_from_config_is_checked(single_csv, tmp_path, capsys):
         cfg.write_text(json.dumps({"level": bad}))
         assert run(["fit", "--data", single_csv, *DATA_ARGS, "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+@pytest.fixture(scope="module")
+def multiple_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sim") / "multiple.csv"
+    assert run(["simulate", "--design", "multiple", "--n", "2000", "--seed", "13", "--out", str(path)]) == 0
+    return str(path)
+
+
+MULTIPLE_ARGS = ["--x-cols", "Y1,Y2", "--l-cols", "Y3,Y4", "--functional", "product",
+                 "--coords", "1,2", "--decompose-product"]
+
+# (estimate, influence SE) of `accmv fit`, as computed when each estimator and
+# its influence function walked the pattern pairs separately.
+GOLDEN_FITS = {
+    ("single", "ipw"): (1.0312763056709116, 0.16933168046836883),
+    ("single", "ra"): (0.9719525697236958, 0.041607112222743395),
+    ("single", "mr"): (0.841989209548722, 0.07356132403998528),
+    ("multiple", "ipw"): (1.4900537453144609, 0.07896177262260784),
+    ("multiple", "ra"): (1.4661407649412463, 0.06769841963087064),
+    ("multiple", "mr"): (1.4752660498087136, 0.06833853726619243),
+}
+
+
+@pytest.mark.parametrize("design,method", sorted(GOLDEN_FITS))
+def test_fit_golden(design, method, single_csv, multiple_csv, tmp_path, capsys):
+    argv = ["--data", single_csv, *DATA_ARGS] if design == "single" else ["--data", multiple_csv, *MULTIPLE_ARGS]
+    out = tmp_path / "fit.json"
+    assert run(["fit", *argv, "--method", method, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    est, se = GOLDEN_FITS[(design, method)]
+    assert abs(report["estimate"]["estimate"] - est) <= 1e-12
+    assert abs(report["influence"]["se"] - se) <= 1e-12
+
+
+def test_config_strings_go_through_option_converters(single_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "o.json"
+
+    def fit_with(entries, *flags):
+        cfg.write_text(json.dumps(entries))
+        return run(["fit", "--data", single_csv, *DATA_ARGS, "--method", "ra", *flags,
+                    "--config", str(cfg), "--out", str(out)])
+
+    assert fit_with({}, "--coords", "1") == 0
+    want = json.loads(out.read_text())["estimate"]["estimate"]
+    for coords in ("1", [1]):
+        assert fit_with({"coords": coords}) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["coords"] == [1]
+        assert report["estimate"]["estimate"] == want
+    assert fit_with({"coords": "1,2"}) == 2          # converted, then out of range for d=1
+    assert "out of range" in capsys.readouterr().err
+    for bad in ({"coords": "1,x"}, {"coords": 1}, {"coords": ["1"]}, {"thresholds": [True]}):
+        assert fit_with(bad) == 2
+        assert "config key" in capsys.readouterr().err
+    assert fit_with({"n_min": 10}) == 0
+    for bad in ({"n_min": "10"}, {"n_min": 10.5}, {"n_min": True}, {"method": "xx"},
+                {"decompose_product": "yes"}, {"func": "cmd_fit"}):
+        assert fit_with(bad) == 2
+        err = capsys.readouterr().err
+        assert "config" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("roles", [
+    ["--x-cols", "Y1,Y3", "--l-cols", "Y3"],     # one column in both roles
+    ["--x-cols", "Y1,Y2", "--l-cols", "Y3,Y3"],  # repeated primary
+    ["--x-cols", "Y1,Y1", "--l-cols", "Y3"],     # repeated auxiliary
+])
+def test_overlapping_role_columns_exit_2(single_csv, roles, capsys):
+    assert run(["fit", "--data", single_csv, *roles]) == 2
+    assert "more than once" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        Schema(*(tuple(roles[i].split(",")) for i in (1, 3)))

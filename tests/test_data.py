@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from accmv.data import Dataset, Functional, Schema, build_strata, evaluate, load_csv, write_csv
+from accmv.data import Dataset, Functional, Schema, build_strata, load_csv, write_csv
 from accmv.errors import ConfigError, DataError, ParseError, SchemaError
 from accmv.patterns import Pattern
 
@@ -115,11 +115,16 @@ def test_strata_partition(single_20k):
 
 
 def test_functionals():
-    assert evaluate(Functional("threshold", (0, 1), (7.0, 7.0)), [6.5, 6.9]) == 1.0
-    assert evaluate(Functional("threshold", (0, 1), (7.0, 7.0)), [7.5, 6.9]) == 0.0
-    assert evaluate(Functional("mean", (0, 1)), [6.0, 8.0]) == 7.0
-    assert evaluate(Functional("product", (0, 1)), [2.0, 3.0]) == 6.0
-    assert evaluate(Functional("coordinate", (1,)), [2.0, 3.0]) == 3.0
+    def at(f, l):                     # f on one fully observed primary vector
+        out = f(np.array([l]))
+        assert out.shape == (1,)
+        return out[0]
+
+    assert at(Functional("threshold", (0, 1), (7.0, 7.0)), [6.5, 6.9]) == 1.0
+    assert at(Functional("threshold", (0, 1), (7.0, 7.0)), [7.5, 6.9]) == 0.0
+    assert at(Functional("mean", (0, 1)), [6.0, 8.0]) == 7.0
+    assert at(Functional("product", (0, 1)), [2.0, 3.0]) == 6.0
+    assert at(Functional("coordinate", (1,)), [2.0, 3.0]) == 3.0
 
 
 def test_functional_missing_coordinate():
@@ -157,5 +162,6 @@ def test_dimension_cap():
 
 def test_record_patterns():
     ds = eight_record_fixture()
-    rec = ds.record(4)
-    assert str(rec.r) == "00" and str(rec.a) == "1"
+    strata = build_strata(ds)
+    (pr,) = [pr for pr in strata.pairs() if 4 in strata.stratum(pr)]
+    assert str(pr.r) == "00" and str(pr.a) == "1"

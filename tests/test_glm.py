@@ -11,9 +11,10 @@ from accmv.glm import (
     fit_outcome,
     odds_negloglik,
     odds_score_hessian,
+    odds_score_rows,
+    outcome_residual_rows,
     pair_view,
 )
-from accmv.inference import _odds_score_rows, _outcome_residual_rows
 from accmv.patterns import Pattern, PatternPair
 from accmv.simgen import SimDesign, generate, misspec_masks
 
@@ -170,15 +171,15 @@ def test_rank_deficient_design():
 
 def psi_odds(model, ds, strata):
     """Per-record influence contributions to the odds coefficients, (n, k)."""
-    rows, score = _odds_score_rows(ds, strata, model)
+    rows, Z, res = odds_score_rows(ds, strata, model)
     out = np.zeros((ds.n, model.alpha.size))
-    out[rows] = np.linalg.solve(model.info, score.T).T
+    out[rows] = np.linalg.solve(model.info, (Z * res[:, None]).T).T
     return out
 
 
 def psi_outcome(model, ds, strata, f):
     """Per-record influence contributions to the regression coefficients, (n, k)."""
-    pool, Z, resid = _outcome_residual_rows(ds, strata, model, f)
+    pool, Z, resid = outcome_residual_rows(ds, strata, model, f)
     out = np.zeros((ds.n, model.beta.size))
     out[pool] = np.linalg.solve(model.gram, (Z * resid[:, None]).T).T
     return out

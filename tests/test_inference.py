@@ -12,11 +12,12 @@ from accmv.inference import (
     if_variance_ra,
     normal_ci,
 )
-from accmv.simgen import SimDesign, generate
+from accmv.simgen import SimDesign, generate, oracle_value
 
 from toy import toy_single_primary
 
 F1 = Functional("coordinate", (0,))
+F2 = Functional("product", (0, 1))
 
 
 def test_complete_data_reduces_to_sd_over_sqrt_n():
@@ -185,3 +186,49 @@ def test_ipw_underestimates_se_on_heavy_tails(single_20k):
     est = estimate_ipw(sub, s, odds, F1)
     se, _ = if_variance_ipw(sub, s, odds, F1, est.theta_hat)
     assert se < 0.2  # sampling SE of this design sits near 0.21 at n=2000
+
+def test_estimate_influence_is_the_if_variance_se(single_20k, multiple_20k):
+    for (ds, strata), f, dec in [(single_20k, F1, False), (multiple_20k, F2, True)]:
+        odds = fit_all_odds(ds, strata)
+        outs = fit_all_outcomes(ds, strata, f, decompose=dec)
+        cases = [
+            (lambda **kw: estimate_ipw(ds, strata, odds, f, **kw),
+             lambda th: if_variance_ipw(ds, strata, odds, f, th)),
+            (lambda **kw: estimate_ra(ds, strata, outs, f, **kw),
+             lambda th: if_variance_ra(ds, strata, outs, f, th)),
+            (lambda **kw: estimate_mr(ds, strata, odds, outs, f, **kw),
+             lambda th: if_variance_mr(ds, strata, odds, outs, f, th)),
+        ]
+        for estimate, if_variance in cases:
+            point = estimate()
+            assert point.influence is None
+            est = estimate(influence=True)
+            assert est.theta_hat == point.theta_hat and est.per_stratum == point.per_stratum
+            se, iv = if_variance(est.theta_hat)
+            assert est.influence.se == se
+            np.testing.assert_array_equal(est.influence.values, iv.values)
+            assert est.influence.method == iv.method == est.method
+
+
+def test_self_normalized_ipw_has_no_influence(single_20k):
+    ds, strata = single_20k
+    odds = fit_all_odds(ds, strata)
+    with pytest.raises(ConfigError):
+        estimate_ipw(ds, strata, odds, F1, self_normalize=True, influence=True)
+
+
+@pytest.mark.parametrize("kind", ["single", "multiple"])
+def test_oracle_models_run_through_every_estimator(kind):
+    # known functions carry no fitted metadata, so they add no correction:
+    # the influence values are the per-record terms, which average to the estimate
+    truth = oracle_value(kind)
+    ds = generate(SimDesign(kind, 5000, 2718))
+    strata = build_strata(ds)
+    f = truth.functional
+    for est in (
+        estimate_ipw(ds, strata, truth.odds, f, influence=True),
+        estimate_ra(ds, strata, truth.outcomes, f, influence=True),
+        estimate_mr(ds, strata, truth.odds, truth.outcomes, f, influence=True),
+    ):
+        assert abs(est.influence.values.mean()) <= 1e-12
+        assert abs(est.theta_hat - truth.theta_true) <= 5 * est.influence.se

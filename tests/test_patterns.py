@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from accmv.patterns import Pattern, all_patterns, dominated_set, dominates, extract
+from accmv.data import Dataset
+from accmv.glm import design_matrix
+from accmv.patterns import Pattern, PatternPair, all_patterns, dominated_set, dominates
 
 
 def P(s):
@@ -61,21 +63,28 @@ def test_dominated_set_exhaustive(length):
             assert (tau in in_set) == dominates(r, tau)
 
 
+def observed_part(v, r):
+    """The r-observed coordinates of v, read through a one-record design."""
+    ds = Dataset(np.atleast_2d(v), np.zeros((1, 1)))
+    Z, _ = design_matrix(ds, [0], PatternPair(r, Pattern.empty(1)))
+    return Z[0, 1:]
+
+
 def test_extract():
     v = np.array([1.5, np.nan, 3.5, np.nan])
-    np.testing.assert_array_equal(extract(v, P("1010")), [1.5, 3.5])
-    assert extract(np.array([1.0, 2.0]), P("00")).size == 0
-    np.testing.assert_array_equal(extract(np.array([1.0, 2.0, 3.0]), P("111")), [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(observed_part(v, P("1010")), [1.5, 3.5])
+    assert observed_part(np.array([1.0, 2.0]), P("00")).size == 0
+    np.testing.assert_array_equal(observed_part(np.array([1.0, 2.0, 3.0]), P("111")), [1.0, 2.0, 3.0])
 
 
 def test_extract_unobserved_errors():
     with pytest.raises(ValueError):
-        extract(np.array([1.0, np.nan]), P("11"))
+        observed_part(np.array([1.0, np.nan]), P("11"))
 
 
 def test_extract_identity_on_complete():
     v = np.array([0.1, -2.0, 7.0])
-    np.testing.assert_array_equal(extract(v, Pattern.complete(3)), v)
+    np.testing.assert_array_equal(observed_part(v, Pattern.complete(3)), v)
 
 
 def test_string_roundtrip_and_bits():

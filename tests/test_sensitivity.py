@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from accmv.errors import ConfigError, DegenerateNormalizationError
 from accmv.estimators import compute_weights, estimate_ipw
 from accmv.glm import fit_all_odds
 from accmv.patterns import Pattern, PatternPair
-from accmv.sensitivity import SensitivityCurve, TiltSpec, sweep, tilted_estimate
-from accmv.simgen import OracleOdds, SimDesign, generate
+from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
+from accmv.simgen import OracleModel, SimDesign, generate
 
 F1 = Functional("coordinate", (0,))
 
@@ -31,7 +33,7 @@ def test_two_record_closed_form():
     ds = Dataset(X, L)
     strata = build_strata(ds)
     pair = PatternPair(Pattern(1, 1), Pattern(0, 1))
-    odds = {(1, 0): OracleOdds(pair, lambda x, l: o)}
+    odds = {(1, 0): OracleModel(pair, lambda x, l: o)}
     spec = TiltSpec(delta=(delta,), center=(c,))
     got = tilted_estimate(ds, strata, odds, F1, spec)
     w1 = 1.0 + o * np.exp(delta * (5.0 - c))
@@ -55,7 +57,7 @@ def test_monotone_in_tilt_direction():
 def test_tilt_never_applies_to_complete_pattern(single_20k):
     ds, strata = single_20k
     pair = PatternPair(Pattern(0, 2), Pattern(1, 1))    # a = 1_d
-    bogus = {(0, 1): OracleOdds(pair, lambda x, l: 1.0)}
+    bogus = {(0, 1): OracleModel(pair, lambda x, l: 1.0)}
     with pytest.raises(AssertionError):
         compute_weights(ds, strata, bogus, tilt=(np.zeros(1), np.zeros(1)))
 
@@ -81,7 +83,7 @@ def test_degenerate_normalization():
     ds = Dataset(X, L)
     strata = build_strata(ds)
     pair = PatternPair(Pattern(1, 1), Pattern(0, 1))
-    odds = {(1, 0): OracleOdds(pair, lambda x, l: 1.0)}
+    odds = {(1, 0): OracleModel(pair, lambda x, l: 1.0)}
     with pytest.raises(DegenerateNormalizationError):
         tilted_estimate(ds, strata, odds, F1, TiltSpec(delta=(0.0,)))
 
@@ -98,7 +100,8 @@ def test_sweep_single_point_and_csv_roundtrip(tmp_path, single_20k):
     assert curve.ci_lower[0] <= curve.estimates[0] <= curve.ci_upper[0]
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
-    back = SensitivityCurve.read_csv(path)
+    with open(path, newline="") as fh:
+        back = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
     assert back[0]["estimate"] == curve.estimates[0]
     assert back[0]["ci_lo"] == curve.ci_lower[0]
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from accmv.data import Dataset, Functional
 from accmv.patterns import Pattern, PatternPair
-from accmv.simgen import OracleOdds, OracleOutcome
+from accmv.simgen import OracleModel
 
 
 class DiscreteToy:
@@ -171,10 +171,10 @@ class DiscreteToy:
         for r in (0, 1):
             for a in range(self.complete):
                 pair = PatternPair(Pattern(r, self.p), Pattern(a, self.d))
-                o = OracleOdds(pair, None)
+                o = OracleModel(pair, None)
                 o.predict = self._lookup(self.odds, r, a)
                 odds[(r, a)] = o
-                m = OracleOutcome(pair, None)
+                m = OracleModel(pair, None)
                 m.predict = self._lookup(self.m, r, a)
                 outs[(r, a)] = m
         return odds, outs
