@@ -79,7 +79,7 @@ def _mean_table_rows(ds, strata, kind, f, n_min=10):
     ):
         rows[name] = (est.theta_hat, est.influence.se)
 
-    cc = estimate_complete_case(ds, f)
+    cc = estimate_complete_case(ds, strata, f)
     fv = f(ds.L[np.flatnonzero(ds.complete_mask)])
     rows["complete_case"] = (cc.theta_hat, float(fv.std(ddof=1) / np.sqrt(fv.size)))
     return rows
@@ -268,6 +268,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _failed_text(B, failures) -> str:
+    """How many of B replicates failed, and why."""
+    why = ", ".join(f"{name} {k}" for name, k in failures.items())
+    return f"{sum(failures.values())} of {B} replicates failed" + (f" ({why})" if why else "")
+
+
 def _resolved(args) -> dict:
     skip = {"func", "parser"}
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items() if k not in skip}
@@ -293,7 +299,7 @@ def cmd_fit(args) -> int:
 
     def estimate(dsx, sx, influence=False):
         if method == "cc":
-            return estimate_complete_case(dsx, f)
+            return estimate_complete_case(dsx, sx, f)
         if method == "ipw":
             return estimate_ipw(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), f,
                                 self_normalize=args.self_normalize, influence=influence)
@@ -321,7 +327,7 @@ def cmd_fit(args) -> int:
     if se is not None:
         report["influence"] = normal_ci(est.theta_hat, se, args.level).to_dict()
     if args.bootstrap:
-        boot = bootstrap(ds, lambda dsx: estimate(dsx, build_strata(dsx)).theta_hat,
+        boot = bootstrap(ds, strata, lambda dsx, sx: estimate(dsx, sx).theta_hat,
                          B=args.bootstrap, seed=args.seed or 0, level=args.level)
         report["bootstrap"] = boot.to_dict()
 
@@ -331,7 +337,8 @@ def cmd_fit(args) -> int:
         print(f"influence SE={se:.6g}  {int(args.level*100)}% CI=({ci['lower']:.6g}, {ci['upper']:.6g})")
     if args.bootstrap:
         bn = report["bootstrap"]["normal"]
-        print(f"bootstrap SE={report['bootstrap']['se']:.6g}  normal CI=({bn['lower']:.6g}, {bn['upper']:.6g})")
+        print(f"bootstrap SE={report['bootstrap']['se']:.6g}  normal CI=({bn['lower']:.6g}, {bn['upper']:.6g})"
+              f"  {_failed_text(boot.B, boot.failures)}")
     for (key, v) in sorted(report["estimate"]["per_stratum"].items()):
         print(f"  stratum {key}: {v:.6g}")
     for w in warnings:
@@ -387,6 +394,8 @@ def cmd_sensitivity(args) -> int:
     )
     curve = sweep(ds, strata, odds, f, spec, B=args.bootstrap, seed=args.seed or 0, n_min=args.n_min)
     print(f"sensitivity sweep for {curve.functional} over {len(curve.multipliers)} grid points")
+    if curve.B:
+        print(f"bootstrap: {_failed_text(curve.B, curve.failures)}")
     for m, est, lo, hi in zip(curve.multipliers, curve.estimates, curve.ci_lower, curve.ci_upper):
         print(f"  delta x {m:+.4g}: estimate={est:.6g}  CI=({lo:.6g}, {hi:.6g})")
     if args.out:

@@ -82,12 +82,6 @@ class Dataset:
     def complete_mask(self) -> np.ndarray:
         return self.a_codes == self.complete_code
 
-    def r_pattern(self, code: int) -> Pattern:
-        return Pattern(code, self.p)
-
-    def a_pattern(self, code: int) -> Pattern:
-        return Pattern(code, self.d)
-
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
         return Dataset(self.X[rows], self.L[rows], self.x_names, self.l_names)
@@ -171,6 +165,9 @@ class StratumIndex:
     patterns appearing with incomplete primaries are materialized eagerly,
     others on demand.  `designs` caches the model designs built from these
     rows (see `glm.pair_view`), so they live exactly as long as the index.
+
+    `freq` counts each record that many times; None counts every record
+    once.  `reweight` makes such an index from a unit-frequency one.
     """
 
     p: int
@@ -181,6 +178,8 @@ class StratumIndex:
     by_pair: dict = field(default_factory=dict)   # (r_code, a_code) -> index array
     pools: dict = field(default_factory=dict)     # r_code -> index array
     complete_code: int = 0
+    freq: np.ndarray | None = field(default=None, repr=False, compare=False)
+    parent: "StratumIndex | None" = field(default=None, repr=False, compare=False)
     designs: object = field(default=None, repr=False, compare=False)
     _pairs: list | None = field(default=None, repr=False, compare=False)
 
@@ -206,6 +205,43 @@ class StratumIndex:
     def incomplete_pairs(self) -> list[PatternPair]:
         """Pairs with at least one primary missing: the ones needing models."""
         return [pr for pr in self.pairs() if pr.a.value != self.complete_code]
+
+    def weights(self, rows) -> np.ndarray:
+        """Frequency of each record at `rows`."""
+        return np.ones(len(rows)) if self.freq is None else self.freq[rows]
+
+    def count(self, rows) -> int:
+        """Number of records at `rows`, each counted by its frequency."""
+        return len(rows) if self.freq is None else int(self.freq[rows].sum())
+
+    def reweight(self, counts) -> "StratumIndex":
+        """This index with record i counted `counts[i]` times.
+
+        A case resample drawn as frequencies: strata and pools keep their
+        drawn records only, pairs with no drawn record disappear, and the
+        pair designs are row selections of this index's cached designs.
+        """
+        if self.freq is not None:
+            raise ConfigError("only a unit-frequency stratum index can be reweighted")
+        freq = np.asarray(counts, dtype=float)
+        if freq.shape != (self.n,):
+            raise ConfigError(f"need one frequency per record ({self.n}), got shape {freq.shape}")
+        drawn = freq > 0
+        by_pair = {}
+        for key, rows in self.by_pair.items():
+            kept = rows[drawn[rows]]
+            if kept.size:
+                by_pair[key] = kept
+        return StratumIndex(
+            p=self.p, d=self.d, n=self.n,
+            r_codes=self.r_codes, complete_mask=self.complete_mask & drawn,
+            by_pair=by_pair,
+            pools={rv: rows[drawn[rows]] for rv, rows in self.pools.items()},
+            complete_code=self.complete_code,
+            freq=freq,
+            parent=self,
+            _pairs=[pr for pr in self.pairs() if pr.key in by_pair],
+        )
 
 
 def build_strata(ds: Dataset) -> StratumIndex:

@@ -7,12 +7,15 @@ every other stratum contributes its regression plug-in plus the
 odds-weighted regression residual over its pool (MR).  IPW is that formula
 with the regression set to zero, RA with the odds set to zero.  One pass
 over the pairs gives the estimate and, on request, its influence vector.
-Strata absent from the data contribute no term and require no model.
+Strata absent from the data contribute no term and require no model.  Every
+sum over records counts each record by its frequency in the stratum index,
+so the same code serves the data and its frequency-weighted resamples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,8 @@ TILT_CLAMP = 30.0
 
 @dataclass
 class WeightTable:
-    """Total weight 1 + Q per record with all primaries observed.
+    """Total weight 1 + Q per record with all primaries observed, times the
+    record's frequency.
 
     Q sums the fitted odds of every modeled pair (tau, a) with tau dominated
     by the record's auxiliary pattern; the per-pair contributions are kept
@@ -34,7 +38,7 @@ class WeightTable:
     """
 
     rows: np.ndarray                      # positions of the complete-primary records
-    total: np.ndarray                     # 1 + Q per such record
+    total: np.ndarray                     # frequency * (1 + Q) per such record
     contrib: dict = field(default_factory=dict)   # (r, a) key -> contribution vector
 
     def diagnostics(self) -> dict:
@@ -48,36 +52,47 @@ class WeightTable:
         }
 
 
-def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) -> WeightTable:
-    """Build the complete-case weight table from fitted odds models.
+def pool_odds(ds: Dataset, strata: StratumIndex, odds: dict) -> list:
+    """(view, odds on the pool) for every pair present with a model in `odds`,
+    each model evaluated once."""
+    out = []
+    for pr in strata.incomplete_pairs():
+        if pr.key in odds:
+            view = pair_view(ds, strata, pr)
+            out.append((view, view_values(odds[pr.key], view, "pool")))
+    return out
+
+
+def weight_table(ds: Dataset, strata: StratumIndex, values: list, tilt=None) -> WeightTable:
+    """Complete-case weight table from the pool odds values of `pool_odds`.
 
     `tilt` is an optional (delta, center) pair of length-d vectors; each
     odds contribution for pair (tau, a) is then multiplied by
     exp(delta restricted to the coordinates a leaves unobserved, centered).
     """
-    rows = np.flatnonzero(ds.complete_mask)
+    rows = np.flatnonzero(strata.complete_mask)
     table = WeightTable(rows=rows, total=np.ones(rows.size))
-    if not odds:
-        return table
     r_codes = ds.r_codes[rows]
-    for key in sorted(odds):
-        model = odds[key]
-        pr = PatternPair(Pattern(key[0], ds.p), Pattern(key[1], ds.d))
-        assert pr.a.value != ds.complete_code, "odds models exist only for incomplete primary patterns"
-        sel = (r_codes & pr.r.value) == pr.r.value     # complete rows in the pool of r
+    for view, v in values:
+        pr = view.pair
+        if tilt is not None:
+            delta, center = tilt
+            miss = [j for j in range(ds.d) if j not in pr.a.indices]
+            expo = (ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]) @ np.asarray(delta)[miss]
+            v = v * np.exp(np.clip(expo, -TILT_CLAMP, TILT_CLAMP))
         vals = np.zeros(rows.size)
-        if sel.any():
-            view = pair_view(ds, strata, pr)
-            v = view_values(model, view, "pool")
-            if tilt is not None:
-                delta, center = tilt
-                miss = [j for j in range(ds.d) if j not in pr.a.indices]
-                expo = (ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]) @ np.asarray(delta)[miss]
-                v = v * np.exp(np.clip(expo, -TILT_CLAMP, TILT_CLAMP))
-            vals[sel] = v
-        table.contrib[key] = vals
+        vals[(r_codes & pr.r.value) == pr.r.value] = v     # complete rows in the pool of r
+        table.contrib[pr.key] = vals
         table.total += vals
+    table.total *= strata.weights(rows)
     return table
+
+
+def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) -> WeightTable:
+    """Build the complete-case weight table from fitted odds models of the
+    pairs present in `strata`; see `weight_table` for `tilt`."""
+    assert all(a != ds.complete_code for _, a in odds), "odds models exist only for incomplete primary patterns"
+    return weight_table(ds, strata, pool_odds(ds, strata, odds), tilt)
 
 
 @dataclass
@@ -128,32 +143,44 @@ def _require_models(strata: StratumIndex, models: dict, family: str) -> list[Pat
     return pairs
 
 
-def _walk(ds, strata, f, odds=None, outcomes=None, influence=False):
+class _Walk(NamedTuple):
+    sums: dict                  # (str(r), str(a)) -> raw stratum sum
+    augmentation: float         # summed odds-weighted residuals
+    influence: np.ndarray | None
+    pool_odds: list             # (view, odds on the pool) per pair, as `pool_odds` returns
+
+
+def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
     """One pass over the pattern pairs for the augmented estimator.
 
     An incomplete pair (r, a) contributes  sum_case m + sum_pool (f - m) O,
     with the odds O taken as zero when `odds` is None (regression adjustment)
     and the regression m as zero when `outcomes` is None (weighting).  Each
-    model is evaluated once per pair.  Returns the raw sum of every stratum,
-    complete strata first, the summed augmentation terms, and with
-    `influence` the uncentered influence values: f on complete records, the
-    per-pair terms on their records, and one correction per fitted model.
+    model is evaluated once per pair, and every sum counts records by their
+    frequency.  Returns the raw sum of every stratum, complete strata first,
+    the summed augmentation terms, with `influence` the uncentered influence
+    values (f on complete records, the per-pair terms on their records, and
+    one correction per fitted model), and the odds values on the pools.
     """
+    if influence and strata.freq is not None:
+        raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
     if odds is not None:
         _require_models(strata, odds, "odds")
     if outcomes is not None:
         _require_models(strata, outcomes, "outcome")
     n = ds.n
-    complete = np.flatnonzero(ds.complete_mask)
+    complete = np.flatnonzero(strata.complete_mask)
     fmap = np.zeros(n)
     if complete.size:
         fmap[complete] = f(ds.L[complete])
     sums = {}
     for pr in strata.pairs():
         if pr.a.value == ds.complete_code:
-            sums[(str(pr.r), str(pr.a))] = fmap[strata.stratum(pr)].sum()
+            rows = strata.stratum(pr)
+            sums[(str(pr.r), str(pr.a))] = (fmap[rows] * strata.weights(rows)).sum()
     phi = fmap.copy() if influence else None
     aug_total = 0.0
+    values = []
     for pr in strata.incomplete_pairs():
         view = pair_view(ds, strata, pr)
         gm = odds[pr.key] if odds is not None else None
@@ -161,13 +188,14 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False):
         term = 0.0
         if om is not None:
             m_case = view_values(om, view, "case")
-            term = m_case.sum()
+            term = (m_case * view.w_case).sum()
         if gm is not None:
             o_pool = view_values(gm, view, "pool")
+            values.append((view, o_pool))
             resid = fmap[view.pool]
             if om is not None:
                 resid = resid - view_values(om, view, "pool")
-            aug = resid @ o_pool
+            aug = (resid * view.w_pool) @ o_pool
             aug_total += aug
             term = aug + term
         sums[(str(pr.r), str(pr.a))] = term
@@ -189,11 +217,11 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False):
             grad = view.design(gm.keep).pool.T @ ro / n
             rows, Z, res = odds_score_rows(ds, strata, gm)
             phi[rows] += res * (Z @ (gm.info_inv @ grad))
-    return sums, aug_total, phi
+    return _Walk(sums, aug_total, phi, values)
 
 
 def _estimate(ds, method, walk, denom, **extra) -> ThetaEstimate:
-    sums, _, phi = walk
+    sums, _, phi, _ = walk
     per = {k: float(v / denom) for k, v in sums.items()}
     theta = float(sum(per.values()))
     iv = InfluenceVector(phi - theta, method) if phi is not None else None
@@ -217,7 +245,7 @@ def estimate_ipw(
     if self_normalize and influence:
         raise ConfigError("no influence-function SE for the self-normalized IPW estimate")
     walk = _walk(ds, strata, f, odds=odds, influence=influence)
-    wt = compute_weights(ds, strata, odds)
+    wt = weight_table(ds, strata, walk.pool_odds)
     denom = float(wt.total.sum()) if self_normalize else float(ds.n)
     if denom == 0.0:
         raise PositivityError("no records with all primary variables observed")
@@ -242,29 +270,31 @@ def estimate_mr(
     return _estimate(ds, "mr", _walk(ds, strata, f, odds=odds, outcomes=outcomes, influence=influence), ds.n)
 
 
-def estimate_complete_case(ds: Dataset, f: Functional) -> ThetaEstimate:
+def estimate_complete_case(ds: Dataset, strata: StratumIndex, f: Functional) -> ThetaEstimate:
     """Sample mean of f over records with all primary variables observed."""
-    rows = np.flatnonzero(ds.complete_mask)
+    rows = np.flatnonzero(strata.complete_mask)
     if rows.size == 0:
         raise PositivityError("no records with all primary variables observed")
-    fvals = f(ds.L[rows])
+    w = strata.weights(rows)
+    fvals = f(ds.L[rows]) * w
+    n_complete = int(w.sum())
     per = {}
     r_codes = ds.r_codes[rows]
     for rv in sorted(set(r_codes.tolist())):
         sel = r_codes == rv
         per[(str(Pattern(rv, ds.p)), str(Pattern(ds.complete_code, ds.d)))] = float(
-            fvals[sel].sum() / rows.size
+            fvals[sel].sum() / n_complete
         )
     return ThetaEstimate(
         theta_hat=float(sum(per.values())),
         method="complete_case",
         per_stratum=per,
         n=ds.n,
-        diagnostics={"n_complete": int(rows.size)},
+        diagnostics={"n_complete": n_complete},
     )
 
 
 def augmentation_mean(ds, strata, odds, outcomes, f) -> float:
     """Mean of the odds-weighted regression residuals; the exact gap between
     the MR and RA estimates built from the same models."""
-    return float(_walk(ds, strata, f, odds=odds, outcomes=outcomes)[1] / ds.n)
+    return float(_walk(ds, strata, f, odds=odds, outcomes=outcomes).augmentation / ds.n)

@@ -8,6 +8,9 @@ Two families, both on the design (1, x_r, l_a):
 * linear outcome regressions m(x_r, l_a) = beta . (1, x_r, l_a), fitted by
   least squares on the pool.
 
+Every sum over records counts each record by its frequency in the stratum
+index (one each unless the index was reweighted for a resample).
+
 Both retain the normalizing matrices needed to evaluate per-record influence
 contributions of the estimated coefficients.  The designs of each pattern
 pair are built once per stratum index and shared through `pair_view`.
@@ -71,27 +74,47 @@ class KeptDesign(NamedTuple):
 class PairView:
     """Case stratum and pool of one pattern pair with their designs.
 
-    `rows` stacks the case rows over the pool rows, `y` labels them 1/0.  The
-    design of each keep mask is built on first use with `design_matrix` on
-    `rows`; its case and pool parts are row slices of it.  The fits,
-    estimators and influence functions all read these shared designs.
+    `rows` stacks the case rows over the pool rows, `y` labels them 1/0 and
+    `w` holds their frequencies.  The design of each keep mask is built on
+    first use with `design_matrix` on `rows`, or taken as a row selection of
+    the `base` view's design; its case and pool parts are row slices of it.
+    The fits, estimators and influence functions all read these shared
+    designs.
     """
 
-    def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair):
+    def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair,
+                 w=None, base=None):
         self.ds = ds
         self.pair = pair
         self.case = case
         self.pool = pool
         self.rows = np.concatenate([case, pool])
         self.y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
-        self.rows.flags.writeable = self.y.flags.writeable = False
+        self.w = np.ones(self.rows.size) if w is None else w
+        self.w_case, self.w_pool = self.w[:case.size], self.w[case.size:]
+        for a in (self.rows, self.y, self.w):
+            a.flags.writeable = False
+        self._base = base            # (view, row mask) whose designs this view selects from
         self._kept = {}
+
+    def reweighted(self, freq: np.ndarray) -> "PairView":
+        """The rows of this view drawn by the per-record frequencies `freq`."""
+        w = freq[self.rows]
+        sel = w > 0
+        nc = self.case.size
+        return PairView(self.ds, self.case[sel[:nc]], self.pool[sel[nc:]], self.pair,
+                        w=w[sel], base=(self, sel))
 
     def design(self, keep=None) -> KeptDesign:
         """Designs restricted to the non-intercept columns `keep` marks."""
         key = None if keep is None else tuple(bool(k) for k in keep)
         if key not in self._kept:
-            Z, names = design_matrix(self.ds, self.rows, self.pair, key)
+            if self._base is None:
+                Z, names = design_matrix(self.ds, self.rows, self.pair, key)
+            else:
+                view, sel = self._base
+                kept = view.design(key)
+                Z, names = kept.stacked[sel], kept.names
             Z.flags.writeable = False    # shared by every caller, and so are its slices
             nc = self.case.size
             self._kept[key] = KeptDesign(Z, Z[:nc], Z[nc:], names)
@@ -122,13 +145,21 @@ class _DesignCache:
 
 
 def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
-    """The designs of `pair`, built on first use and cached on `strata`."""
+    """The designs of `pair`, built on first use and cached on `strata`.
+
+    A reweighted index selects its rows from its parent's view, so a
+    resample builds no design of its own.
+    """
     cache = strata.designs
     if cache is None or cache.ds is not ds:
         cache = strata.designs = _DesignCache(ds)
     view = cache.pairs.get(pair.key)
     if view is None:
-        view = cache.pairs[pair.key] = PairView(ds, strata.stratum(pair), strata.pool(pair.r), pair)
+        if strata.parent is None:
+            view = PairView(ds, strata.stratum(pair), strata.pool(pair.r), pair)
+        else:
+            view = pair_view(ds, strata.parent, pair).reweighted(strata.freq)
+        cache.pairs[pair.key] = view
     return view
 
 
@@ -136,20 +167,21 @@ def _clamped_eta(Z, coef):
     return np.clip(Z @ coef, -LINPRED_CLAMP, LINPRED_CLAMP)
 
 
-def odds_negloglik(alpha, Z, y, n_total):
-    """Mean negative log-likelihood of the case-vs-pool logistic model."""
+def odds_negloglik(alpha, Z, y, n_total, w=1.0):
+    """Mean negative log-likelihood of the case-vs-pool logistic model, each
+    row counted `w` times."""
     eta = _clamped_eta(Z, alpha)
     # log(1 + exp(eta)) computed stably
     lse = np.logaddexp(0.0, eta)
-    return -(y @ eta - lse.sum()) / n_total
+    return -((w * y) @ eta - (w * lse).sum()) / n_total
 
 
-def odds_score_hessian(alpha, Z, y, n_total):
+def odds_score_hessian(alpha, Z, y, n_total, w=1.0):
     """Exact analytic score and Hessian of the mean log-likelihood."""
     eta = _clamped_eta(Z, alpha)
     p = 1.0 / (1.0 + np.exp(-eta))
-    score = Z.T @ (y - p) / n_total
-    W = p * (1.0 - p)
+    score = Z.T @ (w * (y - p)) / n_total
+    W = w * (p * (1.0 - p))
     hess = -(Z.T * W) @ Z / n_total
     return score, hess
 
@@ -265,22 +297,23 @@ def fit_odds(
     pool = strata.pool(pair.r)
     if pool.size == 0:
         raise PositivityError(f"empty pool for {pair}: no records with R >= {pair.r} and complete primaries")
-    if case.size < n_min or pool.size < n_min:
+    n_case, n_pool = strata.count(case), strata.count(pool)
+    if n_case < n_min or n_pool < n_min:
         raise SmallStratumError(
-            f"{pair}: case stratum has {case.size} and pool has {pool.size} records, need >= {n_min}"
+            f"{pair}: case stratum has {n_case} and pool has {n_pool} records, need >= {n_min}"
         )
     view = pair_view(ds, strata, pair)
-    y = view.y
+    y, w = view.y, view.w
     Z, _, _, names = view.design(keep)
     n = ds.n
 
     alpha = np.zeros(Z.shape[1])
-    nll = odds_negloglik(alpha, Z, y, n)
+    nll = odds_negloglik(alpha, Z, y, n, w)
     nll_path = [nll]
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        score, hess = odds_score_hessian(alpha, Z, y, n)
+        score, hess = odds_score_hessian(alpha, Z, y, n, w)
         if np.max(np.abs(score)) <= tol:
             converged = True
             # one polishing step: quadratic convergence leaves the score near
@@ -289,7 +322,7 @@ def fit_odds(
                 polish = alpha + np.linalg.solve(-hess, score)
             except np.linalg.LinAlgError:
                 break
-            if odds_negloglik(polish, Z, y, n) <= nll + 1e-14 * (1.0 + abs(nll)):
+            if odds_negloglik(polish, Z, y, n, w) <= nll + 1e-14 * (1.0 + abs(nll)):
                 alpha = polish
             break
         try:
@@ -300,7 +333,7 @@ def fit_odds(
         accepted = False
         for _ in range(40):
             cand = alpha + lam * step
-            cand_nll = odds_negloglik(cand, Z, y, n)
+            cand_nll = odds_negloglik(cand, Z, y, n, w)
             if cand_nll <= nll + 1e-14 * (1.0 + abs(nll)):
                 accepted = True
                 break
@@ -310,14 +343,14 @@ def fit_odds(
         alpha, nll = cand, cand_nll
         nll_path.append(nll)
         if np.max(np.abs(alpha)) > SEPARATION_BOUND:
-            score, _ = odds_score_hessian(alpha, Z, y, n)
+            score, _ = odds_score_hessian(alpha, Z, y, n, w)
             if np.max(np.abs(score)) > tol:
                 raise SeparationError(
                     f"{pair}: coefficient magnitude exceeded {SEPARATION_BOUND} with unconverged "
                     "score; case and pool look separable"
                 )
     if not converged:
-        score, _ = odds_score_hessian(alpha, Z, y, n)
+        score, _ = odds_score_hessian(alpha, Z, y, n, w)
         if np.max(np.abs(score)) <= tol:
             converged = True
         elif np.max(np.abs(alpha)) > SEPARATION_BOUND:
@@ -333,14 +366,14 @@ def fit_odds(
 
     eta = Z @ alpha
     p = 1.0 / (1.0 + np.exp(-eta))
-    info = (Z.T * (p * (1.0 - p))) @ Z / n
+    info = (Z.T * (w * (p * (1.0 - p)))) @ Z / n
     return OddsModel(
         pair=pair,
         alpha=alpha,
         names=names,
         converged=converged,
-        n_case=int(case.size),
-        n_pool=int(pool.size),
+        n_case=n_case,
+        n_pool=n_pool,
         info=info,
         keep=tuple(keep) if keep is not None else None,
         n_iter=it,
@@ -357,7 +390,8 @@ def fit_outcome(
     keep=None,
     decompose: bool = False,
 ) -> OutcomeModel:
-    """Least-squares outcome regression on the pool of a pattern pair.
+    """Least-squares outcome regression on the pool of a pattern pair, each
+    pool record weighted by its frequency.
 
     With decompose=True and a product functional whose factors are all but
     one observed in the stratum, the remaining factor is regressed on the
@@ -366,8 +400,9 @@ def fit_outcome(
     pool = strata.pool(pair.r)
     if pool.size == 0:
         raise PositivityError(f"empty pool for {pair}")
-    if pool.size < n_min:
-        raise SmallStratumError(f"{pair}: pool has {pool.size} records, need >= {n_min}")
+    n_pool = strata.count(pool)
+    if n_pool < n_min:
+        raise SmallStratumError(f"{pair}: pool has {n_pool} records, need >= {n_min}")
 
     resp_coord = None
     scale_coords: tuple[int, ...] = ()
@@ -380,17 +415,20 @@ def fit_outcome(
             scale_coords = present
 
     rho = ds.L[pool, resp_coord] if resp_coord is not None else f(ds.L[pool])
-    _, _, Z, names = pair_view(ds, strata, pair).design(keep)
+    view = pair_view(ds, strata, pair)
+    _, _, Z, names = view.design(keep)
     if np.linalg.matrix_rank(Z) < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
+    sw = np.sqrt(view.w_pool)
+    Z, rho = Z * sw[:, None], rho * sw
     beta, _, _, _ = np.linalg.lstsq(Z, rho, rcond=None)
     resid = rho - Z @ beta
-    dof = pool.size - Z.shape[1]
+    dof = n_pool - Z.shape[1]
     return OutcomeModel(
         pair=pair,
         beta=beta,
         names=names,
-        n_pool=int(pool.size),
+        n_pool=n_pool,
         n_total=ds.n,
         gram=Z.T @ Z / ds.n,
         residual_variance=float(resid @ resid / dof) if dof > 0 else 0.0,

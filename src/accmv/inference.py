@@ -7,18 +7,21 @@ supplied as known functions (anything without fitted metadata) contribute no
 correction.  The influence values come from the estimators' own pass over
 the pattern pairs, which `estimate_*(..., influence=True)` also attaches.
 The nonparametric bootstrap resamples whole records and reruns the entire
-pipeline, nuisance refits included.
+pipeline, nuisance refits included.  A resample is drawn as per-record
+frequencies: the full-data stratum index reweighted by them (see
+`StratumIndex.reweight`), which the package's fits and estimators honour.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
 
-from .data import Dataset
+from .data import Dataset, StratumIndex
 from .errors import AccmvError, BootstrapInstabilityError, ConfigError
 from .estimators import InfluenceVector, _walk
 
@@ -62,7 +65,7 @@ def normal_ci(estimate, se, level: float = DEFAULT_LEVEL, method: str = "influen
 
 
 def _influence(ds, strata, f, theta_hat, method, **models) -> tuple[float, InfluenceVector]:
-    iv = InfluenceVector(_walk(ds, strata, f, influence=True, **models)[2] - theta_hat, method)
+    iv = InfluenceVector(_walk(ds, strata, f, influence=True, **models).influence - theta_hat, method)
     return iv.se, iv
 
 
@@ -82,6 +85,30 @@ def if_variance_mr(ds, strata, odds, outcomes, f, theta_hat: float) -> tuple[flo
     return _influence(ds, strata, f, theta_hat, "mr", odds=odds, outcomes=outcomes)
 
 
+def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int, max_failure_rate: float = 0.2,
+              what: str = "bootstrap") -> tuple[list, dict]:
+    """Run `fn(ds, resampled strata)` on B case resamples of the records.
+
+    Replicate i draws n records with replacement from the i-th child of
+    SeedSequence(seed) and passes `strata` reweighted by how often each
+    record was drawn, so results do not depend on execution order.
+    Returns the outputs of the replicates that succeeded, in stream order,
+    and the failed ones counted by `AccmvError` subclass name; more than
+    `max_failure_rate` of them failing aborts.
+    """
+    values, failures = [], Counter()
+    for child in np.random.SeedSequence(seed).spawn(B):
+        rows = np.random.default_rng(child).integers(0, ds.n, ds.n)
+        try:
+            values.append(fn(ds, strata.reweight(np.bincount(rows, minlength=ds.n))))
+        except AccmvError as e:
+            failures[type(e).__name__] += 1
+    failures = dict(sorted(failures.items()))
+    if B - len(values) > max_failure_rate * B:
+        raise BootstrapInstabilityError(f"{B - len(values)}/{B} {what} replicates failed to fit: {failures}")
+    return values, failures
+
+
 @dataclass
 class BootstrapReport:
     estimate: np.ndarray
@@ -92,6 +119,7 @@ class BootstrapReport:
     seed: int
     n_failed: int
     level: float
+    failures: dict = field(default_factory=dict)   # AccmvError subclass name -> count
 
     def to_dict(self) -> dict:
         def as_list(v):
@@ -107,12 +135,14 @@ class BootstrapReport:
             "B": self.B,
             "seed": self.seed,
             "n_failed": self.n_failed,
+            "failures": self.failures,
             "level": self.level,
         }
 
 
 def bootstrap(
     ds: Dataset,
+    strata: StratumIndex,
     pipeline,
     B: int = DEFAULT_B,
     seed: int = 0,
@@ -121,28 +151,19 @@ def bootstrap(
 ) -> BootstrapReport:
     """Case bootstrap of a full estimation pipeline.
 
-    `pipeline` maps a Dataset to a scalar or vector estimate and is rerun on
-    each resample, nuisance refits included.  Replicates raising package
-    errors are skipped and counted; more than `max_failure_rate` of them
-    failing aborts.  Replicate RNG streams are pre-split from the seed, so
-    results do not depend on execution order.
+    `pipeline(ds, strata)` returns a scalar or vector estimate; it runs on
+    the full-data index for the point estimate and is rerun on each
+    resample (see `replicate`), nuisance refits included.  A resample is
+    `strata` reweighted by record frequencies, so the pipeline must sum over
+    records through the package's fits and estimators, or honour
+    `strata.freq` itself.
     """
     if B < 2:
         raise ConfigError(f"bootstrap needs B >= 2, got {B}")
     z = critical_value(level)
-    point = np.atleast_1d(np.asarray(pipeline(ds), dtype=float))
-    children = np.random.SeedSequence(seed).spawn(B)
-    reps = []
-    n_failed = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        rows = rng.integers(0, ds.n, ds.n)
-        try:
-            reps.append(np.atleast_1d(np.asarray(pipeline(ds.subset(rows)), dtype=float)))
-        except AccmvError:
-            n_failed += 1
-    if n_failed > max_failure_rate * B:
-        raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit")
+    point = np.atleast_1d(np.asarray(pipeline(ds, strata), dtype=float))
+    reps, failures = replicate(ds, strata, lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
+                               B, seed, max_failure_rate)
     mat = np.vstack(reps)
     se = mat.std(axis=0, ddof=1)
     lo_q, hi_q = np.quantile(mat, [(1 - level) / 2.0, (1 + level) / 2.0], axis=0)
@@ -163,5 +184,5 @@ def bootstrap(
     )
     return BootstrapReport(
         estimate=squeeze(point), se=squeeze(se), normal=normal, percentile=percentile,
-        B=B, seed=seed, n_failed=n_failed, level=level,
+        B=B, seed=seed, n_failed=B - len(reps), level=level, failures=failures,
     )

@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
-from .estimators import _require_models, compute_weights
-from .glm import fitted, odds_score_rows, pair_view, view_values
+from .estimators import _require_models, compute_weights, pool_odds, weight_table
+from .glm import fitted, odds_score_rows
 from .inference import critical_value
 
 EE_TOL = 1e-8
@@ -284,10 +284,14 @@ def sandwich_variance(
 
     The combined per-record influence stacks the weighted score with, unless
     naive=True, a correction for each fitted odds model propagating its
-    coefficient noise through the weights.
+    coefficient noise through the weights.  Defined for unit frequencies.
     """
+    if strata.freq is not None:
+        raise ConfigError("the sandwich is defined for unit frequencies only, not on a reweighted index")
     theta_hat = np.asarray(theta_hat, dtype=float)
-    wt, Lc, w = _weighted_rows(ds, strata, odds, require_models=False)
+    values = pool_odds(ds, strata, odds)
+    wt = weight_table(ds, strata, values)
+    Lc, w = ds.L[wt.rows], wt.total
     n = ds.n
     q = spec.q(ds.d)
     u = np.zeros((n, q))
@@ -296,15 +300,13 @@ def sandwich_variance(
     if not naive:
         s_complete = spec.score(theta_hat, Lc)
         r_codes = ds.r_codes[wt.rows]
-        for key in sorted(odds):
-            model = odds[key]
+        for view, ovals in values:
+            pr = view.pair
+            model = odds[pr.key]
             if not fitted(model):
                 continue
-            pr = model.pair
             sel = (r_codes & pr.r.value) == pr.r.value     # complete rows in the pool of r
-            view = pair_view(ds, strata, pr)
             Zp = view.design(model.keep).pool
-            ovals = view_values(model, view, "pool")
             # (q, k) mean of score (outer) gradient of the odds over the pool
             Cmat = s_complete[sel].T @ (Zp * ovals[:, None]) / n
             rows, Z, res = odds_score_rows(ds, strata, model)

@@ -38,14 +38,6 @@ class Pattern:
         return cls(int(s, 2), len(s))
 
     @classmethod
-    def from_bits(cls, bits) -> "Pattern":
-        bits = [int(bool(b)) for b in bits]
-        value = 0
-        for b in bits:
-            value = (value << 1) | b
-        return cls(value, len(bits))
-
-    @classmethod
     def complete(cls, length: int) -> "Pattern":
         return cls((1 << length) - 1, length)
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Functional, StratumIndex, build_strata
-from .errors import AccmvError, BootstrapInstabilityError, ConfigError, DegenerateNormalizationError
-from .estimators import _require_models, compute_weights
+from .data import Dataset, Functional, StratumIndex
+from .errors import ConfigError, DegenerateNormalizationError
+from .estimators import _require_models, pool_odds, weight_table
 from .glm import fit_all_odds
-from .inference import critical_value
+from .inference import critical_value, replicate
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,24 @@ def tilted_estimate(
     ds: Dataset, strata: StratumIndex, odds: dict, f: Functional, spec: TiltSpec, multiplier: float = 1.0
 ) -> float:
     """Self-normalized IPW estimate under the tilted weights."""
+    return _tilted_grid(ds, strata, odds, f, spec, [multiplier])[0]
+
+
+def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid) -> list[float]:
+    """`tilted_estimate` at each multiplier of `grid`, evaluating each odds
+    model once and tilting its values per grid point."""
     _require_models(strata, odds, "odds")
-    delta = spec.resolved_delta(ds.d, multiplier)
     center = spec.resolved_center(ds.d)
-    wt = compute_weights(ds, strata, odds, tilt=(delta, center))
-    denom = float(wt.total.sum())
-    if denom == 0.0:
-        raise DegenerateNormalizationError("tilted weight sum is zero: no complete-primary records")
-    return float(f(ds.L[wt.rows]) @ wt.total / denom)
+    values = pool_odds(ds, strata, odds)
+    fvals = f(ds.L[strata.complete_mask])
+    ests = []
+    for m in grid:
+        wt = weight_table(ds, strata, values, tilt=(spec.resolved_delta(ds.d, m), center))
+        denom = float(wt.total.sum())
+        if denom == 0.0:
+            raise DegenerateNormalizationError("tilted weight sum is zero: no complete-primary records")
+        ests.append(float(fvals @ wt.total / denom))
+    return ests
 
 
 @dataclass
@@ -74,6 +84,7 @@ class SensitivityCurve:
     B: int | None = None
     seed: int | None = None
     n_failed: int = 0
+    failures: dict = field(default_factory=dict)   # AccmvError subclass name -> count
     meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
@@ -97,33 +108,25 @@ def sweep(
     level: float = 0.95,
 ) -> SensitivityCurve:
     """Tilted estimates over the multiplier grid, sharing the supplied odds
-    fits across grid points.  With B >= 2, a case bootstrap refits the odds
-    inside every replicate and evaluates the whole grid on it; normal-based
-    intervals from the per-point replicate spread are attached."""
+    fits across grid points.  With B >= 2, a case bootstrap (see
+    `inference.replicate`) refits the odds inside every replicate and
+    evaluates the whole grid on it; normal-based intervals from the
+    per-point replicate spread are attached."""
     if not spec.grid:
         raise ConfigError("sweep needs a nonempty grid")
     z = critical_value(level)
     grid = list(spec.grid)
-    ests = [tilted_estimate(ds, strata, odds, f, spec, m) for m in grid]
+    ests = _tilted_grid(ds, strata, odds, f, spec, grid)
     lo = [float("nan")] * len(grid)
     hi = [float("nan")] * len(grid)
-    n_failed = 0
+    failures = {}
     if B >= 2:
-        children = np.random.SeedSequence(seed).spawn(B)
-        reps = []
-        for child in children:
-            rng = np.random.default_rng(child)
-            dsb = ds.subset(rng.integers(0, ds.n, ds.n))
-            try:
-                sb = build_strata(dsb)
-                ob = fit_all_odds(dsb, sb, n_min=n_min, keep=keep)
-                reps.append([tilted_estimate(dsb, sb, ob, f, spec, m) for m in grid])
-            except AccmvError:
-                n_failed += 1
-        if n_failed > 0.2 * B:
-            raise BootstrapInstabilityError(f"{n_failed}/{B} sweep replicates failed to fit")
-        mat = np.asarray(reps)
-        se = mat.std(axis=0, ddof=1)
+        reps, failures = replicate(
+            ds, strata,
+            lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min, keep=keep), f, spec, grid),
+            B, seed, what="sweep",
+        )
+        se = np.asarray(reps).std(axis=0, ddof=1)
         lo = [float(e - z * s) for e, s in zip(ests, se)]
         hi = [float(e + z * s) for e, s in zip(ests, se)]
     return SensitivityCurve(
@@ -135,6 +138,7 @@ def sweep(
         ci_upper=hi,
         B=B or None,
         seed=seed if B else None,
-        n_failed=n_failed,
+        n_failed=sum(failures.values()),
+        failures=failures,
         meta={"center": spec.resolved_center(ds.d).tolist(), "level": level},
     )

@@ -366,3 +366,17 @@ def test_overlapping_role_columns_exit_2(single_csv, roles, capsys):
     assert "more than once" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         Schema(*(tuple(roles[i].split(",")) for i in (1, 3)))
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_run_table_workers_give_identical_raw(table):
+    # replicate i always draws from stream i, whichever process runs it
+    serial = run_table(table, 4, 500, seed=5, workers=1)["raw"]
+    forked = run_table(table, 4, 500, seed=5, workers=2)["raw"]
+    assert [r is None for r in serial] == [r is None for r in forked]
+    for a, b in zip(serial, forked):
+        if a is not None:
+            assert a.keys() == b.keys()
+            for name in a:
+                for x, y in zip(a[name], b[name]):
+                    np.testing.assert_array_equal(x, y)

@@ -52,7 +52,7 @@ def test_no_missingness_reduces_to_sample_mean():
     assert np.isclose(estimate_ipw(ds, strata, {}, F1).theta_hat, mean, rtol=0, atol=1e-12)
     assert np.isclose(estimate_ra(ds, strata, {}, F1).theta_hat, mean, rtol=0, atol=1e-12)
     assert np.isclose(estimate_mr(ds, strata, {}, {}, F1).theta_hat, mean, rtol=0, atol=1e-12)
-    assert np.isclose(estimate_complete_case(ds, F1).theta_hat, mean, rtol=0, atol=1e-12)
+    assert np.isclose(estimate_complete_case(ds, strata, F1).theta_hat, mean, rtol=0, atol=1e-12)
 
 
 def test_missing_model_is_config_error(single_20k):
@@ -91,7 +91,7 @@ def test_decomposition_sums_exactly(single_20k):
         estimate_ipw(ds, strata, odds, F1),
         estimate_ra(ds, strata, outs, F1),
         estimate_mr(ds, strata, odds, outs, F1),
-        estimate_complete_case(ds, F1),
+        estimate_complete_case(ds, strata, F1),
     ):
         assert est.theta_hat == sum(est.per_stratum.values())
 
@@ -154,7 +154,7 @@ def test_complete_case_errors_without_complete_records():
     L = np.full((3, 1), np.nan)
     ds = Dataset(X, L)
     with pytest.raises(PositivityError):
-        estimate_complete_case(ds, F1)
+        estimate_complete_case(ds, build_strata(ds), F1)
 
 
 def test_report_serialization(single_20k):

@@ -3,7 +3,7 @@ import pytest
 
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import BootstrapInstabilityError, ConfigError, FitError
-from accmv.estimators import estimate_ipw, estimate_mr, estimate_ra
+from accmv.estimators import estimate_complete_case, estimate_ipw, estimate_mr, estimate_ra
 from accmv.glm import fit_all_odds, fit_all_outcomes
 from accmv.inference import (
     bootstrap,
@@ -119,21 +119,20 @@ def test_bootstrap_deterministic(single_20k):
     ds, _ = single_20k
     small = ds.subset(np.arange(1500))
 
-    def pipeline(d):
-        s = build_strata(d)
+    def pipeline(d, s):
         return estimate_ra(d, s, fit_all_outcomes(d, s, F1), F1).theta_hat
 
-    r1 = bootstrap(small, pipeline, B=30, seed=7)
-    r2 = bootstrap(small, pipeline, B=30, seed=7)
+    r1 = bootstrap(small, build_strata(small), pipeline, B=30, seed=7)
+    r2 = bootstrap(small, build_strata(small), pipeline, B=30, seed=7)
     assert r1.se == r2.se
     assert r1.normal.lower == r2.normal.lower and r1.percentile.upper == r2.percentile.upper
-    r3 = bootstrap(small, pipeline, B=30, seed=8)
+    r3 = bootstrap(small, build_strata(small), pipeline, B=30, seed=8)
     assert r3.se != r1.se
 
 
 def test_bootstrap_degenerate_rows_zero_width():
     ds = Dataset(np.ones((30, 1)), np.full((30, 1), 2.5))
-    rep = bootstrap(ds, lambda d: float(F1(d.L).mean()), B=20, seed=1)
+    rep = bootstrap(ds, build_strata(ds), lambda d, s: estimate_complete_case(d, s, F1).theta_hat, B=20, seed=1)
     assert rep.se == 0.0
     assert rep.percentile.lower == rep.percentile.upper == 2.5
 
@@ -141,31 +140,31 @@ def test_bootstrap_degenerate_rows_zero_width():
 def test_bootstrap_guards():
     ds = Dataset(np.ones((10, 1)), np.ones((10, 1)))
     with pytest.raises(ConfigError):
-        bootstrap(ds, lambda d: 0.0, B=1, seed=0)
+        bootstrap(ds, build_strata(ds), lambda d, s: 0.0, B=1, seed=0)
 
     calls = {"k": 0}
 
-    def flaky(d):
+    def flaky(d, s):
         calls["k"] += 1
         if calls["k"] > 1:
             raise FitError("boom")
         return 0.0
 
     with pytest.raises(BootstrapInstabilityError):
-        bootstrap(ds, flaky, B=10, seed=0)
+        bootstrap(ds, build_strata(ds), flaky, B=10, seed=0)
 
 
 def test_bootstrap_skip_count():
     ds = Dataset(np.ones((10, 1)), np.arange(10, dtype=float).reshape(-1, 1))
     calls = {"k": 0}
 
-    def sometimes(d):
+    def sometimes(d, s):
         calls["k"] += 1
         if calls["k"] % 7 == 0:
             raise FitError("boom")
-        return float(F1(d.L).mean())
+        return estimate_complete_case(d, s, F1).theta_hat
 
-    rep = bootstrap(ds, sometimes, B=20, seed=3)
+    rep = bootstrap(ds, build_strata(ds), sometimes, B=20, seed=3)
     assert rep.n_failed >= 1
     assert rep.B == 20
 

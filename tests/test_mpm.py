@@ -133,11 +133,10 @@ def test_bootstrap_agrees_with_sandwich(mpm_2k):
     cov = sandwich_variance(ds, strata, odds, LIN, est.theta_hat)
     sand_se = np.sqrt(np.diag(cov))
 
-    def pipeline(d):
-        s = build_strata(d)
+    def pipeline(d, s):
         return solve_weighted_ee(d, s, fit_all_odds(d, s), LIN).theta_hat
 
-    rep = bootstrap(ds, pipeline, B=300, seed=99)
+    rep = bootstrap(ds, strata, pipeline, B=300, seed=99)
     assert np.all(np.abs(rep.se - sand_se) / sand_se <= 0.15)
 
 

@@ -93,7 +93,6 @@ def test_string_roundtrip_and_bits():
     assert pat.bits == (1, 0, 1, 0)
     assert pat.indices == (0, 2)
     assert pat.complement() == P("0101")
-    assert Pattern.from_bits([1, 0, 1, 0]) == pat
 
 
 def test_bounds():
