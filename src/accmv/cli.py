@@ -14,6 +14,8 @@ import json
 import multiprocessing as mp
 import os
 import sys
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 from scipy.stats import norm
@@ -27,7 +29,7 @@ from .estimators import (
     estimate_ra,
 )
 from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
-from .inference import bootstrap, critical_value, normal_ci
+from .inference import bootstrap, critical_value, normal_ci, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
 from .simgen import SimDesign, generate, misspec_masks, oracle_value, verify_oracles
@@ -100,34 +102,39 @@ def _regression_table_rows(ds, strata, n_min=10):
     return rows
 
 
-def table_replicate(table: int, n: int, seed) -> dict | None:
-    """One replicate of a benchmark table; None when fitting failed."""
+def table_replicate(table: int, n: int, seed) -> dict:
+    """One replicate of a benchmark table; a failed fit raises its AccmvError."""
     kind = {1: "single", 2: "multiple", 3: "mpm"}[table]
     ds = generate(SimDesign(kind, n, seed))
     strata = build_strata(ds)
-    try:
-        if table == 3:
-            return _regression_table_rows(ds, strata)
-        f = Functional("coordinate", (0,)) if table == 1 else Functional("product", (0, 1))
-        return _mean_table_rows(ds, strata, kind, f)
-    except AccmvError:
-        return None
+    if table == 3:
+        return _regression_table_rows(ds, strata)
+    f = Functional("coordinate", (0,)) if table == 1 else Functional("product", (0, 1))
+    return _mean_table_rows(ds, strata, kind, f)
 
 
 def _table_worker(args):
-    return table_replicate(*args)
+    """The rows of one replicate, or the class name of the error that failed it."""
+    try:
+        return table_replicate(*args)
+    except AccmvError as e:
+        return type(e).__name__
 
 
 def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) -> dict:
     """Replicate a benchmark table and summarize bias, sample SE, mean
-    theoretical SE, and 95% CI coverage per method row."""
+    theoretical SE, and 95% CI coverage per method row.
+
+    `raw` holds each replicate's rows in stream order, None for a failed one;
+    `failures` counts the failed ones by `AccmvError` subclass name.
+    """
     if table not in (1, 2, 3):
         raise ConfigError(f"table must be 1, 2, or 3, got {table}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     kind = {1: "single", 2: "multiple", 3: "mpm"}[table]
     truth = oracle_value(kind).theta_true
-    children = np.random.SeedSequence(seed).spawn(replicates)
+    children = seed_sequence(seed).spawn(replicates)
     args = [(table, n, children[i]) for i in range(replicates)]
     workers = workers if workers > 0 else (os.cpu_count() or 1)
     if workers > 1 and replicates > 1:
@@ -136,10 +143,11 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
             results = pool.map(_table_worker, args, chunksize=max(1, replicates // (workers * 8)))
     else:
         results = [_table_worker(a) for a in args]
+    failures = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
+    results = [None if isinstance(r, str) else r for r in results]
     ok = [r for r in results if r is not None]
-    n_failed = len(results) - len(ok)
     if not ok:
-        raise FitError("every replicate failed to fit")
+        raise FitError(f"every replicate failed to fit: {_failed_text(replicates, failures)}")
 
     truth_vec = np.atleast_1d(np.asarray(truth, dtype=float))
     summary = []
@@ -163,7 +171,8 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
         "table": table,
         "n": n,
         "replicates": replicates,
-        "n_failed": n_failed,
+        "n_failed": replicates - len(ok),
+        "failures": failures,
         "seed": seed,
         "truth": truth_vec.tolist(),
         "rows": summary,
@@ -232,10 +241,10 @@ def _apply_config(args):
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {args.config}: {e}")
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {args.config}: {e.strerror or e}") from None
+    except ValueError as e:          # not JSON, or not text
+        raise ConfigError(f"config file {args.config}: {e}") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {args.config}: expected a JSON object")
     actions = {a.dest: a for a in args.parser._actions if a.option_strings}
@@ -262,8 +271,17 @@ def _functional(args, d: int) -> Functional:
     return Functional(args.functional, coords, tuple(args.thresholds or ()))
 
 
+@contextmanager
+def _writing(path):
+    """Turns a failure to write the output file `path` into a DataError naming it."""
+    try:
+        yield
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _write_json(path, payload):
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -399,13 +417,15 @@ def cmd_sensitivity(args) -> int:
     for m, est, lo, hi in zip(curve.multipliers, curve.estimates, curve.ci_lower, curve.ci_upper):
         print(f"  delta x {m:+.4g}: estimate={est:.6g}  CI=({lo:.6g}, {hi:.6g})")
     if args.out:
-        curve.to_csv(args.out)
+        with _writing(args.out):
+            curve.to_csv(args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     ds = generate(SimDesign(args.design, args.n, args.seed))
-    write_csv(args.out, ds)
+    with _writing(args.out):
+        write_csv(args.out, ds)
     print(f"wrote {ds.n} records ({args.design} design, seed {args.seed}) to {args.out}")
     return 0
 
@@ -413,7 +433,7 @@ def cmd_simulate(args) -> int:
 def cmd_table(args) -> int:
     result = run_table(args.table, args.replicates, args.n, args.seed, args.workers)
     print(f"table {args.table}: {args.replicates} replicates at n={args.n}, "
-          f"{result['n_failed']} failed, truth={result['truth']}")
+          f"{_failed_text(args.replicates, result['failures'])}, truth={result['truth']}")
     hdr = f"{'method':<16}{'coef':>6}{'bias':>10}{'sample_se':>11}{'theor_se':>10}{'coverage':>10}"
     print(hdr)
     for row in result["rows"]:
@@ -421,13 +441,13 @@ def cmd_table(args) -> int:
         print(f"{row['method']:<16}{coef:>6}{row['bias']:>10.4f}{row['sample_se']:>11.4f}"
               f"{row['mean_theoretical_se']:>10.4f}{row['coverage']:>10.3f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with _writing(args.out), open(args.out, "w", newline="") as fh:
             w = csv.DictWriter(fh, ["method", "coef", "bias", "sample_se", "mean_theoretical_se", "coverage"])
             w.writeheader()
             for row in result["rows"]:
                 w.writerow(row)
     if args.dump_replicates:
-        with open(args.dump_replicates, "w", newline="") as fh:
+        with _writing(args.dump_replicates), open(args.dump_replicates, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["replicate", "method", "coef", "estimate", "se"])
             for i, rep in enumerate(result["raw"]):
@@ -545,7 +565,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args = _apply_config(args)
-        return args.func(args)
+        # an overflow or an invalid value stops the run instead of passing
+        # inf or NaN on to the estimates
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
@@ -554,6 +577,9 @@ def main(argv=None) -> int:
         return 3
     except FitError as e:
         print(f"fit error: {e}", file=sys.stderr)
+        return 4
+    except FloatingPointError as e:
+        print(f"fit error: floating-point {e}; are the data values too large?", file=sys.stderr)
         return 4
     except InferenceError as e:
         print(f"inference error: {e}", file=sys.stderr)

@@ -104,7 +104,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = _rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -125,6 +125,15 @@ def load_csv(path, schema: Schema) -> Dataset:
     if not X_rows:
         raise SchemaError(f"{path}: no data rows")
     return Dataset(np.array(X_rows), np.array(L_rows), schema.x_cols, schema.l_cols)
+
+
+def _rows(fh, path):
+    """The rows of a CSV file; a line that is not CSV or not text is a ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except (csv.Error, UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _parse_cells(row, idx, header, tokens, path, rownum):

@@ -170,15 +170,21 @@ def _clamped_eta(Z, coef):
 def odds_negloglik(alpha, Z, y, n_total, w=1.0):
     """Mean negative log-likelihood of the case-vs-pool logistic model, each
     row counted `w` times."""
-    eta = _clamped_eta(Z, alpha)
+    return _negloglik_at(_clamped_eta(Z, alpha), y, n_total, w)
+
+
+def odds_score_hessian(alpha, Z, y, n_total, w=1.0):
+    """Exact analytic score and Hessian of the mean log-likelihood."""
+    return _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n_total, w)
+
+
+def _negloglik_at(eta, y, n_total, w):
     # log(1 + exp(eta)) computed stably
     lse = np.logaddexp(0.0, eta)
     return -((w * y) @ eta - (w * lse).sum()) / n_total
 
 
-def odds_score_hessian(alpha, Z, y, n_total, w=1.0):
-    """Exact analytic score and Hessian of the mean log-likelihood."""
-    eta = _clamped_eta(Z, alpha)
+def _score_hessian_at(eta, Z, y, n_total, w):
     p = 1.0 / (1.0 + np.exp(-eta))
     score = Z.T @ (w * (y - p)) / n_total
     W = w * (p * (1.0 - p))
@@ -205,26 +211,6 @@ class OddsModel:
     def info_inv(self) -> np.ndarray:
         """Inverse of `info`, shared by every influence correction of this fit."""
         return np.linalg.inv(self.info)
-
-    def linpred(self, xr, la) -> np.ndarray:
-        cov = np.hstack([np.atleast_2d(xr), np.atleast_2d(la)])
-        if self.keep is not None:
-            cov = cov[:, np.asarray(self.keep, dtype=bool)]
-        return self.alpha[0] + cov @ self.alpha[1:]
-
-    def predict(self, xr, la) -> np.ndarray:
-        """Odds values, positive, overflow-guarded."""
-        return np.exp(np.clip(self.linpred(xr, la), -LINPRED_CLAMP, LINPRED_CLAMP))
-
-    def to_text(self) -> str:
-        lines = [
-            f"odds-model r={self.pair.r} a={self.pair.a}",
-            f"  converged: {str(self.converged).lower()}  iterations: {self.n_iter}",
-            f"  n_case: {self.n_case}  n_pool: {self.n_pool}",
-        ]
-        for nm, v in zip(self.names, self.alpha):
-            lines.append(f"  coef {nm} = {v!r}")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -253,12 +239,6 @@ class OutcomeModel:
         """Inverse of `gram`, shared by every influence correction of this fit."""
         return np.linalg.inv(self.gram)
 
-    def _affine(self, xr, la) -> np.ndarray:
-        cov = np.hstack([np.atleast_2d(xr), np.atleast_2d(la)])
-        if self.keep is not None:
-            cov = cov[:, np.asarray(self.keep, dtype=bool)]
-        return self.beta[0] + cov @ self.beta[1:]
-
     def scale_values(self, la, a_pattern) -> np.ndarray:
         """Product of the observed target coordinates, 1 when there are none."""
         la = np.atleast_2d(la)
@@ -267,21 +247,6 @@ class OutcomeModel:
         pos = [a_pattern.indices.index(c) for c in self.scale_coords]
         return la[:, pos].prod(axis=1)
 
-    def predict(self, xr, la) -> np.ndarray:
-        return self._affine(xr, la) * self.scale_values(la, self.pair.a)
-
-    def to_text(self) -> str:
-        resp = f"L{self.resp_coord + 1}" if self.resp_coord is not None else "f(L)"
-        lines = [
-            f"outcome-model r={self.pair.r} a={self.pair.a}  response: {resp}",
-            f"  n_pool: {self.n_pool}  residual_variance: {self.residual_variance!r}",
-        ]
-        if self.scale_coords:
-            lines.append(f"  scaled by: {'*'.join(f'L{c+1}' for c in self.scale_coords)}")
-        for nm, v in zip(self.names, self.beta):
-            lines.append(f"  coef {nm} = {v!r}")
-        return "\n".join(lines)
-
 
 def fit_odds(
     ds: Dataset,
@@ -289,10 +254,9 @@ def fit_odds(
     pair: PatternPair,
     n_min: int = DEFAULT_N_MIN,
     keep=None,
-    max_iter: int = MAX_ITER,
-    tol: float = SCORE_TOL,
 ) -> OddsModel:
-    """Fit the odds model for one pattern pair by Newton with step halving."""
+    """Fit the odds model for one pattern pair by Newton with step halving.
+    The line search computes each iterate's linear predictor once."""
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
     if pool.size == 0:
@@ -308,13 +272,14 @@ def fit_odds(
     n = ds.n
 
     alpha = np.zeros(Z.shape[1])
-    nll = odds_negloglik(alpha, Z, y, n, w)
+    eta = _clamped_eta(Z, alpha)
+    nll = _negloglik_at(eta, y, n, w)
     nll_path = [nll]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        score, hess = odds_score_hessian(alpha, Z, y, n, w)
-        if np.max(np.abs(score)) <= tol:
+    for it in range(1, MAX_ITER + 1):
+        score, hess = _score_hessian_at(eta, Z, y, n, w)
+        if np.max(np.abs(score)) <= SCORE_TOL:
             converged = True
             # one polishing step: quadratic convergence leaves the score near
             # machine precision, keeping downstream influence means tiny
@@ -322,36 +287,34 @@ def fit_odds(
                 polish = alpha + np.linalg.solve(-hess, score)
             except np.linalg.LinAlgError:
                 break
-            if odds_negloglik(polish, Z, y, n, w) <= nll + 1e-14 * (1.0 + abs(nll)):
-                alpha = polish
+            polish_eta = _clamped_eta(Z, polish)
+            if _negloglik_at(polish_eta, y, n, w) <= nll + 1e-14 * (1.0 + abs(nll)):
+                alpha, eta = polish, polish_eta
             break
+        if np.max(np.abs(alpha)) > SEPARATION_BOUND:
+            raise SeparationError(
+                f"{pair}: coefficient magnitude exceeded {SEPARATION_BOUND} with unconverged "
+                "score; case and pool look separable"
+            )
         try:
             step = np.linalg.solve(-hess, score)
         except np.linalg.LinAlgError:
             raise SingularityError(f"{pair}: singular Hessian in odds fit (collinear or separated design)")
         lam = 1.0
-        accepted = False
         for _ in range(40):
             cand = alpha + lam * step
-            cand_nll = odds_negloglik(cand, Z, y, n, w)
+            cand_eta = _clamped_eta(Z, cand)
+            cand_nll = _negloglik_at(cand_eta, y, n, w)
             if cand_nll <= nll + 1e-14 * (1.0 + abs(nll)):
-                accepted = True
                 break
             lam *= 0.5
-        if not accepted:
-            break
-        alpha, nll = cand, cand_nll
+        else:
+            break                    # no step along the Newton direction lowers the loss
+        alpha, eta, nll = cand, cand_eta, cand_nll
         nll_path.append(nll)
-        if np.max(np.abs(alpha)) > SEPARATION_BOUND:
-            score, _ = odds_score_hessian(alpha, Z, y, n, w)
-            if np.max(np.abs(score)) > tol:
-                raise SeparationError(
-                    f"{pair}: coefficient magnitude exceeded {SEPARATION_BOUND} with unconverged "
-                    "score; case and pool look separable"
-                )
     if not converged:
-        score, _ = odds_score_hessian(alpha, Z, y, n, w)
-        if np.max(np.abs(score)) <= tol:
+        score, _ = _score_hessian_at(eta, Z, y, n, w)
+        if np.max(np.abs(score)) <= SCORE_TOL:
             converged = True
         elif np.max(np.abs(alpha)) > SEPARATION_BOUND:
             raise SeparationError(f"{pair}: separation detected after {it} iterations")
@@ -361,10 +324,11 @@ def fit_odds(
                 f"(score max {np.max(np.abs(score)):.3e})",
                 last_iterate=alpha,
             )
-    if np.max(np.abs(Z @ alpha)) >= LINPRED_CLAMP:
+    # eta is clamped, so it reaches the clamp exactly when Z @ alpha does;
+    # below it, eta is Z @ alpha itself
+    if np.max(np.abs(eta)) >= LINPRED_CLAMP:
         raise SeparationError(f"{pair}: linear predictor clamped at the solution; treating as separation")
 
-    eta = Z @ alpha
     p = 1.0 / (1.0 + np.exp(-eta))
     info = (Z.T * (w * (p * (1.0 - p)))) @ Z / n
     return OddsModel(
@@ -438,22 +402,15 @@ def fit_outcome(
     )
 
 
-def fit_all_odds(ds, strata, n_min: int = DEFAULT_N_MIN, keep: dict | None = None) -> dict:
+def fit_all_odds(ds, strata, n_min: int = DEFAULT_N_MIN) -> dict:
     """Odds models for every pattern pair present with incomplete primaries,
     keyed by (r_value, a_value)."""
-    keep = keep or {}
-    return {
-        pr.key: fit_odds(ds, strata, pr, n_min=n_min, keep=keep.get(pr.key))
-        for pr in strata.incomplete_pairs()
-    }
+    return {pr.key: fit_odds(ds, strata, pr, n_min=n_min) for pr in strata.incomplete_pairs()}
 
 
-def fit_all_outcomes(
-    ds, strata, f, n_min: int = DEFAULT_N_MIN, keep: dict | None = None, decompose: bool = False
-) -> dict:
-    keep = keep or {}
+def fit_all_outcomes(ds, strata, f, n_min: int = DEFAULT_N_MIN, decompose: bool = False) -> dict:
     return {
-        pr.key: fit_outcome(ds, strata, pr, f, n_min=n_min, keep=keep.get(pr.key), decompose=decompose)
+        pr.key: fit_outcome(ds, strata, pr, f, n_min=n_min, decompose=decompose)
         for pr in strata.incomplete_pairs()
     }
 

@@ -85,6 +85,13 @@ def if_variance_mr(ds, strata, odds, outcomes, f, theta_hat: float) -> tuple[flo
     return _influence(ds, strata, f, theta_hat, "mr", odds=odds, outcomes=outcomes)
 
 
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """The SeedSequence of a non-negative integer seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.SeedSequence(seed)
+
+
 def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int, max_failure_rate: float = 0.2,
               what: str = "bootstrap") -> tuple[list, dict]:
     """Run `fn(ds, resampled strata)` on B case resamples of the records.
@@ -97,7 +104,7 @@ def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int, max_fail
     `max_failure_rate` of them failing aborts.
     """
     values, failures = [], Counter()
-    for child in np.random.SeedSequence(seed).spawn(B):
+    for child in seed_sequence(seed).spawn(B):
         rows = np.random.default_rng(child).integers(0, ds.n, ds.n)
         try:
             values.append(fn(ds, strata.reweight(np.bincount(rows, minlength=ds.n))))

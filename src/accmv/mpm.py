@@ -3,10 +3,10 @@
 Parameters defined by a population estimating equation 0 = E[s(theta | L)]
 are estimated by weighting the per-record estimating function of each
 complete-primary record with its total odds weight 1 + Q and solving the
-weighted sample equation.  Only the odds-weighted route is offered here:
-outcome-regression adjustments would impose a conditional model on part of L
-given the rest and can contradict the marginal model (a congeniality
-conflict), so requesting them raises.
+weighted sample equation, in closed form for both score kinds.  Only the
+odds-weighted route is offered here: outcome-regression adjustments would
+impose a conditional model on part of L given the rest and can contradict
+the marginal model (a congeniality conflict), so requesting them raises.
 
 The sandwich covariance follows the asymptotic linear expansion of the
 weighted root, including one correction term per estimated odds model; a
@@ -26,7 +26,6 @@ from .glm import fitted, odds_score_rows
 from .inference import critical_value
 
 EE_TOL = 1e-8
-EE_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,8 @@ class ScoreSpec:
 
     kind "gaussian": joint mean/covariance moment score for L, with the
     covariance parameterized through its lower-triangular factor
-    (log-parameterized diagonal) so every iterate stays positive definite;
-    theta = (mu, factor parameters).
+    (log-parameterized diagonal) so every theta gives a positive definite
+    covariance; theta = (mu, factor parameters).
     """
 
     kind: str
@@ -170,8 +169,8 @@ class MpmEstimate:
     theta_hat: np.ndarray
     covariance: np.ndarray | None
     converged: bool
-    iterations: int
-    residual: float
+    iterations: int                  # always 0: the root is in closed form
+    residual: float                  # largest |sum w s_j| / sum w |s_j| over score columns
     coef_names: list[str]
     diagnostics: dict | None = None
 
@@ -195,78 +194,45 @@ class MpmEstimate:
         ]
 
 
-def _weighted_rows(ds, strata, odds, require_models=True):
-    if require_models:
-        _require_models(strata, odds, "odds")
-    wt = compute_weights(ds, strata, odds)
-    return wt, ds.L[wt.rows], wt.total
-
-
-def ee_root_residual(ds, strata, odds, spec: ScoreSpec, theta) -> float:
-    """Max-norm of the weighted estimating function at theta, scaled by 1/n."""
-    _, Lc, w = _weighted_rows(ds, strata, odds, require_models=False)
-    F = w @ spec.score(np.asarray(theta, dtype=float), Lc)
-    return float(np.max(np.abs(F)) / ds.n)
-
-
 def solve_weighted_ee(
     ds: Dataset,
     strata: StratumIndex,
     odds: dict,
     spec: ScoreSpec,
     method: str = "ipw",
-    tol: float = EE_TOL,
-    max_iter: int = EE_MAX_ITER,
-    theta0=None,
 ) -> MpmEstimate:
     """Root of the odds-weighted estimating equation over complete-primary
-    records.  Newton iteration with damping; by default the start is the
-    score kind's closed-form solution (exact for both kinds), `theta0`
-    overrides it."""
+    records in closed form (`ScoreSpec.init`: weighted least squares, or the
+    weighted mean and covariance).  The check that it solves the equation is
+    scale-free: per score column j, |sum_i w_i s_ij| <= EE_TOL * sum_i w_i |s_ij|,
+    a column of zero terms counting as solved."""
     if method != "ipw":
         raise CongenialityError(
             f"method {method!r} is not available for marginal parametric models: outcome "
             "regressions condition one part of L on another and can conflict with the "
             "marginal model; use IPW"
         )
-    wt, Lc, w = _weighted_rows(ds, strata, odds)
+    _require_models(strata, odds, "odds")
+    wt = compute_weights(ds, strata, odds)
+    Lc, w = ds.L[wt.rows], wt.total
     if Lc.shape[0] == 0:
         raise ConfigError("no complete-primary records to solve the estimating equation on")
-    theta = spec.init(Lc, w) if theta0 is None else np.asarray(theta0, dtype=float)
-    resid = np.max(np.abs(w @ spec.score(theta, Lc))) / ds.n
-    it = 0
-    while resid > tol and it < max_iter:
-        it += 1
-        F = w @ spec.score(theta, Lc)
-        J = spec.jacobian_sum(theta, Lc, w)
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            raise SingularityError("singular weighted estimating-equation Jacobian")
-        lam = 1.0
-        for _ in range(30):
-            cand = theta + lam * step
-            cand_resid = np.max(np.abs(w @ spec.score(cand, Lc))) / ds.n
-            if cand_resid < resid:
-                break
-            lam *= 0.5
-        else:
-            raise NonConvergenceError(
-                f"weighted estimating equation stalled at residual {resid:.3e}", last_iterate=theta
-            )
-        theta, resid = cand, cand_resid
-    if resid > tol:
+    theta = spec.init(Lc, w)
+    terms = spec.score(theta, Lc) * w[:, None]
+    size = np.abs(terms).sum(axis=0)
+    resid = float(np.max(np.abs(terms.sum(axis=0)) / np.where(size > 0, size, 1.0)))
+    if not resid <= EE_TOL:
         raise NonConvergenceError(
-            f"weighted estimating equation not converged after {it} iterations "
-            f"(residual {resid:.3e})",
+            f"closed-form root leaves the weighted estimating equation unsolved "
+            f"(residual ratio {resid:.3e})",
             last_iterate=theta,
         )
     return MpmEstimate(
         theta_hat=theta,
         covariance=None,
         converged=True,
-        iterations=it,
-        residual=float(resid),
+        iterations=0,
+        residual=resid,
         coef_names=spec.coef_names(ds.l_names),
         diagnostics=wt.diagnostics(),
     )

@@ -58,10 +58,6 @@ class Pattern:
     def popcount(self) -> int:
         return bin(self.value).count("1")
 
-    @property
-    def is_complete(self) -> bool:
-        return self.value == (1 << self.length) - 1
-
     def complement(self) -> "Pattern":
         return Pattern(self.value ^ ((1 << self.length) - 1), self.length)
 

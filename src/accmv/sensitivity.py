@@ -104,7 +104,6 @@ def sweep(
     B: int = 0,
     seed: int = 0,
     n_min: int = 10,
-    keep: dict | None = None,
     level: float = 0.95,
 ) -> SensitivityCurve:
     """Tilted estimates over the multiplier grid, sharing the supplied odds
@@ -123,7 +122,7 @@ def sweep(
     if B >= 2:
         reps, failures = replicate(
             ds, strata,
-            lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min, keep=keep), f, spec, grid),
+            lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid),
             B, seed, what="sweep",
         )
         se = np.asarray(reps).std(axis=0, ddof=1)

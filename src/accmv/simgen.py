@@ -11,8 +11,8 @@ Designs (pattern probabilities in parentheses):
   mechanism; target is the linear regression of the second primary on the
   first.
 
-Misspecification flags never alter the generated data; they only produce
-design-column masks for the analyst-side fits.
+Misspecification is analyst-side only: `misspec_masks` gives the design-column
+masks of the misspecified fits, and the generated data never depend on it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .glm import pair_view
 from .patterns import Pattern, PatternPair
 
 KINDS = ("single", "multiple", "mpm")
-MISSPEC = ("none", "odds", "outcome", "both")
 
 
 def equicorr(k: int, rho: float = 0.5) -> np.ndarray:
@@ -40,15 +39,14 @@ class SimDesign:
     kind: str
     n: int
     seed: object = 0
-    misspec: str = "none"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown design kind {self.kind!r}")
-        if self.misspec not in MISSPEC:
-            raise ConfigError(f"unknown misspecification flag {self.misspec!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 class OracleModel:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from accmv.cli import main, run_table, table_replicate
-from accmv.data import Schema, load_csv
-from accmv.errors import ConfigError
+from accmv.data import Dataset, Schema, load_csv, write_csv
+from accmv.errors import ConfigError, FitError
 
 
 def run(argv):
@@ -136,6 +136,32 @@ def test_regress_gaussian_score(mpm_csv, tmp_path, capsys):
     assert set(est) == {"mu_Y2", "mu_Y3", "c_11", "c_21", "c_22"}
     # weighted means of the primaries sit near the population values (0, -1)
     assert abs(est["mu_Y2"] - 0.0) <= 0.15 and abs(est["mu_Y3"] + 1.0) <= 0.15
+
+
+@pytest.mark.parametrize("kind", ["linear", "gaussian"])
+def test_regress_in_other_units(kind, mpm_csv, tmp_path, capsys):
+    # the root check is relative to the size of the score terms, so the
+    # primaries in units 1e4 times smaller fit to the same model in those units
+    c = 1e4
+    ds = load_csv(mpm_csv, Schema(("Y1",), ("Y2", "Y3")))
+    scaled = tmp_path / "scaled.csv"
+    write_csv(scaled, Dataset(ds.X, c * ds.L, ds.x_names, ds.l_names))
+    model = ["--response", "Y3", "--predictors", "Y2"] if kind == "linear" else []
+    fits = []
+    for path in (mpm_csv, scaled):
+        out = tmp_path / "r.json"
+        assert run(["regress", "--data", str(path), "--x-cols", "Y1", "--l-cols", "Y2,Y3",
+                    "--score-kind", kind, *model, "--out", str(out)]) == 0
+        table = json.loads(out.read_text())["coefficients"]
+        # the diagonal of the gaussian covariance factor is estimated as its log
+        fits.append({row["coef"]: np.exp(row["estimate"]) if row["coef"] in ("c_11", "c_22")
+                     else row["estimate"] for row in table})
+    capsys.readouterr()
+    unit, got = fits
+    assert got.keys() == unit.keys()
+    for name, value in unit.items():
+        want = value if name == "Y2" else c * value     # the slope has no units
+        assert abs(got[name] - want) <= 1e-9 * abs(want), name
 
 
 def test_regress_congeniality_exits_2(mpm_csv, capsys):
@@ -380,3 +406,72 @@ def test_run_table_workers_give_identical_raw(table):
             for name in a:
                 for x, y in zip(a[name], b[name]):
                     np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_table_reports_why_replicates_failed(workers, capsys):
+    # at n=100 some table-1 replicates leave a stratum below n_min or separable
+    result = run_table(1, 8, 100, seed=2, workers=workers)
+    assert result["failures"] == {"SeparationError": 1, "SmallStratumError": 4}
+    assert result["n_failed"] == sum(result["failures"].values())
+    assert sum(r is None for r in result["raw"]) == result["n_failed"]
+    assert run(["table", "--table", "1", "--replicates", "8", "--n", "100", "--seed", "2",
+                "--workers", str(workers)]) == 0
+    assert "5 of 8 replicates failed (SeparationError 1, SmallStratumError 4)" in capsys.readouterr().out
+    with pytest.raises(FitError, match=r"8 of 8 replicates failed \(SmallStratumError 8\)"):
+        run_table(1, 8, 80, seed=2, workers=workers)
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--design", "single", "--n", "200", "--seed", "1", "--out"],
+    ["fit", "--x-cols", "Y1,Y2", "--l-cols", "Y3", "--out"],
+    ["regress", "--x-cols", "Y1,Y2", "--l-cols", "Y3", "--score-kind", "gaussian", "--out"],
+    ["sensitivity", "--x-cols", "Y1,Y2", "--l-cols", "Y3", "--out"],
+    ["table", "--table", "1", "--replicates", "1", "--n", "500", "--seed", "3", "--out"],
+    ["table", "--table", "1", "--replicates", "1", "--n", "500", "--seed", "3", "--dump-replicates"],
+    ["verify-oracles", "--design", "single", "--n-big", "100000", "--out"],
+])
+def test_unwritable_output_exits_3(command, single_csv, tmp_path, capsys):
+    target = str(tmp_path / "no-such-dir" / "out")
+    data = ["--data", single_csv] if command[0] in ("fit", "regress", "sensitivity") else []
+    assert run([*command, target, *data]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and target in err
+
+
+def test_unreadable_config_exits_2(single_csv, tmp_path, capsys):
+    for config in (tmp_path, tmp_path / "missing.json"):      # a directory, then no file
+        assert run(["fit", "--data", single_csv, *DATA_ARGS, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(config) in err
+
+
+def test_negative_seed_exits_2(single_csv, tmp_path, capsys):
+    for command in (
+        ["simulate", "--design", "single", "--seed", "-1", "--out", str(tmp_path / "s.csv")],
+        ["table", "--table", "1", "--replicates", "2", "--seed", "-1"],
+        ["verify-oracles", "--design", "single", "--seed", "-1"],
+        ["fit", "--data", single_csv, *DATA_ARGS, "--bootstrap", "5", "--seed", "-1"],
+        ["sensitivity", "--data", single_csv, *DATA_ARGS, "--bootstrap", "5", "--seed", "-1"],
+    ):
+        assert run(command) == 2, command
+        assert "seed" in capsys.readouterr().err
+
+
+def test_overflowing_values_exit_4(single_csv, tmp_path, capsys):
+    # a finite cell whose square overflows stops the run with a named error
+    with open(single_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[5][0] = "1e200"
+    path = tmp_path / "huge.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run(["fit", "--data", str(path), *DATA_ARGS, "--method", "ipw"]) == 4
+    assert "floating-point overflow" in capsys.readouterr().err
+
+
+def test_undecodable_csv_exits_3(tmp_path, capsys):
+    path = tmp_path / "bytes.csv"
+    path.write_bytes(b"Y1,Y2,Y3\n1,2,3\n\xff\xfe,1,2\n")
+    assert run(["fit", "--data", str(path), *DATA_ARGS]) == 3
+    assert "data error" in capsys.readouterr().err

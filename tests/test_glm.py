@@ -212,11 +212,8 @@ def test_keep_mask_and_serialization(single_20k):
     ds, strata = single_20k
     m = fit_odds(ds, strata, pair(3, 0), keep=(False, False))
     assert m.alpha.size == 1 and m.names == ("intercept",)
-    text = m.to_text()
-    assert "intercept" in text and "converged: true" in text
     om = fit_outcome(ds, strata, pair(3, 0), F1, keep=(True, False))
     assert om.names == ("intercept", "Y1")
-    assert "coef Y1" in om.to_text()
 
 
 def test_fit_all_families(multiple_20k):

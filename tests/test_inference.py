@@ -4,7 +4,7 @@ import pytest
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import BootstrapInstabilityError, ConfigError, FitError
 from accmv.estimators import estimate_complete_case, estimate_ipw, estimate_mr, estimate_ra
-from accmv.glm import fit_all_odds, fit_all_outcomes
+from accmv.glm import design_matrix, fit_all_odds, fit_all_outcomes
 from accmv.inference import (
     bootstrap,
     if_variance_ipw,
@@ -78,7 +78,7 @@ def test_zero_residual_outcome_gives_plugin_spread_only():
     h[complete] = F1(ds.L[complete])
     for pr in strata.incomplete_pairs():
         rows = strata.stratum(pr)
-        h[rows] = outs[pr.key].predict(ds.X[rows][:, pr.r.indices], ds.L[rows][:, pr.a.indices])
+        h[rows] = design_matrix(ds, rows, pr)[0] @ outs[pr.key].beta
     np.testing.assert_allclose(iv.values, h - est.theta_hat, atol=1e-10)
 
 

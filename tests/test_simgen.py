@@ -26,12 +26,6 @@ def test_determinism(kind):
     assert bytes_of(a) != bytes_of(c)
 
 
-def test_misspec_flag_does_not_alter_data():
-    a = generate(SimDesign("single", 1000, 7, misspec="none"))
-    b = generate(SimDesign("single", 1000, 7, misspec="both"))
-    assert bytes_of(a) == bytes_of(b)
-
-
 @pytest.mark.parametrize("kind,cells,prob", [("single", 8, 1 / 8), ("multiple", 16, 1 / 16)])
 def test_stratum_frequencies(kind, cells, prob):
     n = 10**5
@@ -112,7 +106,7 @@ def test_design_validation():
     with pytest.raises(ConfigError):
         SimDesign("single", 0)
     with pytest.raises(ConfigError):
-        SimDesign("single", 10, misspec="half")
+        SimDesign("single", 10, seed=-1)
 
 
 @pytest.mark.parametrize("kind", ["single", "multiple", "mpm"])
