@@ -133,6 +133,7 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     kind = {1: "single", 2: "multiple", 3: "mpm"}[table]
+    SimDesign(kind, n)               # reject a bad design before any replicate runs
     truth = oracle_value(kind).theta_true
     children = seed_sequence(seed).spawn(replicates)
     args = [(table, n, children[i]) for i in range(replicates)]
@@ -401,15 +402,15 @@ def cmd_regress(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
-    ds = load_csv(args.data, _schema(args))
-    strata = build_strata(ds)
-    f = _functional(args, ds.d)
-    odds = fit_all_odds(ds, strata, n_min=args.n_min)
     spec = TiltSpec(
         delta=tuple(args.delta) if args.delta else (0.0,),
         center=tuple(args.center or ()),
         grid=tuple(args.grid) if args.grid else (0.0,),
     )
+    ds = load_csv(args.data, _schema(args))
+    strata = build_strata(ds)
+    f = _functional(args, ds.d)
+    odds = fit_all_odds(ds, strata, n_min=args.n_min)
     curve = sweep(ds, strata, odds, f, spec, B=args.bootstrap, seed=args.seed or 0, n_min=args.n_min)
     print(f"sensitivity sweep for {curve.functional} over {len(curve.multipliers)} grid points")
     if curve.B:

@@ -290,6 +290,8 @@ class Functional:
             raise ConfigError(f"{self.kind} functional needs coordinates")
         if self.kind == "threshold" and len(self.thresholds) != len(self.coords):
             raise ConfigError("threshold functional needs one threshold per coordinate")
+        if not np.isfinite(self.thresholds).all():
+            raise ConfigError(f"thresholds must be finite, got {self.thresholds}")
         if self.kind == "custom" and self.fn is None:
             raise ConfigError("custom functional needs fn")
 
@@ -297,7 +299,7 @@ class Functional:
         """Evaluate on fully observed rows of L, shape (m, d) -> (m,)."""
         L = np.atleast_2d(np.asarray(L, dtype=float))
         if np.isnan(L).any():
-            raise ValueError("functional evaluated at a row with missing primary coordinates")
+            raise DataError("functional evaluated at a row with missing primary coordinates")
         if self.kind == "coordinate":
             out = L[:, self.coords[0]]
         elif self.kind == "mean":
@@ -311,7 +313,7 @@ class Functional:
             out = np.asarray(self.fn(L), dtype=float)
         out = np.asarray(out, dtype=float)
         if not np.isfinite(out).all():
-            raise ValueError("functional produced a non-finite value")
+            raise DataError("functional produced a non-finite value")
         return out
 
     def describe(self) -> str:

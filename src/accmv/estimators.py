@@ -63,36 +63,45 @@ def pool_odds(ds: Dataset, strata: StratumIndex, odds: dict) -> list:
     return out
 
 
-def weight_table(ds: Dataset, strata: StratumIndex, values: list, tilt=None) -> WeightTable:
-    """Complete-case weight table from the pool odds values of `pool_odds`.
+def weight_table(ds: Dataset, strata: StratumIndex, values: list, deltas=(None,), center=None):
+    """Complete-case weight tables from the pool odds values of `pool_odds`,
+    yielded one per entry of `deltas`.
 
-    `tilt` is an optional (delta, center) pair of length-d vectors; each
-    odds contribution for pair (tau, a) is then multiplied by
-    exp(delta restricted to the coordinates a leaves unobserved, centered).
+    A delta and the `center` are length-d vectors; each odds contribution
+    for pair (tau, a) is then multiplied by exp(delta restricted to the
+    coordinates a leaves unobserved, centered), and None leaves it untilted.
+    What does not depend on delta is built once for all the tables.
     """
     rows = np.flatnonzero(strata.complete_mask)
-    table = WeightTable(rows=rows, total=np.ones(rows.size))
+    freq = strata.weights(rows)
     r_codes = ds.r_codes[rows]
+    pieces = []
     for view, v in values:
         pr = view.pair
-        if tilt is not None:
-            delta, center = tilt
-            miss = [j for j in range(ds.d) if j not in pr.a.indices]
-            expo = (ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]) @ np.asarray(delta)[miss]
-            v = v * np.exp(np.clip(expo, -TILT_CLAMP, TILT_CLAMP))
-        vals = np.zeros(rows.size)
-        vals[(r_codes & pr.r.value) == pr.r.value] = v     # complete rows in the pool of r
-        table.contrib[pr.key] = vals
-        table.total += vals
-    table.total *= strata.weights(rows)
-    return table
+        miss = [j for j in range(ds.d) if j not in pr.a.indices]
+        centered = None if center is None else ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]
+        in_pool = (r_codes & pr.r.value) == pr.r.value      # complete rows in the pool of r
+        pieces.append((pr.key, v, in_pool, miss, centered))
+    for delta in deltas:
+        table = WeightTable(rows=rows, total=np.ones(rows.size))
+        for key, v, in_pool, miss, centered in pieces:
+            if delta is not None:
+                v = v * np.exp(np.clip(centered @ np.asarray(delta)[miss], -TILT_CLAMP, TILT_CLAMP))
+            vals = np.zeros(rows.size)
+            vals[in_pool] = v
+            table.contrib[key] = vals
+            table.total += vals
+        table.total *= freq
+        yield table
 
 
 def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) -> WeightTable:
     """Build the complete-case weight table from fitted odds models of the
-    pairs present in `strata`; see `weight_table` for `tilt`."""
+    pairs present in `strata`; `tilt` is an optional (delta, center) pair,
+    see `weight_table`."""
     assert all(a != ds.complete_code for _, a in odds), "odds models exist only for incomplete primary patterns"
-    return weight_table(ds, strata, pool_odds(ds, strata, odds), tilt)
+    delta, center = (None, None) if tilt is None else tilt
+    return next(weight_table(ds, strata, pool_odds(ds, strata, odds), [delta], center))
 
 
 @dataclass
@@ -245,7 +254,7 @@ def estimate_ipw(
     if self_normalize and influence:
         raise ConfigError("no influence-function SE for the self-normalized IPW estimate")
     walk = _walk(ds, strata, f, odds=odds, influence=influence)
-    wt = weight_table(ds, strata, walk.pool_odds)
+    wt, = weight_table(ds, strata, walk.pool_odds)
     denom = float(wt.total.sum()) if self_normalize else float(ds.n)
     if denom == 0.0:
         raise PositivityError("no records with all primary variables observed")

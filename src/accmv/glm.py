@@ -35,7 +35,6 @@ from .errors import (
 from .patterns import PatternPair
 
 LINPRED_CLAMP = 30.0
-SEPARATION_BOUND = 30.0
 SCORE_TOL = 1e-8
 MAX_ITER = 100
 DEFAULT_N_MIN = 10
@@ -79,7 +78,9 @@ class PairView:
     first use with `design_matrix` on `rows`, or taken as a row selection of
     the `base` view's design; its case and pool parts are row slices of it.
     The fits, estimators and influence functions all read these shared
-    designs.
+    designs.  A unit-frequency view also keeps the odds coefficients that
+    `fit_odds` converged to on it, per keep mask, where the fits on its
+    reweighted views start.
     """
 
     def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair,
@@ -96,6 +97,7 @@ class PairView:
             a.flags.writeable = False
         self._base = base            # (view, row mask) whose designs this view selects from
         self._kept = {}
+        self._alpha = {}             # keep key -> converged odds coefficients
 
     def reweighted(self, freq: np.ndarray) -> "PairView":
         """The rows of this view drawn by the per-record frequencies `freq`."""
@@ -107,7 +109,7 @@ class PairView:
 
     def design(self, keep=None) -> KeptDesign:
         """Designs restricted to the non-intercept columns `keep` marks."""
-        key = None if keep is None else tuple(bool(k) for k in keep)
+        key = _keep_key(keep)
         if key not in self._kept:
             if self._base is None:
                 Z, names = design_matrix(self.ds, self.rows, self.pair, key)
@@ -136,6 +138,10 @@ class PairView:
     @property
     def la_pool(self) -> np.ndarray:
         return self.design().pool[:, 1 + len(self.pair.r.indices):]
+
+
+def _keep_key(keep):
+    return None if keep is None else tuple(bool(k) for k in keep)
 
 
 class _DesignCache:
@@ -256,7 +262,10 @@ def fit_odds(
     keep=None,
 ) -> OddsModel:
     """Fit the odds model for one pattern pair by Newton with step halving.
-    The line search computes each iterate's linear predictor once."""
+    The line search computes each iterate's linear predictor once.  A fit on
+    a reweighted index (a resample) starts from the full-data fit of its pair
+    and keep mask if one ran, else from zero.  A linear predictor at the
+    clamp with the score unconverged means separation."""
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
     if pool.size == 0:
@@ -271,7 +280,9 @@ def fit_odds(
     Z, _, _, names = view.design(keep)
     n = ds.n
 
-    alpha = np.zeros(Z.shape[1])
+    key = _keep_key(keep)
+    start = view._base[0]._alpha.get(key) if view._base else None
+    alpha = np.zeros(Z.shape[1]) if start is None else start.copy()
     eta = _clamped_eta(Z, alpha)
     nll = _negloglik_at(eta, y, n, w)
     nll_path = [nll]
@@ -291,9 +302,9 @@ def fit_odds(
             if _negloglik_at(polish_eta, y, n, w) <= nll + 1e-14 * (1.0 + abs(nll)):
                 alpha, eta = polish, polish_eta
             break
-        if np.max(np.abs(alpha)) > SEPARATION_BOUND:
+        if np.max(np.abs(eta)) >= LINPRED_CLAMP:
             raise SeparationError(
-                f"{pair}: coefficient magnitude exceeded {SEPARATION_BOUND} with unconverged "
+                f"{pair}: linear predictor reached the clamp {LINPRED_CLAMP} with unconverged "
                 "score; case and pool look separable"
             )
         try:
@@ -316,7 +327,7 @@ def fit_odds(
         score, _ = _score_hessian_at(eta, Z, y, n, w)
         if np.max(np.abs(score)) <= SCORE_TOL:
             converged = True
-        elif np.max(np.abs(alpha)) > SEPARATION_BOUND:
+        elif np.max(np.abs(eta)) >= LINPRED_CLAMP:
             raise SeparationError(f"{pair}: separation detected after {it} iterations")
         else:
             raise NonConvergenceError(
@@ -329,6 +340,8 @@ def fit_odds(
     if np.max(np.abs(eta)) >= LINPRED_CLAMP:
         raise SeparationError(f"{pair}: linear predictor clamped at the solution; treating as separation")
 
+    if view._base is None:
+        view._alpha[key] = alpha
     p = 1.0 / (1.0 + np.exp(-eta))
     info = (Z.T * (w * (p * (1.0 - p)))) @ Z / n
     return OddsModel(
@@ -381,11 +394,11 @@ def fit_outcome(
     rho = ds.L[pool, resp_coord] if resp_coord is not None else f(ds.L[pool])
     view = pair_view(ds, strata, pair)
     _, _, Z, names = view.design(keep)
-    if np.linalg.matrix_rank(Z) < Z.shape[1]:
-        raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
     sw = np.sqrt(view.w_pool)
     Z, rho = Z * sw[:, None], rho * sw
-    beta, _, _, _ = np.linalg.lstsq(Z, rho, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(Z, rho, rcond=None)
+    if rank < Z.shape[1]:
+        raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
     resid = rho - Z @ beta
     dof = n_pool - Z.shape[1]
     return OutcomeModel(

@@ -256,7 +256,7 @@ def sandwich_variance(
         raise ConfigError("the sandwich is defined for unit frequencies only, not on a reweighted index")
     theta_hat = np.asarray(theta_hat, dtype=float)
     values = pool_odds(ds, strata, odds)
-    wt = weight_table(ds, strata, values)
+    wt, = weight_table(ds, strata, values)
     Lc, w = ds.L[wt.rows], wt.total
     n = ds.n
     q = spec.q(ds.d)

@@ -30,6 +30,11 @@ class TiltSpec:
     center: tuple[float, ...] = ()
     grid: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        for name in ("delta", "center", "grid"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"tilt {name} must be finite, got {getattr(self, name)}")
+
     def resolved_center(self, d: int) -> np.ndarray:
         if not self.center:
             return np.zeros(d)
@@ -58,14 +63,13 @@ def tilted_estimate(
 
 def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid) -> list[float]:
     """`tilted_estimate` at each multiplier of `grid`, evaluating each odds
-    model once and tilting its values per grid point."""
+    model once and building the weight tables of all grid points together."""
     _require_models(strata, odds, "odds")
-    center = spec.resolved_center(ds.d)
-    values = pool_odds(ds, strata, odds)
+    deltas = [spec.resolved_delta(ds.d, m) for m in grid]
+    tables = weight_table(ds, strata, pool_odds(ds, strata, odds), deltas, spec.resolved_center(ds.d))
     fvals = f(ds.L[strata.complete_mask])
     ests = []
-    for m in grid:
-        wt = weight_table(ds, strata, values, tilt=(spec.resolved_delta(ds.d, m), center))
+    for wt in tables:
         denom = float(wt.total.sum())
         if denom == 0.0:
             raise DegenerateNormalizationError("tilted weight sum is zero: no complete-primary records")

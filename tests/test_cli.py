@@ -140,28 +140,32 @@ def test_regress_gaussian_score(mpm_csv, tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["linear", "gaussian"])
 def test_regress_in_other_units(kind, mpm_csv, tmp_path, capsys):
-    # the root check is relative to the size of the score terms, so the
-    # primaries in units 1e4 times smaller fit to the same model in those units
-    c = 1e4
+    # the root check is relative to the size of the score terms and the odds
+    # fits' separation check reads the linear predictor, not the size of the
+    # coefficients, so the primaries in units 1e4 times smaller or 1e3 times
+    # larger fit to the same model in those units
     ds = load_csv(mpm_csv, Schema(("Y1",), ("Y2", "Y3")))
-    scaled = tmp_path / "scaled.csv"
-    write_csv(scaled, Dataset(ds.X, c * ds.L, ds.x_names, ds.l_names))
     model = ["--response", "Y3", "--predictors", "Y2"] if kind == "linear" else []
-    fits = []
-    for path in (mpm_csv, scaled):
+
+    def fit(path):
         out = tmp_path / "r.json"
         assert run(["regress", "--data", str(path), "--x-cols", "Y1", "--l-cols", "Y2,Y3",
                     "--score-kind", kind, *model, "--out", str(out)]) == 0
         table = json.loads(out.read_text())["coefficients"]
         # the diagonal of the gaussian covariance factor is estimated as its log
-        fits.append({row["coef"]: np.exp(row["estimate"]) if row["coef"] in ("c_11", "c_22")
-                     else row["estimate"] for row in table})
+        return {row["coef"]: np.exp(row["estimate"]) if row["coef"] in ("c_11", "c_22")
+                else row["estimate"] for row in table}
+
+    unit = fit(mpm_csv)
+    for c in (1e4, 1e-3):
+        scaled = tmp_path / "scaled.csv"
+        write_csv(scaled, Dataset(ds.X, c * ds.L, ds.x_names, ds.l_names))
+        got = fit(scaled)
+        assert got.keys() == unit.keys()
+        for name, value in unit.items():
+            want = value if name == "Y2" else c * value     # the slope has no units
+            assert abs(got[name] - want) <= 1e-9 * abs(want), (c, name)
     capsys.readouterr()
-    unit, got = fits
-    assert got.keys() == unit.keys()
-    for name, value in unit.items():
-        want = value if name == "Y2" else c * value     # the slope has no units
-        assert abs(got[name] - want) <= 1e-9 * abs(want), name
 
 
 def test_regress_congeniality_exits_2(mpm_csv, capsys):
@@ -244,6 +248,16 @@ def test_run_table_validation():
         run_table(4, 1, 100, 0)
     with pytest.raises(ConfigError):
         run_table(1, 0, 100, 0)
+    with pytest.raises(ConfigError, match="n must be"):
+        run_table(1, 2, 0, 0, workers=1)
+
+
+def test_table_bad_n_exits_2(capsys):
+    # the design is checked once, before any replicate runs
+    assert run(["table", "--table", "1", "--replicates", "2", "--n", "0", "--seed", "1", "--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "replicates failed" not in err
+
 
 # One seeded replicate per table at n = 2000: (estimate, SE) of every row, as
 # computed when each pair's designs were still rebuilt at every call site.

@@ -1,8 +1,10 @@
-"""Property test: whatever the CSV cells and the --config JSON hold, the CLI
-ends with a documented exit code and no exception escapes `main()`."""
+"""Property tests: whatever the CSV cells and the --config JSON hold, the CLI
+ends with a documented exit code and no exception escapes `main()`; a
+non-finite value of a float option is a configuration error."""
 
 import csv
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -99,3 +101,39 @@ def test_cli_exit_codes_under_fuzzed_inputs(base_rows, tmp_path, capsys, inputs)
                  *COMMANDS[command], "--config", str(cfg)])
     capsys.readouterr()
     assert code in EXIT_CODES
+
+
+# float list options and the command that takes each;
+# `thresholds` gets one coordinate per value
+FLOAT_OPTIONS = {"delta": "sensitivity", "center": "sensitivity", "grid": "sensitivity", "thresholds": "fit"}
+
+
+@st.composite
+def non_finite_options(draw):
+    key = draw(st.sampled_from(sorted(FLOAT_OPTIONS)))
+    values = draw(st.lists(st.floats(-5, 5), max_size=1))
+    values.insert(draw(st.integers(0, len(values))), draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+    how = draw(st.sampled_from(["flag", "config list", "config string"]))
+    return key, values, how
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(non_finite_options())
+def test_non_finite_float_options_exit_2(base_rows, tmp_path, capsys, inputs):
+    key, values, how = inputs
+    data, cfg = tmp_path / "data.csv", tmp_path / "config.json"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(base_rows)
+    command = FLOAT_OPTIONS[key]
+    argv = [command, "--data", str(data), "--x-cols", "Y1", "--l-cols", "Y2,Y3"]
+    if key == "thresholds":
+        argv += ["--functional", "threshold", "--coords", ",".join(str(j + 1) for j in range(len(values)))]
+    text = ",".join(repr(v) for v in values)
+    if how == "flag":
+        argv.append(f"--{key}={text}")
+    else:
+        cfg.write_text(json.dumps({key: values if how == "config list" else text}))   # bare NaN, Infinity
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err

@@ -128,13 +128,13 @@ def test_functionals():
 
 
 def test_functional_missing_coordinate():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="missing"):
         Functional("mean", (0, 1))(np.array([[1.0, np.nan]]))
 
 
 def test_functional_rejects_nonfinite():
     f = Functional("custom", fn=lambda L: np.full(L.shape[0], np.inf))
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="non-finite"):
         f(np.array([[1.0]]))
 
 
@@ -143,6 +143,9 @@ def test_functional_validation():
         Functional("nope")
     with pytest.raises(ConfigError):
         Functional("threshold", (0, 1), (7.0,))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="finite"):
+            Functional("threshold", (0, 1), (7.0, bad))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])

@@ -128,3 +128,10 @@ def test_tilt_spec_validation():
         spec.resolved_delta(3)
     np.testing.assert_array_equal(TiltSpec(delta=(2.0,)).resolved_delta(3), [2.0, 2.0, 2.0])
     np.testing.assert_array_equal(TiltSpec(delta=(1.0,), center=(7.0,)).resolved_center(2), [7.0, 7.0])
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["delta", "center", "grid"])
+def test_tilt_spec_rejects_non_finite(field, bad):
+    values = {"delta": (1.0,), field: (0.5, bad)}
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        TiltSpec(**values)
