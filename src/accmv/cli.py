@@ -18,7 +18,6 @@ from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Functional, Schema, build_strata, load_csv, write_csv
 from .errors import AccmvError, ConfigError, DataError, FitError, InferenceError
@@ -28,13 +27,11 @@ from .estimators import (
     estimate_mr,
     estimate_ra,
 )
-from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
+from .glm import complete_values, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
 from .inference import bootstrap, critical_value, normal_ci, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
 from .simgen import SimDesign, generate, misspec_masks, oracle_value, verify_oracles
-
-Z95 = float(norm.ppf(0.975))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +79,7 @@ def _mean_table_rows(ds, strata, kind, f, n_min=10):
         rows[name] = (est.theta_hat, est.influence.se)
 
     cc = estimate_complete_case(ds, strata, f)
-    fv = f(ds.L[np.flatnonzero(ds.complete_mask)])
+    fv = complete_values(ds, strata, f)[strata.complete_mask]
     rows["complete_case"] = (cc.theta_hat, float(fv.std(ddof=1) / np.sqrt(fv.size)))
     return rows
 
@@ -151,13 +148,14 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
         raise FitError(f"every replicate failed to fit: {_failed_text(replicates, failures)}")
 
     truth_vec = np.atleast_1d(np.asarray(truth, dtype=float))
+    z = critical_value(0.95)
     summary = []
     for name in ok[0]:
         ests = np.array([np.atleast_1d(r[name][0]) for r in ok])
         ses = np.array([np.atleast_1d(r[name][1]) for r in ok])
         for j in range(ests.shape[1]):
             tj = truth_vec[j] if truth_vec.size > 1 else truth_vec[0]
-            covered = np.abs(ests[:, j] - tj) <= Z95 * ses[:, j]
+            covered = np.abs(ests[:, j] - tj) <= z * ses[:, j]
             summary.append(
                 {
                     "method": name,
@@ -332,7 +330,7 @@ def cmd_fit(args) -> int:
     if est.influence is not None:
         se = est.influence.se
     elif method == "cc":
-        fv = f(ds.L[np.flatnonzero(ds.complete_mask)])
+        fv = complete_values(ds, strata, f)[strata.complete_mask]
         se = float(fv.std(ddof=1) / np.sqrt(fv.size))
     else:
         se = None

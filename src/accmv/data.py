@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, SchemaError
-from .patterns import Pattern, PatternPair
+from .patterns import Pattern, PatternPair, dominating
 
 MAX_TOTAL_DIM = 12
 DEFAULT_MISSING_TOKENS = ("", "NA")
@@ -197,9 +198,7 @@ class StratumIndex:
 
     def pool(self, r: Pattern) -> np.ndarray:
         if r.value not in self.pools:
-            self.pools[r.value] = np.flatnonzero(
-                self.complete_mask & ((self.r_codes & r.value) == r.value)
-            )
+            self.pools[r.value] = np.flatnonzero(self.complete_mask & dominating(self.r_codes, r))
         return self.pools[r.value]
 
     def pairs(self) -> list[PatternPair]:
@@ -269,6 +268,16 @@ def build_strata(ds: Dataset) -> StratumIndex:
     return idx
 
 
+def check_finite(name, values) -> None:
+    """Raise ConfigError unless `values` is a sequence of finite numbers."""
+    try:
+        ok = np.ndim(values) == 1 and np.isfinite(np.asarray(values, dtype=float)).all()
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{name} must be finite numbers, got {values!r}")
+
+
 _FUNCTIONAL_KINDS = ("coordinate", "mean", "product", "threshold", "custom")
 
 
@@ -284,14 +293,15 @@ class Functional:
     def __post_init__(self):
         if self.kind not in _FUNCTIONAL_KINDS:
             raise ConfigError(f"unknown functional kind {self.kind!r}")
+        if not (isinstance(self.coords, tuple) and all(isinstance(c, numbers.Integral) and c >= 0 for c in self.coords)):
+            raise ConfigError(f"functional coordinates must be a tuple of 0-based integers, got {self.coords!r}")
+        check_finite("thresholds", self.thresholds)
         if self.kind == "coordinate" and len(self.coords) != 1:
             raise ConfigError("coordinate functional takes exactly one coordinate")
         if self.kind in ("mean", "product", "threshold") and not self.coords:
             raise ConfigError(f"{self.kind} functional needs coordinates")
         if self.kind == "threshold" and len(self.thresholds) != len(self.coords):
             raise ConfigError("threshold functional needs one threshold per coordinate")
-        if not np.isfinite(self.thresholds).all():
-            raise ConfigError(f"thresholds must be finite, got {self.thresholds}")
         if self.kind == "custom" and self.fn is None:
             raise ConfigError("custom functional needs fn")
 

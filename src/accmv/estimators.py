@@ -21,8 +21,8 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, PositivityError
-from .glm import fitted, odds_score_rows, outcome_residual_rows, pair_view, view_values
-from .patterns import Pattern, PatternPair
+from .glm import case_gradient, complete_values, fitted, pair_view, score_residuals, view_values
+from .patterns import Pattern, PatternPair, dominating
 
 TILT_CLAMP = 30.0
 
@@ -52,20 +52,9 @@ class WeightTable:
         }
 
 
-def pool_odds(ds: Dataset, strata: StratumIndex, odds: dict) -> list:
-    """(view, odds on the pool) for every pair present with a model in `odds`,
-    each model evaluated once."""
-    out = []
-    for pr in strata.incomplete_pairs():
-        if pr.key in odds:
-            view = pair_view(ds, strata, pr)
-            out.append((view, view_values(odds[pr.key], view, "pool")))
-    return out
-
-
-def weight_table(ds: Dataset, strata: StratumIndex, values: list, deltas=(None,), center=None):
-    """Complete-case weight tables from the pool odds values of `pool_odds`,
-    yielded one per entry of `deltas`.
+def weight_table(ds: Dataset, strata: StratumIndex, odds: dict, deltas=(None,), center=None):
+    """Complete-case weight tables from the odds models of the pairs present
+    in `strata`, yielded one per entry of `deltas`.
 
     A delta and the `center` are length-d vectors; each odds contribution
     for pair (tau, a) is then multiplied by exp(delta restricted to the
@@ -76,11 +65,14 @@ def weight_table(ds: Dataset, strata: StratumIndex, values: list, deltas=(None,)
     freq = strata.weights(rows)
     r_codes = ds.r_codes[rows]
     pieces = []
-    for view, v in values:
-        pr = view.pair
+    for pr in strata.incomplete_pairs():
+        if pr.key not in odds:
+            continue
+        view = pair_view(ds, strata, pr)
+        v = view_values(odds[pr.key], view, "pool")
         miss = [j for j in range(ds.d) if j not in pr.a.indices]
         centered = None if center is None else ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]
-        in_pool = (r_codes & pr.r.value) == pr.r.value      # complete rows in the pool of r
+        in_pool = dominating(r_codes, pr.r)      # complete rows in the pool of r
         pieces.append((pr.key, v, in_pool, miss, centered))
     for delta in deltas:
         table = WeightTable(rows=rows, total=np.ones(rows.size))
@@ -101,7 +93,7 @@ def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) ->
     see `weight_table`."""
     assert all(a != ds.complete_code for _, a in odds), "odds models exist only for incomplete primary patterns"
     delta, center = (None, None) if tilt is None else tilt
-    return next(weight_table(ds, strata, pool_odds(ds, strata, odds), [delta], center))
+    return next(weight_table(ds, strata, odds, [delta], center))
 
 
 @dataclass
@@ -156,7 +148,42 @@ class _Walk(NamedTuple):
     sums: dict                  # (str(r), str(a)) -> raw stratum sum
     augmentation: float         # summed odds-weighted residuals
     influence: np.ndarray | None
-    pool_odds: list             # (view, odds on the pool) per pair, as `pool_odds` returns
+
+
+def _pair_terms(view, fmap, f, gm, om, influence):
+    """Stratum term, augmentation and, with `influence`, the (rows, values)
+    added to the influence vector by the pair of `view` under odds `gm` and
+    regression `om`, either of which may be None."""
+    n = view.ds.n
+    term, aug, adds = 0.0, 0.0, []
+    if om is not None:
+        m_case = view_values(om, view, "case")
+        term = (m_case * view.w_case).sum()
+    if gm is not None:
+        o_pool = view_values(gm, view, "pool")
+        resid = fmap[view.pool]
+        if om is not None:
+            resid = resid - view_values(om, view, "pool")
+        aug = (resid * view.w_pool) @ o_pool
+        term = aug + term
+    if not influence:
+        return term, aug, adds
+    if gm is not None:
+        ro = resid * o_pool
+        adds.append((view.pool, ro))
+    if om is not None:
+        adds.append((view.case, m_case))
+    if fitted(om):
+        Zm = view.design(om.keep)
+        grad = case_gradient(om, view)
+        if gm is not None:
+            grad = grad - Zm.pool.T @ (om.scale_values(view, "pool") * o_pool)
+        adds.append((view.pool, score_residuals(om, view, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
+    if fitted(gm):
+        Zg = view.design(gm.keep)
+        grad = Zg.pool.T @ ro / n
+        adds.append((view.rows, score_residuals(gm, view) * (Zg.stacked @ (gm.info_inv @ grad))))
+    return term, aug, adds
 
 
 def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
@@ -164,12 +191,13 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
 
     An incomplete pair (r, a) contributes  sum_case m + sum_pool (f - m) O,
     with the odds O taken as zero when `odds` is None (regression adjustment)
-    and the regression m as zero when `outcomes` is None (weighting).  Each
-    model is evaluated once per pair, and every sum counts records by their
-    frequency.  Returns the raw sum of every stratum, complete strata first,
-    the summed augmentation terms, with `influence` the uncentered influence
-    values (f on complete records, the per-pair terms on their records, and
-    one correction per fitted model), and the odds values on the pools.
+    and the regression m as zero when `outcomes` is None (weighting).  A
+    pair's terms are computed once per view and pair of models and kept on
+    a model, so walks that share models share them, and every sum counts
+    records by their frequency.  Returns the raw sum of every stratum,
+    complete strata first, the summed augmentation terms, and with
+    `influence` the uncentered influence values (f on complete records, the
+    per-pair terms on their records, and one correction per fitted model).
     """
     if influence and strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
@@ -177,11 +205,7 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
         _require_models(strata, odds, "odds")
     if outcomes is not None:
         _require_models(strata, outcomes, "outcome")
-    n = ds.n
-    complete = np.flatnonzero(strata.complete_mask)
-    fmap = np.zeros(n)
-    if complete.size:
-        fmap[complete] = f(ds.L[complete])
+    fmap = complete_values(ds, strata, f)
     sums = {}
     for pr in strata.pairs():
         if pr.a.value == ds.complete_code:
@@ -189,48 +213,26 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
             sums[(str(pr.r), str(pr.a))] = (fmap[rows] * strata.weights(rows)).sum()
     phi = fmap.copy() if influence else None
     aug_total = 0.0
-    values = []
     for pr in strata.incomplete_pairs():
         view = pair_view(ds, strata, pr)
         gm = odds[pr.key] if odds is not None else None
         om = outcomes[pr.key] if outcomes is not None else None
-        term = 0.0
-        if om is not None:
-            m_case = view_values(om, view, "case")
-            term = (m_case * view.w_case).sum()
-        if gm is not None:
-            o_pool = view_values(gm, view, "pool")
-            values.append((view, o_pool))
-            resid = fmap[view.pool]
-            if om is not None:
-                resid = resid - view_values(om, view, "pool")
-            aug = (resid * view.w_pool) @ o_pool
-            aug_total += aug
-            term = aug + term
+        # kept by the odds model, else the regression, once per functional;
+        # the key holds no model that holds it, so no reference cycle forms
+        pieces = getattr(gm if gm is not None else om, "pieces", {})      # oracles keep nothing
+        key = (view, om if gm is not None else None, influence)
+        if pieces.get(key, (None,))[0] is not f:
+            pieces[key] = (f, _pair_terms(view, fmap, f, gm, om, influence))
+        term, aug, adds = pieces[key][1]
         sums[(str(pr.r), str(pr.a))] = term
-        if not influence:
-            continue
-        if gm is not None:
-            ro = resid * o_pool
-            phi[view.pool] += ro
-        if om is not None:
-            phi[view.case] += m_case
-        if fitted(om):
-            Zm = view.design(om.keep)
-            grad = Zm.case.T @ om.scale_values(view.la_case, pr.a)
-            if gm is not None:
-                grad = grad - Zm.pool.T @ (om.scale_values(view.la_pool, pr.a) * o_pool)
-            pool, Z, res = outcome_residual_rows(ds, strata, om, f)
-            phi[pool] += res * (Z @ (om.gram_inv @ (grad / n)))
-        if fitted(gm):
-            grad = view.design(gm.keep).pool.T @ ro / n
-            rows, Z, res = odds_score_rows(ds, strata, gm)
-            phi[rows] += res * (Z @ (gm.info_inv @ grad))
-    return _Walk(sums, aug_total, phi, values)
+        aug_total += aug
+        for rows, vals in adds:
+            phi[rows] += vals
+    return _Walk(sums, aug_total, phi)
 
 
 def _estimate(ds, method, walk, denom, **extra) -> ThetaEstimate:
-    sums, _, phi, _ = walk
+    sums, _, phi = walk
     per = {k: float(v / denom) for k, v in sums.items()}
     theta = float(sum(per.values()))
     iv = InfluenceVector(phi - theta, method) if phi is not None else None
@@ -254,7 +256,7 @@ def estimate_ipw(
     if self_normalize and influence:
         raise ConfigError("no influence-function SE for the self-normalized IPW estimate")
     walk = _walk(ds, strata, f, odds=odds, influence=influence)
-    wt, = weight_table(ds, strata, walk.pool_odds)
+    wt, = weight_table(ds, strata, odds)
     denom = float(wt.total.sum()) if self_normalize else float(ds.n)
     if denom == 0.0:
         raise PositivityError("no records with all primary variables observed")
@@ -285,7 +287,7 @@ def estimate_complete_case(ds: Dataset, strata: StratumIndex, f: Functional) -> 
     if rows.size == 0:
         raise PositivityError("no records with all primary variables observed")
     w = strata.weights(rows)
-    fvals = f(ds.L[rows]) * w
+    fvals = complete_values(ds, strata, f)[rows] * w
     n_complete = int(w.sum())
     per = {}
     r_codes = ds.r_codes[rows]

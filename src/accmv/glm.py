@@ -13,7 +13,8 @@ index (one each unless the index was reweighted for a resample).
 
 Both retain the normalizing matrices needed to evaluate per-record influence
 contributions of the estimated coefficients.  The designs of each pattern
-pair are built once per stratum index and shared through `pair_view`.
+pair are built once per stratum index and shared through `pair_view`, and
+a fitted model's values and score pieces once per view, kept on the model.
 """
 
 from __future__ import annotations
@@ -148,6 +149,32 @@ class _DesignCache:
     def __init__(self, ds: Dataset):
         self.ds = ds
         self.pairs = {}              # (r, a) codes -> PairView
+        self.pieces = {}             # "f" -> (functional, `complete_values`)
+
+
+def _designs(ds: Dataset, strata: StratumIndex) -> _DesignCache:
+    if strata.designs is None or strata.designs.ds is not ds:
+        strata.designs = _DesignCache(ds)
+    return strata.designs
+
+
+def _kept(pieces: dict, key, make, functional=None) -> np.ndarray:
+    """`make()` once per `key` and `functional` (by identity), kept read-only."""
+    got = pieces.get(key)
+    if got is None or got[0] is not functional:
+        got = pieces[key] = (functional, make())
+        got[1].flags.writeable = False
+    return got[1]
+
+
+def complete_values(ds: Dataset, strata: StratumIndex, f: Functional) -> np.ndarray:
+    """f on the complete-primary records of `strata`, zero elsewhere; once per index and functional."""
+    def make():
+        vals, rows = np.zeros(ds.n), np.flatnonzero(strata.complete_mask)
+        if rows.size:
+            vals[rows] = f(ds.L[rows])
+        return vals
+    return _kept(_designs(ds, strata).pieces, "f", make, f)
 
 
 def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
@@ -156,9 +183,7 @@ def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
     A reweighted index selects its rows from its parent's view, so a
     resample builds no design of its own.
     """
-    cache = strata.designs
-    if cache is None or cache.ds is not ds:
-        cache = strata.designs = _DesignCache(ds)
+    cache = _designs(ds, strata)
     view = cache.pairs.get(pair.key)
     if view is None:
         if strata.parent is None:
@@ -198,7 +223,7 @@ def _score_hessian_at(eta, Z, y, n_total, w):
     return score, hess
 
 
-@dataclass
+@dataclass(eq=False)
 class OddsModel:
     """Fitted logistic odds for one pattern pair."""
 
@@ -212,6 +237,7 @@ class OddsModel:
     keep: tuple | None = None
     n_iter: int = 0
     nll_path: list = field(default_factory=list)
+    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # per view, see view_values
 
     @cached_property
     def info_inv(self) -> np.ndarray:
@@ -219,7 +245,7 @@ class OddsModel:
         return np.linalg.inv(self.info)
 
 
-@dataclass
+@dataclass(eq=False)
 class OutcomeModel:
     """Fitted least-squares outcome regression for one pattern pair.
 
@@ -239,19 +265,18 @@ class OutcomeModel:
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
+    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # per view, see view_values
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
         """Inverse of `gram`, shared by every influence correction of this fit."""
         return np.linalg.inv(self.gram)
 
-    def scale_values(self, la, a_pattern) -> np.ndarray:
-        """Product of the observed target coordinates, 1 when there are none."""
-        la = np.atleast_2d(la)
-        if not self.scale_coords:
-            return np.ones(la.shape[0])
-        pos = [a_pattern.indices.index(c) for c in self.scale_coords]
-        return la[:, pos].prod(axis=1)
+    def scale_values(self, view: "PairView", part: str) -> np.ndarray:
+        """Product of the observed target coordinates on the "case" or "pool"
+        rows of `view`, 1 when there are none."""
+        pos = [self.pair.a.indices.index(c) for c in self.scale_coords]
+        return _kept(self.pieces, (view, "scale_" + part), lambda: getattr(view, "la_" + part)[:, pos].prod(axis=1))
 
 
 def fit_odds(
@@ -432,17 +457,26 @@ def view_values(model, view: PairView, part: str) -> np.ndarray:
     """Values of `model` on the "case" or "pool" rows of `view`.
 
     Fitted models multiply their coefficients into the shared design of their
-    keep mask; any other model (an oracle) goes through its `predict`.
+    keep mask once per view; any other model (an oracle) goes through its `predict`.
     """
     if isinstance(model, OddsModel):
-        eta = getattr(view.design(model.keep), part) @ model.alpha
-        return np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
+        return _kept(model.pieces, (view, part),
+                     lambda: np.exp(_clamped_eta(getattr(view.design(model.keep), part), model.alpha)))
     if isinstance(model, OutcomeModel):
-        vals = getattr(view.design(model.keep), part) @ model.beta
+        vals = _linear(model, view, part)
         if model.scale_coords:
-            vals = vals * model.scale_values(getattr(view, "la_" + part), model.pair.a)
+            vals = _kept(model.pieces, (view, part), lambda: vals * model.scale_values(view, part))
         return vals
     return model.predict(getattr(view, "xr_" + part), getattr(view, "la_" + part))
+
+
+def _linear(model: OutcomeModel, view: PairView, part: str) -> np.ndarray:
+    return _kept(model.pieces, (view, "linear_" + part), lambda: getattr(view.design(model.keep), part) @ model.beta)
+
+
+def case_gradient(model: OutcomeModel, view: PairView) -> np.ndarray:
+    """Gradient in the coefficients of the summed case-row predictions of `model` on `view`."""
+    return _kept(model.pieces, (view, "grad"), lambda: view.design(model.keep).case.T @ model.scale_values(view, "case"))
 
 
 def fitted(model) -> bool:
@@ -451,20 +485,16 @@ def fitted(model) -> bool:
     return getattr(model, "info", None) is not None or getattr(model, "gram", None) is not None
 
 
-def odds_score_rows(ds, strata, model):
-    """Rows, design and label residuals y - p of one odds fit; the per-record
-    coefficient score is the design row times the residual."""
-    view = pair_view(ds, strata, model.pair)
-    Z = view.design(model.keep).stacked
-    p = 1.0 / (1.0 + np.exp(-_clamped_eta(Z, model.alpha)))
-    return view.rows, Z, view.y - p
+def score_residuals(model, view: PairView, f: Functional | None = None) -> np.ndarray:
+    """Residuals of a fit on `view`, y - p on the stacked rows of an odds fit
+    and f(L) (or the regressed coordinate) minus m on the pool of an outcome
+    fit; times its design row, each record's coefficient score."""
+    if isinstance(model, OddsModel):
+        return _kept(model.pieces, (view, "score"),
+                     lambda: view.y - 1.0 / (1.0 + np.exp(-_clamped_eta(view.design(model.keep).stacked, model.alpha))))
 
-
-def outcome_residual_rows(ds, strata, model, f):
-    """Pool rows, design and residuals of one outcome fit; the per-record
-    coefficient score is the design row times the residual."""
-    view = pair_view(ds, strata, model.pair)
-    pool = view.pool
-    Z = view.design(model.keep).pool
-    rho = ds.L[pool, model.resp_coord] if model.resp_coord is not None else f(ds.L[pool])
-    return pool, Z, rho - Z @ model.beta
+    def make():
+        L = view.ds.L
+        rho = L[view.pool, model.resp_coord] if model.resp_coord is not None else f(L[view.pool])
+        return rho - _linear(model, view, "pool")
+    return _kept(model.pieces, (view, "score"), make, f)

@@ -21,9 +21,10 @@ import numpy as np
 
 from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
-from .estimators import _require_models, compute_weights, pool_odds, weight_table
-from .glm import fitted, odds_score_rows
+from .estimators import _require_models, compute_weights, weight_table
+from .glm import fitted, pair_view, score_residuals, view_values
 from .inference import critical_value
+from .patterns import dominating
 
 EE_TOL = 1e-8
 
@@ -255,28 +256,26 @@ def sandwich_variance(
     if strata.freq is not None:
         raise ConfigError("the sandwich is defined for unit frequencies only, not on a reweighted index")
     theta_hat = np.asarray(theta_hat, dtype=float)
-    values = pool_odds(ds, strata, odds)
-    wt, = weight_table(ds, strata, values)
+    wt, = weight_table(ds, strata, odds)
     Lc, w = ds.L[wt.rows], wt.total
     n = ds.n
     q = spec.q(ds.d)
+    s_complete = spec.score(theta_hat, Lc)
     u = np.zeros((n, q))
-    u[wt.rows] = spec.score(theta_hat, Lc) * w[:, None]
+    u[wt.rows] = s_complete * w[:, None]
     A = spec.jacobian_sum(theta_hat, Lc, w) / n
     if not naive:
-        s_complete = spec.score(theta_hat, Lc)
         r_codes = ds.r_codes[wt.rows]
-        for view, ovals in values:
-            pr = view.pair
-            model = odds[pr.key]
+        for pr in strata.incomplete_pairs():
+            model = odds.get(pr.key)
             if not fitted(model):
                 continue
-            sel = (r_codes & pr.r.value) == pr.r.value     # complete rows in the pool of r
-            Zp = view.design(model.keep).pool
+            view = pair_view(ds, strata, pr)
+            sel = dominating(r_codes, pr.r)     # complete rows in the pool of r
+            Z = view.design(model.keep)
             # (q, k) mean of score (outer) gradient of the odds over the pool
-            Cmat = s_complete[sel].T @ (Zp * ovals[:, None]) / n
-            rows, Z, res = odds_score_rows(ds, strata, model)
-            u[rows] += res[:, None] * (Z @ (model.info_inv @ Cmat.T))
+            Cmat = s_complete[sel].T @ (Z.pool * view_values(model, view, "pool")[:, None]) / n
+            u[view.rows] += score_residuals(model, view)[:, None] * (Z.stacked @ (model.info_inv @ Cmat.T))
     ubar = u.mean(axis=0)
     M = (u - ubar).T @ (u - ubar) / n
     try:

@@ -87,6 +87,11 @@ def dominates(r1: Pattern, r2: Pattern) -> bool:
     return (r1.value & r2.value) == r2.value
 
 
+def dominating(codes, r: Pattern):
+    """Which pattern `codes` (an int or integer array) observe every coordinate r observes."""
+    return (codes & r.value) == r.value
+
+
 def dominated_set(r: Pattern) -> list[Pattern]:
     """All patterns tau <= r, ascending by binary value (2**popcount of them)."""
     v = r.value

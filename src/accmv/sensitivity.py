@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Functional, StratumIndex
+from .data import Dataset, Functional, StratumIndex, check_finite
 from .errors import ConfigError, DegenerateNormalizationError
-from .estimators import _require_models, pool_odds, weight_table
+from .estimators import _require_models, weight_table
 from .glm import fit_all_odds
 from .inference import critical_value, replicate
 
@@ -32,26 +32,23 @@ class TiltSpec:
 
     def __post_init__(self):
         for name in ("delta", "center", "grid"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ConfigError(f"tilt {name} must be finite, got {getattr(self, name)}")
+            check_finite(f"tilt {name}", getattr(self, name))
 
     def resolved_center(self, d: int) -> np.ndarray:
-        if not self.center:
-            return np.zeros(d)
-        c = np.asarray(self.center, dtype=float)
-        if c.size == 1:
-            return np.full(d, float(c[0]))
-        if c.size != d:
-            raise ConfigError(f"tilt center has {c.size} entries for d={d}")
-        return c
+        return _per_coordinate("center", self.center, d) if self.center else np.zeros(d)
 
     def resolved_delta(self, d: int, multiplier: float = 1.0) -> np.ndarray:
-        v = np.asarray(self.delta, dtype=float)
-        if v.size == 1:
-            v = np.full(d, float(v[0]))
-        if v.size != d:
-            raise ConfigError(f"tilt delta has {v.size} entries for d={d}")
-        return multiplier * v
+        return multiplier * _per_coordinate("delta", self.delta, d)
+
+
+def _per_coordinate(name, values, d: int) -> np.ndarray:
+    """One tilt value per primary coordinate; a single value is shared."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 1:
+        return np.full(d, float(v[0]))
+    if v.size != d:
+        raise ConfigError(f"tilt {name} has {v.size} entries for d={d}")
+    return v
 
 
 def tilted_estimate(
@@ -66,7 +63,7 @@ def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid) -> list[float]:
     model once and building the weight tables of all grid points together."""
     _require_models(strata, odds, "odds")
     deltas = [spec.resolved_delta(ds.d, m) for m in grid]
-    tables = weight_table(ds, strata, pool_odds(ds, strata, odds), deltas, spec.resolved_center(ds.d))
+    tables = weight_table(ds, strata, odds, deltas, spec.resolved_center(ds.d))
     fvals = f(ds.L[strata.complete_mask])
     ests = []
     for wt in tables:

@@ -1,0 +1,83 @@
+"""Hypothesis fuzz of the Python API's input constructors: whatever a caller
+passes to `TiltSpec` or `Functional`, the only error that escapes is an
+`AccmvError` (a `ConfigError`), never a bare numpy `TypeError`, `ValueError`
+or `IndexError`."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from accmv.data import Functional
+from accmv.errors import AccmvError, ConfigError
+from accmv.sensitivity import TiltSpec
+
+ITEMS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.complex_numbers(max_magnitude=2.0),
+    st.tuples(st.floats(-1, 1)),
+)
+VALUES = st.one_of(
+    st.tuples(),
+    st.lists(ITEMS, max_size=3).map(tuple),
+    st.lists(st.floats(-5, 5), min_size=1, max_size=3).map(tuple),
+    ITEMS,
+    st.lists(ITEMS, max_size=2),
+)
+COORDS = st.one_of(
+    st.lists(st.integers(0, 3), min_size=1, max_size=3).map(tuple),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-2, 2), st.text(max_size=1), st.none()), max_size=3).map(tuple),
+    ITEMS,
+    st.lists(st.integers(0, 3), max_size=2),
+)
+KINDS = st.one_of(st.sampled_from(["coordinate", "mean", "product", "threshold", "custom"]), st.text(max_size=4))
+
+
+def only_accmv_errors(build):
+    try:
+        return build()
+    except AccmvError as e:
+        assert isinstance(e, ConfigError)
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, VALUES, VALUES)
+def test_tilt_spec_raises_only_config_errors(delta, center, grid):
+    spec = only_accmv_errors(lambda: TiltSpec(delta=delta, center=center, grid=grid))
+    if spec is not None:
+        for name in ("delta", "center", "grid"):
+            assert np.isfinite(np.asarray(getattr(spec, name), dtype=float)).all()
+        for d in (1, 2, 3):
+            only_accmv_errors(lambda: (spec.resolved_delta(d, 0.5), spec.resolved_center(d)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(KINDS, COORDS, VALUES, st.sampled_from([None, np.sum]))
+def test_functional_raises_only_config_errors(kind, coords, thresholds, fn):
+    f = only_accmv_errors(lambda: Functional(kind, coords, thresholds, fn))
+    if f is not None and f.kind != "custom":
+        assert all(isinstance(c, int) and c >= 0 for c in f.coords)
+        L = np.arange(12.0).reshape(3, 4)        # wide enough for every coordinate drawn
+        assert f(L).shape == (3,)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TiltSpec(delta=("a",)),
+    lambda: TiltSpec(delta=(1.0,), grid=(None,)),
+    lambda: TiltSpec(delta=0.5),
+    lambda: Functional("threshold", (0,), ("a",)),
+    lambda: Functional("coordinate", (-1,)),
+    lambda: Functional("coordinate", ("x",)),
+    lambda: Functional("coordinate", (1.5,)),
+    lambda: Functional("coordinate", 0),
+], ids=["delta-text", "grid-none", "delta-scalar", "threshold-text", "coord-negative", "coord-text",
+        "coord-float", "coords-scalar"])
+def test_named_bad_inputs(build):
+    with pytest.raises(ConfigError):
+        build()

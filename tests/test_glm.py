@@ -11,9 +11,8 @@ from accmv.glm import (
     fit_outcome,
     odds_negloglik,
     odds_score_hessian,
-    odds_score_rows,
-    outcome_residual_rows,
     pair_view,
+    score_residuals,
 )
 from accmv.patterns import Pattern, PatternPair
 from accmv.simgen import SimDesign, generate, misspec_masks
@@ -171,17 +170,19 @@ def test_rank_deficient_design():
 
 def psi_odds(model, ds, strata):
     """Per-record influence contributions to the odds coefficients, (n, k)."""
-    rows, Z, res = odds_score_rows(ds, strata, model)
+    view = pair_view(ds, strata, model.pair)
+    Z, res = view.design(model.keep).stacked, score_residuals(model, view)
     out = np.zeros((ds.n, model.alpha.size))
-    out[rows] = np.linalg.solve(model.info, (Z * res[:, None]).T).T
+    out[view.rows] = np.linalg.solve(model.info, (Z * res[:, None]).T).T
     return out
 
 
 def psi_outcome(model, ds, strata, f):
     """Per-record influence contributions to the regression coefficients, (n, k)."""
-    pool, Z, resid = outcome_residual_rows(ds, strata, model, f)
+    view = pair_view(ds, strata, model.pair)
+    Z, resid = view.design(model.keep).pool, score_residuals(model, view, f)
     out = np.zeros((ds.n, model.beta.size))
-    out[pool] = np.linalg.solve(model.gram, (Z * resid[:, None]).T).T
+    out[view.pool] = np.linalg.solve(model.gram, (Z * resid[:, None]).T).T
     return out
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from accmv.data import Dataset
 from accmv.glm import design_matrix
-from accmv.patterns import Pattern, PatternPair, all_patterns, dominated_set, dominates
+from accmv.patterns import Pattern, PatternPair, all_patterns, dominated_set, dominates, dominating
 
 
 def P(s):
@@ -61,6 +61,17 @@ def test_dominated_set_exhaustive(length):
         in_set = set(subs)
         for tau in all_patterns(length):
             assert (tau in in_set) == dominates(r, tau)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6])
+def test_dominating_exhaustive(length):
+    codes = np.arange(1 << length)
+    for r in all_patterns(length):
+        mask = dominating(codes, r)
+        assert mask.dtype == bool and mask.shape == codes.shape
+        for tau in all_patterns(length):
+            assert mask[tau.value] == dominates(tau, r) == (r in dominated_set(tau))
+            assert dominating(tau.value, r) == mask[tau.value]
 
 
 def observed_part(v, r):

@@ -1,0 +1,221 @@
+"""Per-view pieces of fitted models: never stale, and shared by the table rows.
+
+A fitted model keeps its values, score residuals and gradient pieces per
+`PairView` it was evaluated on, and a view keeps the estimator terms of each
+pair of models read on it.  Evaluating a model on another view (a reweighted
+index, another index of the same data) must give what a fresh model gives,
+and a keep-masked refit has pieces of its own.  On a table-2 replicate each
+fitted model is multiplied into each set of rows once, each pair of models
+makes its terms once, and f is evaluated once on the complete rows, however
+many estimator rows read them.
+"""
+
+import dataclasses
+import gc
+import itertools
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from accmv import cli, estimators, glm
+from accmv.data import Functional, build_strata
+from accmv.estimators import estimate_ipw, estimate_mr, estimate_ra
+from accmv.glm import (
+    case_gradient,
+    complete_values,
+    fit_all_odds,
+    fit_all_outcomes,
+    fit_odds,
+    fit_outcome,
+    pair_view,
+    score_residuals,
+    view_values,
+)
+from accmv.inference import seed_sequence
+from accmv.simgen import SimDesign, generate, misspec_masks
+
+F2 = Functional("product", (0, 1))
+
+
+def pieces(model, view, f):
+    """Every per-view piece of `model`, evaluated now."""
+    out = {part: view_values(model, view, part) for part in ("case", "pool")}
+    out["score"] = score_residuals(model, view, f)
+    if isinstance(model, glm.OutcomeModel):
+        out["grad"] = case_gradient(model, view)
+        out["scale_pool"] = model.scale_values(view, "pool")
+    return out
+
+
+def direct(model, view, f):
+    """The same pieces from the designs and coefficients, with nothing stored."""
+    d = view.design(model.keep)
+    if isinstance(model, glm.OddsModel):
+        def odds(Z):
+            return np.exp(np.clip(Z @ model.alpha, -glm.LINPRED_CLAMP, glm.LINPRED_CLAMP))
+        return {"case": odds(d.case), "pool": odds(d.pool), "score": view.y - odds(d.stacked) / (1.0 + odds(d.stacked))}
+    pos = [model.pair.a.indices.index(c) for c in model.scale_coords]
+    s_case, s_pool = view.la_case[:, pos].prod(axis=1), view.la_pool[:, pos].prod(axis=1)
+    L = view.ds.L[view.pool]
+    rho = L[:, model.resp_coord] if model.resp_coord is not None else f(L)
+    return {"case": d.case @ model.beta * s_case, "pool": d.pool @ model.beta * s_pool,
+            "score": rho - d.pool @ model.beta, "grad": d.case.T @ s_case, "scale_pool": s_pool}
+
+
+def assert_same(got, want, exact=True):
+    assert got.keys() == want.keys()
+    for key in got:
+        if exact:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+        else:
+            np.testing.assert_allclose(got[key], want[key], rtol=1e-12, atol=1e-12, err_msg=key)
+
+
+@pytest.fixture(scope="module")
+def fitted_multiple():
+    """`multiple` data with its full-data index and, per misspecified pair, the
+    well-specified and keep-masked fits of both families."""
+    ds = generate(SimDesign("multiple", 3000, 77))
+    strata = build_strata(ds)
+    pairs = {pr.key: pr for pr in strata.incomplete_pairs()}
+    models = []
+    for key, keep in misspec_masks("multiple", "odds").items():
+        models.append((fit_odds(ds, strata, pairs[key]), fit_odds(ds, strata, pairs[key], keep=keep)))
+    for key, keep in misspec_masks("multiple", "outcome").items():
+        models.append((fit_outcome(ds, strata, pairs[key], F2, decompose=True),
+                       fit_outcome(ds, strata, pairs[key], F2, decompose=True, keep=keep)))
+    models.append((fit_outcome(ds, strata, pairs[(3, 0)], F2, decompose=True), None))   # both factors missing
+    return ds, strata, models
+
+
+def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
+    ds, strata, models = fitted_multiple
+    indexes = [strata,                                                      # the one it was fitted on
+               strata.reweight(np.random.default_rng(3).integers(0, 3, ds.n)),
+               build_strata(ds)]                                             # another index of the same data
+    for model, _ in models:
+        views = [pair_view(ds, s, model.pair) for s in indexes]
+        for view in views:
+            got = pieces(model, view, F2)
+            assert_same(got, pieces(dataclasses.replace(model), view, F2))
+            assert_same(got, direct(model, view, F2), exact=False)
+            assert all(not v.flags.writeable for v in got.values())
+        assert {key[0] for key in model.pieces} >= set(views) and len(set(views)) == 3
+
+
+def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):
+    ds, strata, models = fitted_multiple
+    for good, bad in models:
+        if bad is None:
+            continue
+        view = pair_view(ds, strata, good.pair)
+        good_pieces = pieces(good, view, F2)
+        bad_pieces = pieces(bad, view, F2)
+        assert_same(bad_pieces, pieces(dataclasses.replace(bad), view, F2))
+        assert_same(bad_pieces, direct(bad, view, F2), exact=False)
+        assert not np.array_equal(bad_pieces["pool"], good_pieces["pool"])
+        assert not any(v is good.pieces[k] for k, v in bad.pieces.items() if k in good.pieces)
+
+
+def test_complete_values_follow_the_functional(fitted_multiple):
+    ds, strata, _ = fitted_multiple
+    complete = np.flatnonzero(ds.complete_mask)
+    for f in (F2, Functional("coordinate", (1,)), F2):
+        vals = complete_values(ds, strata, f)
+        np.testing.assert_array_equal(vals[complete], f(ds.L[complete]))
+        assert not vals[~ds.complete_mask].any()
+
+
+def test_estimates_follow_the_functional(fitted_multiple):
+    """Estimates on an index whose views hold terms of another functional
+    equal those on a fresh index."""
+    ds, strata, _ = fitted_multiple
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
+    for f in (F2, Functional("coordinate", (1,)), F2):
+        for estimate, models in ((estimate_ipw, (odds,)), (estimate_ra, (outs,)), (estimate_mr, (odds, outs))):
+            got = estimate(ds, strata, *models, f, influence=True)
+            fresh = estimate(ds, build_strata(ds), *models, f, influence=True)
+            assert got.per_stratum == fresh.per_stratum
+            np.testing.assert_array_equal(got.influence.values, fresh.influence.values)
+
+
+class Coefficients(np.ndarray):
+    """Fitted coefficients that log every design block they are multiplied
+    into (by its first row's address and its row count), under the tag of
+    their model."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[1] is self:
+            Z = inputs[0]
+            self.log[(self.tag, Z.__array_interface__["data"][0], Z.shape[0])] += 1
+        plain = [x.view(np.ndarray) if isinstance(x, Coefficients) else x for x in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_table_rows_evaluate_each_model_once(monkeypatch):
+    """One seeded table-2 replicate: every fitted model is evaluated once per
+    set of rows, each pair of models makes its pair's terms once, and f runs
+    once on the complete rows."""
+    log, fits, outcomes = Counter(), itertools.count(), []
+
+    def counted(fit, name):
+        def wrapper(*args, **kwargs):
+            model = fit(*args, **kwargs)
+            coef = getattr(model, name).view(Coefficients)
+            coef.log, coef.tag = log, (name, next(fits))
+            setattr(model, name, coef)
+            if name == "beta":
+                outcomes.append(model)
+            return model
+        return wrapper
+
+    odds_fit, outcome_fit = counted(glm.fit_odds, "alpha"), counted(glm.fit_outcome, "beta")
+    for module in (glm, cli):
+        monkeypatch.setattr(module, "fit_odds", odds_fit)
+        monkeypatch.setattr(module, "fit_outcome", outcome_fit)
+    f_calls = []
+    call = Functional.__call__
+
+    def counted_call(self, L):
+        f_calls.append(len(L))
+        return call(self, L)
+
+    monkeypatch.setattr(Functional, "__call__", counted_call)
+    terms = Counter()
+    pair_terms = estimators._pair_terms
+
+    def counted_terms(view, fmap, f, gm, om, influence):
+        terms[(view, gm, om)] += 1
+        return pair_terms(view, fmap, f, gm, om, influence)
+
+    monkeypatch.setattr(estimators, "_pair_terms", counted_terms)
+    seed = seed_sequence(20261018).spawn(1)[0]
+    rows = cli.table_replicate(2, 2000, seed)
+
+    assert set(rows) >= {"ipw", "ipw_wrong", "ra", "ra_wrong", "mr", "mr_ipw_wrong", "mr_ra_wrong", "mr_both_wrong"}
+    assert max(log.values()) == 1, [k for k, v in log.items() if v > 1]
+    assert len({key[0] for key in log}) == next(fits) > 20         # every fitted model was evaluated
+    # f runs once per outcome fit on f(L), once per score residual of such a
+    # fit, and once on the complete rows for every estimator row together
+    on_f = sum(m.resp_coord is None for m in outcomes)
+    assert len(f_calls) == 2 * on_f + 1
+    # the eight rows read, per pair, the odds alone (IPW), the regression alone
+    # (RA) and both (MR); the misspecified pairs have two fits of each
+    pairs = len(build_strata(generate(SimDesign("multiple", 2000, seed))).incomplete_pairs())
+    wrong = len(misspec_masks("multiple", "odds"))
+    assert max(terms.values()) == 1 and len(terms) == 3 * (pairs - wrong) + 8 * wrong
+
+
+@pytest.mark.parametrize("table", [1, 2, 3])
+def test_kept_pieces_form_no_reference_cycles(table):
+    """Models key their pieces by view and views hold no model, so a
+    replicate's models, views and pieces are freed by reference counting
+    when it returns, not left for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        cli.table_replicate(table, 2000, seed_sequence(20261018).spawn(1)[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
