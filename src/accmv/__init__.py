@@ -15,7 +15,7 @@ from .estimators import (
 from .glm import OddsModel, OutcomeModel, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
 from .inference import bootstrap, if_variance_ipw, if_variance_mr, if_variance_ra
 from .mpm import MpmEstimate, ScoreSpec, sandwich_variance, solve_weighted_ee
-from .patterns import Pattern, PatternPair, dominated_set, dominates
+from .patterns import Pattern, PatternPair
 from .sensitivity import SensitivityCurve, TiltSpec, sweep, tilted_estimate
 from .simgen import GroundTruth, SimDesign, generate, misspec_masks, oracle_value, verify_oracles
 

@@ -31,12 +31,20 @@ from .glm import complete_values, fit_all_odds, fit_all_outcomes, fit_odds, fit_
 from .inference import bootstrap, critical_value, normal_ci, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
-from .simgen import SimDesign, generate, misspec_masks, oracle_value, verify_oracles
+from .simgen import SimDesign, default_functional, generate, misspec_masks, oracle_value, verify_oracles
 
 
 # ---------------------------------------------------------------------------
 # replication harness for the three benchmark tables
 # ---------------------------------------------------------------------------
+
+_TABLE_DESIGNS = {1: "single", 2: "multiple", 3: "mpm"}
+
+
+def _complete_case_se(ds, strata, f) -> float:
+    """Standard error of the complete-case mean of f."""
+    fv = complete_values(ds, strata, f)[strata.complete_mask]
+    return float(fv.std(ddof=1) / np.sqrt(fv.size))
 
 
 def _refit_odds(ds, strata, base, kind, n_min):
@@ -78,9 +86,7 @@ def _mean_table_rows(ds, strata, kind, f, n_min=10):
     ):
         rows[name] = (est.theta_hat, est.influence.se)
 
-    cc = estimate_complete_case(ds, strata, f)
-    fv = complete_values(ds, strata, f)[strata.complete_mask]
-    rows["complete_case"] = (cc.theta_hat, float(fv.std(ddof=1) / np.sqrt(fv.size)))
+    rows["complete_case"] = (estimate_complete_case(ds, strata, f).theta_hat, _complete_case_se(ds, strata, f))
     return rows
 
 
@@ -101,13 +107,12 @@ def _regression_table_rows(ds, strata, n_min=10):
 
 def table_replicate(table: int, n: int, seed) -> dict:
     """One replicate of a benchmark table; a failed fit raises its AccmvError."""
-    kind = {1: "single", 2: "multiple", 3: "mpm"}[table]
+    kind = _TABLE_DESIGNS[table]
     ds = generate(SimDesign(kind, n, seed))
     strata = build_strata(ds)
     if table == 3:
         return _regression_table_rows(ds, strata)
-    f = Functional("coordinate", (0,)) if table == 1 else Functional("product", (0, 1))
-    return _mean_table_rows(ds, strata, kind, f)
+    return _mean_table_rows(ds, strata, kind, default_functional(kind))
 
 
 def _table_worker(args):
@@ -129,7 +134,7 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
         raise ConfigError(f"table must be 1, 2, or 3, got {table}")
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    kind = {1: "single", 2: "multiple", 3: "mpm"}[table]
+    kind = _TABLE_DESIGNS[table]
     SimDesign(kind, n)               # reject a bad design before any replicate runs
     truth = oracle_value(kind).theta_true
     children = seed_sequence(seed).spawn(replicates)
@@ -330,8 +335,7 @@ def cmd_fit(args) -> int:
     if est.influence is not None:
         se = est.influence.se
     elif method == "cc":
-        fv = complete_values(ds, strata, f)[strata.complete_mask]
-        se = float(fv.std(ddof=1) / np.sqrt(fv.size))
+        se = _complete_case_se(ds, strata, f)
     else:
         se = None
 

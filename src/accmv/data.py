@@ -310,6 +310,8 @@ class Functional:
         L = np.atleast_2d(np.asarray(L, dtype=float))
         if np.isnan(L).any():
             raise DataError("functional evaluated at a row with missing primary coordinates")
+        if self.coords and max(self.coords) >= L.shape[1]:
+            raise DataError(f"functional coordinate {max(self.coords) + 1} out of range for d={L.shape[1]}")
         if self.kind == "coordinate":
             out = L[:, self.coords[0]]
         elif self.kind == "mean":

@@ -14,7 +14,7 @@ so the same code serves the data and its frequency-weighted resamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,13 +33,11 @@ class WeightTable:
     record's frequency.
 
     Q sums the fitted odds of every modeled pair (tau, a) with tau dominated
-    by the record's auxiliary pattern; the per-pair contributions are kept
-    for diagnostics.
+    by the record's auxiliary pattern.
     """
 
     rows: np.ndarray                      # positions of the complete-primary records
     total: np.ndarray                     # frequency * (1 + Q) per such record
-    contrib: dict = field(default_factory=dict)   # (r, a) key -> contribution vector
 
     def diagnostics(self) -> dict:
         w = self.total
@@ -72,17 +70,14 @@ def weight_table(ds: Dataset, strata: StratumIndex, odds: dict, deltas=(None,), 
         v = view_values(odds[pr.key], view, "pool")
         miss = [j for j in range(ds.d) if j not in pr.a.indices]
         centered = None if center is None else ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]
-        in_pool = dominating(r_codes, pr.r)      # complete rows in the pool of r
-        pieces.append((pr.key, v, in_pool, miss, centered))
+        in_pool = np.flatnonzero(dominating(r_codes, pr.r))    # complete rows in the pool of r
+        pieces.append((v, in_pool, miss, centered))
     for delta in deltas:
         table = WeightTable(rows=rows, total=np.ones(rows.size))
-        for key, v, in_pool, miss, centered in pieces:
+        for v, in_pool, miss, centered in pieces:
             if delta is not None:
                 v = v * np.exp(np.clip(centered @ np.asarray(delta)[miss], -TILT_CLAMP, TILT_CLAMP))
-            vals = np.zeros(rows.size)
-            vals[in_pool] = v
-            table.contrib[key] = vals
-            table.total += vals
+            table.total[in_pool] += v
         table.total *= freq
         yield table
 

@@ -412,7 +412,7 @@ def fit_outcome(
         observed = set(pair.a.indices)
         missing = sorted(set(f.coords) - observed)
         present = tuple(sorted(set(f.coords) & observed))
-        if len(missing) == 1 and present:
+        if len(missing) == 1 and present and missing[0] < ds.d:    # else f rejects the coordinate
             resp_coord = missing[0]
             scale_coords = present
 

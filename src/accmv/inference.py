@@ -17,9 +17,9 @@ from __future__ import annotations
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .data import Dataset, StratumIndex
 from .errors import AccmvError, BootstrapInstabilityError, ConfigError
@@ -48,7 +48,7 @@ def critical_value(level) -> float:
     """Two-sided standard-normal quantile of a confidence level in (0, 1)."""
     if not (isinstance(level, numbers.Real) and 0.0 < level < 1.0):
         raise ConfigError(f"confidence level must be in (0, 1), got {level!r}")
-    return float(norm.ppf(0.5 + level / 2.0))
+    return float(NormalDist().inv_cdf(0.5 + level / 2.0))
 
 
 def normal_ci(estimate, se, level: float = DEFAULT_LEVEL, method: str = "influence", **kw) -> CiReport:

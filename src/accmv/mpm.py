@@ -169,7 +169,6 @@ class ScoreSpec:
 class MpmEstimate:
     theta_hat: np.ndarray
     covariance: np.ndarray | None
-    converged: bool
     iterations: int                  # always 0: the root is in closed form
     residual: float                  # largest |sum w s_j| / sum w |s_j| over score columns
     coef_names: list[str]
@@ -231,7 +230,6 @@ def solve_weighted_ee(
     return MpmEstimate(
         theta_hat=theta,
         covariance=None,
-        converged=True,
         iterations=0,
         residual=resid,
         coef_names=spec.coef_names(ds.l_names),

@@ -31,20 +31,6 @@ class Pattern:
         object.__setattr__(self, "_bits", bits)
         object.__setattr__(self, "_indices", tuple(j for j, b in enumerate(bits) if b))
 
-    @classmethod
-    def from_string(cls, s: str) -> "Pattern":
-        if not s or any(c not in "01" for c in s):
-            raise ValueError(f"pattern string must be nonempty 0/1 characters, got {s!r}")
-        return cls(int(s, 2), len(s))
-
-    @classmethod
-    def complete(cls, length: int) -> "Pattern":
-        return cls((1 << length) - 1, length)
-
-    @classmethod
-    def empty(cls, length: int) -> "Pattern":
-        return cls(0, length)
-
     @property
     def bits(self) -> tuple[int, ...]:
         return self._bits
@@ -53,13 +39,6 @@ class Pattern:
     def indices(self) -> tuple[int, ...]:
         """0-based coordinates that are observed, in coordinate order."""
         return self._indices
-
-    @property
-    def popcount(self) -> int:
-        return bin(self.value).count("1")
-
-    def complement(self) -> "Pattern":
-        return Pattern(self.value ^ ((1 << self.length) - 1), self.length)
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b")
@@ -80,31 +59,6 @@ class PatternPair:
         return (self.r.value, self.a.value)
 
 
-def dominates(r1: Pattern, r2: Pattern) -> bool:
-    """True iff r1 observes every coordinate that r2 observes."""
-    if r1.length != r2.length:
-        raise ValueError(f"pattern length mismatch: {r1.length} vs {r2.length}")
-    return (r1.value & r2.value) == r2.value
-
-
 def dominating(codes, r: Pattern):
     """Which pattern `codes` (an int or integer array) observe every coordinate r observes."""
     return (codes & r.value) == r.value
-
-
-def dominated_set(r: Pattern) -> list[Pattern]:
-    """All patterns tau <= r, ascending by binary value (2**popcount of them)."""
-    v = r.value
-    subs = []
-    s = 0
-    while True:
-        subs.append(Pattern(s, r.length))
-        if s == v:
-            break
-        # next subset of v above s
-        s = (s - v) & v
-    return subs
-
-
-def all_patterns(length: int) -> list[Pattern]:
-    return [Pattern(v, length) for v in range(1 << length)]

@@ -1,16 +1,21 @@
 """Hypothesis fuzz of the Python API's input constructors: whatever a caller
 passes to `TiltSpec` or `Functional`, the only error that escapes is an
 `AccmvError` (a `ConfigError`), never a bare numpy `TypeError`, `ValueError`
-or `IndexError`."""
+or `IndexError`.  A functional whose coordinates reach past the primaries of
+the data it is fitted on fails as a `DataError`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accmv.data import Functional
-from accmv.errors import AccmvError, ConfigError
+from accmv.data import Functional, build_strata
+from accmv.errors import AccmvError, ConfigError, DataError
+from accmv.estimators import estimate_complete_case
+from accmv.glm import fit_outcome
+from accmv.patterns import Pattern, PatternPair
 from accmv.sensitivity import TiltSpec
+from accmv.simgen import SimDesign, generate
 
 ITEMS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -81,3 +86,29 @@ def test_functional_raises_only_config_errors(kind, coords, thresholds, fn):
 def test_named_bad_inputs(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.fixture(scope="module")
+def two_primaries():
+    ds = generate(SimDesign("multiple", 400, 3))
+    assert ds.d == 2
+    return ds, build_strata(ds)
+
+
+@pytest.mark.parametrize("f", [
+    Functional("coordinate", (5,)),
+    Functional("threshold", (0, 3), (1.0, 1.0)),
+], ids=["coordinate", "threshold"])
+def test_coordinate_past_d_is_a_data_error(two_primaries, f):
+    ds, strata = two_primaries
+    with pytest.raises(DataError, match="out of range for d=2"):
+        estimate_complete_case(ds, strata, f)
+
+
+def test_decomposed_product_past_d_is_a_data_error(two_primaries):
+    # L1 observed and L6 absent: a decomposed fit would regress coordinate 6
+    ds, strata = two_primaries
+    pair = PatternPair(Pattern(0, ds.p), Pattern(0b10, ds.d))
+    assert strata.stratum(pair).size
+    with pytest.raises(DataError, match="out of range for d=2"):
+        fit_outcome(ds, strata, pair, Functional("product", (0, 5)), decompose=True)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from accmv.estimators import estimate_complete_case, estimate_ipw, estimate_mr, 
 from accmv.glm import design_matrix, fit_all_odds, fit_all_outcomes
 from accmv.inference import (
     bootstrap,
+    critical_value,
     if_variance_ipw,
     if_variance_mr,
     if_variance_ra,
@@ -173,6 +178,29 @@ def test_normal_ci_ordering():
     ci = normal_ci(1.0, 0.25, 0.95)
     assert ci.lower <= ci.estimate <= ci.upper
     assert np.isclose(ci.upper - ci.estimate, 1.959963984540054 * 0.25)
+
+
+# scipy.stats.norm.ppf(0.5 + level / 2), scipy 1.17.1
+SCIPY_Z = {0.5: 0.6744897501960817, 0.8: 1.2815515655446004, 0.9: 1.6448536269514722,
+           0.95: 1.959963984540054, 0.99: 2.5758293035489004}
+
+
+def test_critical_value_matches_scipy():
+    # the quantiles differ in the last few ulps at most (3 ulps at level 0.9)
+    for level, z in SCIPY_Z.items():
+        assert abs(critical_value(level) - z) <= 5e-16 * z, level
+    for bad in (0, 0.0, 1, 1.0, -0.2, 1.5, float("nan"), "0.95", None, True):
+        with pytest.raises(ConfigError):
+            critical_value(bad)
+
+
+def test_package_imports_without_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; import accmv, accmv.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_ipw_underestimates_se_on_heavy_tails(single_20k):

@@ -6,7 +6,7 @@ import pytest
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import ConfigError, DegenerateNormalizationError
 from accmv.estimators import compute_weights, estimate_ipw
-from accmv.glm import fit_all_odds
+from accmv.glm import fit_all_odds, pair_view, view_values
 from accmv.patterns import Pattern, PatternPair
 from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
 from accmv.simgen import OracleModel, SimDesign, generate
@@ -62,19 +62,21 @@ def test_tilt_never_applies_to_complete_pattern(single_20k):
         compute_weights(ds, strata, bogus, tilt=(np.zeros(1), np.zeros(1)))
 
 
-def test_tilted_log_odds_contract(single_20k):
-    # tilted contribution = fitted odds times exp(delta (l - c)) on the
-    # coordinates the pattern leaves unobserved
-    ds, strata = single_20k
-    odds = fit_all_odds(ds, strata)
-    delta, center = np.array([0.4]), np.array([1.5])
-    wt_plain = compute_weights(ds, strata, odds)
-    wt_tilt = compute_weights(ds, strata, odds, tilt=(delta, center))
-    for key, contrib in wt_tilt.contrib.items():
-        mask = wt_plain.contrib[key] > 0
-        lvals = ds.L[wt_plain.rows[mask], 0]
-        manual = wt_plain.contrib[key][mask] * np.exp(delta[0] * (lvals - center[0]))
-        np.testing.assert_allclose(contrib[mask], manual, rtol=1e-12)
+def test_tilted_log_odds_contract(single_20k, multiple_20k):
+    # a pair's tilted contribution is its fitted pool odds times
+    # exp(delta (l - c)) over the coordinates its primary pattern leaves
+    # missing; the multiple design's pairs leave different coordinates missing
+    for ds, strata in (single_20k, multiple_20k):
+        odds = fit_all_odds(ds, strata)
+        delta, center = np.array([0.4, -0.3])[:ds.d], np.array([1.5, 0.5])[:ds.d]
+        wt = compute_weights(ds, strata, odds, tilt=(delta, center))
+        expected = np.zeros(ds.n)
+        for pr in strata.incomplete_pairs():
+            view = pair_view(ds, strata, pr)
+            miss = [j for j in range(ds.d) if j not in pr.a.indices]
+            tilt = np.exp((ds.L[np.ix_(view.pool, miss)] - center[miss]) @ delta[miss])
+            expected[view.pool] += view_values(odds[pr.key], view, "pool") * tilt
+        np.testing.assert_allclose(wt.total / strata.weights(wt.rows) - 1.0, expected[wt.rows], rtol=1e-12)
 
 
 def test_degenerate_normalization():
