@@ -154,7 +154,7 @@ def _parse_cells(row, idx, header, tokens, path, rownum):
     return out
 
 
-def write_csv(path, ds: Dataset, missing_token: str = "") -> None:
+def write_csv(path, ds: Dataset) -> None:
     """Inverse of load_csv: empty cells for missing entries, repr-exact floats."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -162,7 +162,7 @@ def write_csv(path, ds: Dataset, missing_token: str = "") -> None:
         for i in range(ds.n):
             row = []
             for v in (*ds.X[i], *ds.L[i]):
-                row.append(missing_token if math.isnan(v) else repr(float(v)))
+                row.append("" if math.isnan(v) else repr(float(v)))
             w.writerow(row)
 
 

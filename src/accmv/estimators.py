@@ -1,15 +1,19 @@
 """Point estimators for theta = E[f(L)] under available complete-case
 identification.
 
-All three estimators are one augmented formula over pattern-pair strata.
+All four estimators are one augmented formula over pattern-pair strata.
 Strata with all primaries observed contribute their empirical mean directly;
 every other stratum contributes its regression plug-in plus the
 odds-weighted regression residual over its pool (MR).  IPW is that formula
-with the regression set to zero, RA with the odds set to zero.  One pass
-over the pairs gives the estimate and, on request, its influence vector.
-Strata absent from the data contribute no term and require no model.  Every
-sum over records counts each record by its frequency in the stratum index,
-so the same code serves the data and its frequency-weighted resamples.
+with the regression set to zero, RA with the odds set to zero, and the
+complete-case mean with no model in any pair, divided by the number of
+complete records instead of n.  One pass over the pairs gives the estimate
+and, on request, its influence vector.  Strata absent from the data
+contribute no term and require no model.  Which complete records lie in the
+pool of a pattern is decided by `StratumIndex.pool` alone; the kernel and
+the weight tables read it through each pair's view.  Every sum over records
+counts each record by its frequency in the stratum index, so the same code
+serves the data and its frequency-weighted resamples.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, PositivityError
 from .glm import case_gradient, complete_values, fitted, pair_view, score_residuals, view_values
-from .patterns import Pattern, PatternPair, dominating
+from .patterns import PatternPair
 
 TILT_CLAMP = 30.0
 
@@ -52,7 +56,8 @@ class WeightTable:
 
 def weight_table(ds: Dataset, strata: StratumIndex, odds: dict, deltas=(None,), center=None):
     """Complete-case weight tables from the odds models of the pairs present
-    in `strata`, yielded one per entry of `deltas`.
+    in `strata`, yielded one per entry of `deltas`; every pair present with
+    incomplete primaries needs a model.
 
     A delta and the `center` are length-d vectors; each odds contribution
     for pair (tau, a) is then multiplied by exp(delta restricted to the
@@ -61,34 +66,25 @@ def weight_table(ds: Dataset, strata: StratumIndex, odds: dict, deltas=(None,), 
     """
     rows = np.flatnonzero(strata.complete_mask)
     freq = strata.weights(rows)
-    r_codes = ds.r_codes[rows]
     pieces = []
-    for pr in strata.incomplete_pairs():
-        if pr.key not in odds:
-            continue
+    for pr in _require_models(strata, odds, "odds"):
         view = pair_view(ds, strata, pr)
         v = view_values(odds[pr.key], view, "pool")
         miss = [j for j in range(ds.d) if j not in pr.a.indices]
         centered = None if center is None else ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]
-        in_pool = np.flatnonzero(dominating(r_codes, pr.r))    # complete rows in the pool of r
-        pieces.append((v, in_pool, miss, centered))
+        pieces.append((v, view.pool, miss, centered))
     for delta in deltas:
-        table = WeightTable(rows=rows, total=np.ones(rows.size))
-        for v, in_pool, miss, centered in pieces:
+        total = np.ones(ds.n)
+        for v, pool, miss, centered in pieces:
             if delta is not None:
                 v = v * np.exp(np.clip(centered @ np.asarray(delta)[miss], -TILT_CLAMP, TILT_CLAMP))
-            table.total[in_pool] += v
-        table.total *= freq
-        yield table
+            total[pool] += v
+        yield WeightTable(rows=rows, total=total[rows] * freq)
 
 
-def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict, tilt=None) -> WeightTable:
-    """Build the complete-case weight table from fitted odds models of the
-    pairs present in `strata`; `tilt` is an optional (delta, center) pair,
-    see `weight_table`."""
-    assert all(a != ds.complete_code for _, a in odds), "odds models exist only for incomplete primary patterns"
-    delta, center = (None, None) if tilt is None else tilt
-    return next(weight_table(ds, strata, odds, [delta], center))
+def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict) -> WeightTable:
+    """The untilted complete-case weight table, see `weight_table`."""
+    return next(weight_table(ds, strata, odds))
 
 
 @dataclass
@@ -189,10 +185,12 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
     and the regression m as zero when `outcomes` is None (weighting).  A
     pair's terms are computed once per view and pair of models and kept on
     a model, so walks that share models share them, and every sum counts
-    records by their frequency.  Returns the raw sum of every stratum,
-    complete strata first, the summed augmentation terms, and with
-    `influence` the uncentered influence values (f on complete records, the
-    per-pair terms on their records, and one correction per fitted model).
+    records by their frequency.  With neither family given the incomplete
+    pairs are skipped, leaving the complete-case sums.  Returns the raw sum
+    of every stratum, complete strata first, the summed augmentation terms,
+    and with `influence` the uncentered influence values (f on complete
+    records, the per-pair terms on their records, and one correction per
+    fitted model).
     """
     if influence and strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
@@ -208,7 +206,7 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
             sums[(str(pr.r), str(pr.a))] = (fmap[rows] * strata.weights(rows)).sum()
     phi = fmap.copy() if influence else None
     aug_total = 0.0
-    for pr in strata.incomplete_pairs():
+    for pr in strata.incomplete_pairs() if odds is not None or outcomes is not None else ():
         view = pair_view(ds, strata, pr)
         gm = odds[pr.key] if odds is not None else None
         om = outcomes[pr.key] if outcomes is not None else None
@@ -277,27 +275,12 @@ def estimate_mr(
 
 
 def estimate_complete_case(ds: Dataset, strata: StratumIndex, f: Functional) -> ThetaEstimate:
-    """Sample mean of f over records with all primary variables observed."""
-    rows = np.flatnonzero(strata.complete_mask)
-    if rows.size == 0:
+    """Mean of f over records with all primary variables observed: the
+    kernel with no model in any pair, divided by the count of such records."""
+    n_complete = strata.count(np.flatnonzero(strata.complete_mask))
+    if n_complete == 0:
         raise PositivityError("no records with all primary variables observed")
-    w = strata.weights(rows)
-    fvals = complete_values(ds, strata, f)[rows] * w
-    n_complete = int(w.sum())
-    per = {}
-    r_codes = ds.r_codes[rows]
-    for rv in sorted(set(r_codes.tolist())):
-        sel = r_codes == rv
-        per[(str(Pattern(rv, ds.p)), str(Pattern(ds.complete_code, ds.d)))] = float(
-            fvals[sel].sum() / n_complete
-        )
-    return ThetaEstimate(
-        theta_hat=float(sum(per.values())),
-        method="complete_case",
-        per_stratum=per,
-        n=ds.n,
-        diagnostics={"n_complete": n_complete},
-    )
+    return _estimate(ds, "complete_case", _walk(ds, strata, f), n_complete, diagnostics={"n_complete": n_complete})
 
 
 def augmentation_mean(ds, strata, odds, outcomes, f) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import (
+    ConfigError,
     NonConvergenceError,
     PositivityError,
     SeparationError,
@@ -145,6 +146,13 @@ def _keep_key(keep):
     return None if keep is None else tuple(bool(k) for k in keep)
 
 
+def _check_keep(pair: PatternPair, keep) -> None:
+    """Raise ConfigError unless `keep` is None or marks each covariate of `pair` once."""
+    k = len(pair.r.indices) + len(pair.a.indices)
+    if keep is not None and np.shape(keep) != (k,):
+        raise ConfigError(f"{pair}: the keep mask needs one entry per covariate ({k}), got {keep!r}")
+
+
 class _DesignCache:
     def __init__(self, ds: Dataset):
         self.ds = ds
@@ -259,7 +267,6 @@ class OutcomeModel:
     beta: np.ndarray
     names: tuple[str, ...]
     n_pool: int
-    n_total: int
     gram: np.ndarray                 # (1/n) sum over pool of design outer products
     residual_variance: float
     keep: tuple | None = None
@@ -291,6 +298,7 @@ def fit_odds(
     a reweighted index (a resample) starts from the full-data fit of its pair
     and keep mask if one ran, else from zero.  A linear predictor at the
     clamp with the score unconverged means separation."""
+    _check_keep(pair, keep)
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
     if pool.size == 0:
@@ -399,6 +407,7 @@ def fit_outcome(
     one observed in the stratum, the remaining factor is regressed on the
     design and predictions multiply back the observed factors.
     """
+    _check_keep(pair, keep)
     pool = strata.pool(pair.r)
     if pool.size == 0:
         raise PositivityError(f"empty pool for {pair}")
@@ -431,7 +440,6 @@ def fit_outcome(
         beta=beta,
         names=names,
         n_pool=n_pool,
-        n_total=ds.n,
         gram=Z.T @ Z / ds.n,
         residual_variance=float(resid @ resid / dof) if dof > 0 else 0.0,
         keep=tuple(keep) if keep is not None else None,

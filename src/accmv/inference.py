@@ -51,7 +51,8 @@ def critical_value(level) -> float:
     return float(NormalDist().inv_cdf(0.5 + level / 2.0))
 
 
-def normal_ci(estimate, se, level: float = DEFAULT_LEVEL, method: str = "influence", **kw) -> CiReport:
+def normal_ci(estimate, se, level: float = DEFAULT_LEVEL) -> CiReport:
+    """Wald interval of an influence-function SE."""
     z = critical_value(level)
     return CiReport(
         estimate=float(estimate),
@@ -59,8 +60,7 @@ def normal_ci(estimate, se, level: float = DEFAULT_LEVEL, method: str = "influen
         lower=float(estimate - z * se),
         upper=float(estimate + z * se),
         level=level,
-        method=method,
-        **kw,
+        method="influence",
     )
 
 
@@ -90,6 +90,12 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.SeedSequence(seed)
+
+
+def _check_replicates(B) -> None:
+    """Raise ConfigError unless the replicate count B is an integer."""
+    if isinstance(B, bool) or not isinstance(B, numbers.Integral):
+        raise ConfigError(f"the number of replicates B must be an integer, got {B!r}")
 
 
 def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int, max_failure_rate: float = 0.2,
@@ -165,6 +171,7 @@ def bootstrap(
     records through the package's fits and estimators, or honour
     `strata.freq` itself.
     """
+    _check_replicates(B)
     if B < 2:
         raise ConfigError(f"bootstrap needs B >= 2, got {B}")
     z = critical_value(level)

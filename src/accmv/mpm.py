@@ -21,10 +21,9 @@ import numpy as np
 
 from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
-from .estimators import _require_models, compute_weights, weight_table
+from .estimators import compute_weights, weight_table
 from .glm import fitted, pair_view, score_residuals, view_values
 from .inference import critical_value
-from .patterns import dominating
 
 EE_TOL = 1e-8
 
@@ -212,7 +211,6 @@ def solve_weighted_ee(
             "regressions condition one part of L on another and can conflict with the "
             "marginal model; use IPW"
         )
-    _require_models(strata, odds, "odds")
     wt = compute_weights(ds, strata, odds)
     Lc, w = ds.L[wt.rows], wt.total
     if Lc.shape[0] == 0:
@@ -249,7 +247,8 @@ def sandwich_variance(
 
     The combined per-record influence stacks the weighted score with, unless
     naive=True, a correction for each fitted odds model propagating its
-    coefficient noise through the weights.  Defined for unit frequencies.
+    coefficient noise through the weights.  Every pair present with
+    incomplete primaries needs an odds model.  Defined for unit frequencies.
     """
     if strata.freq is not None:
         raise ConfigError("the sandwich is defined for unit frequencies only, not on a reweighted index")
@@ -258,21 +257,20 @@ def sandwich_variance(
     Lc, w = ds.L[wt.rows], wt.total
     n = ds.n
     q = spec.q(ds.d)
-    s_complete = spec.score(theta_hat, Lc)
+    s = np.zeros((n, q))
+    s[wt.rows] = spec.score(theta_hat, Lc)
     u = np.zeros((n, q))
-    u[wt.rows] = s_complete * w[:, None]
+    u[wt.rows] = s[wt.rows] * w[:, None]
     A = spec.jacobian_sum(theta_hat, Lc, w) / n
     if not naive:
-        r_codes = ds.r_codes[wt.rows]
         for pr in strata.incomplete_pairs():
-            model = odds.get(pr.key)
+            model = odds[pr.key]
             if not fitted(model):
                 continue
             view = pair_view(ds, strata, pr)
-            sel = dominating(r_codes, pr.r)     # complete rows in the pool of r
             Z = view.design(model.keep)
             # (q, k) mean of score (outer) gradient of the odds over the pool
-            Cmat = s_complete[sel].T @ (Z.pool * view_values(model, view, "pool")[:, None]) / n
+            Cmat = s[view.pool].T @ (Z.pool * view_values(model, view, "pool")[:, None]) / n
             u[view.rows] += score_residuals(model, view)[:, None] * (Z.stacked @ (model.info_inv @ Cmat.T))
     ubar = u.mean(axis=0)
     M = (u - ubar).T @ (u - ubar) / n

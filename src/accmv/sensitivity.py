@@ -16,9 +16,9 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex, check_finite
 from .errors import ConfigError, DegenerateNormalizationError
-from .estimators import _require_models, weight_table
+from .estimators import weight_table
 from .glm import fit_all_odds
-from .inference import critical_value, replicate
+from .inference import DEFAULT_LEVEL, _check_replicates, critical_value, replicate
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ def tilted_estimate(
 def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid) -> list[float]:
     """`tilted_estimate` at each multiplier of `grid`, evaluating each odds
     model once and building the weight tables of all grid points together."""
-    _require_models(strata, odds, "odds")
     deltas = [spec.resolved_delta(ds.d, m) for m in grid]
     tables = weight_table(ds, strata, odds, deltas, spec.resolved_center(ds.d))
     fvals = f(ds.L[strata.complete_mask])
@@ -105,16 +104,16 @@ def sweep(
     B: int = 0,
     seed: int = 0,
     n_min: int = 10,
-    level: float = 0.95,
 ) -> SensitivityCurve:
     """Tilted estimates over the multiplier grid, sharing the supplied odds
     fits across grid points.  With B >= 2, a case bootstrap (see
     `inference.replicate`) refits the odds inside every replicate and
-    evaluates the whole grid on it; normal-based intervals from the
-    per-point replicate spread are attached."""
+    evaluates the whole grid on it; normal-based intervals at level
+    `DEFAULT_LEVEL` from the per-point replicate spread are attached."""
     if not spec.grid:
         raise ConfigError("sweep needs a nonempty grid")
-    z = critical_value(level)
+    _check_replicates(B)
+    z = critical_value(DEFAULT_LEVEL)
     grid = list(spec.grid)
     ests = _tilted_grid(ds, strata, odds, f, spec, grid)
     lo = [float("nan")] * len(grid)
@@ -140,5 +139,5 @@ def sweep(
         seed=seed if B else None,
         n_failed=sum(failures.values()),
         failures=failures,
-        meta={"center": spec.resolved_center(ds.d).tolist(), "level": level},
+        meta={"center": spec.resolved_center(ds.d).tolist(), "level": DEFAULT_LEVEL},
     )

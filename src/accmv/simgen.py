@@ -305,7 +305,7 @@ def _mean_check(rows, name, values, n, target):
     _check(rows, name, mean, target, np.sqrt(max(var, 0.0) / n))
 
 
-def verify_oracles(design: SimDesign, n_big: int | None = None, seed=None) -> OracleReport:
+def verify_oracles(design: SimDesign) -> OracleReport:
     """Re-derive every closed form on a large sample and flag discrepancies
     beyond 4 Monte Carlo standard errors.
 
@@ -315,13 +315,12 @@ def verify_oracles(design: SimDesign, n_big: int | None = None, seed=None) -> Or
     be orthogonal to g.  Targets are checked by plugging the oracle functions
     into the weighting and regression identification formulas directly.
     """
-    n_big = n_big if n_big is not None else design.n
-    if n_big < 10**5:
-        raise ConfigError(f"verify_oracles needs n_big >= 1e5, got {n_big}")
-    ds = generate(SimDesign(design.kind, n_big, design.seed if seed is None else seed))
+    if design.n < 10**5:
+        raise ConfigError(f"verify_oracles needs n >= 1e5, got {design.n}")
+    ds = generate(design)
     strata = build_strata(ds)
     truth = oracle_value(design.kind)
-    report = OracleReport(kind=design.kind, n=n_big)
+    report = OracleReport(kind=design.kind, n=design.n)
     rows = report.rows
     n = ds.n
 

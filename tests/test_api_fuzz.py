@@ -2,7 +2,8 @@
 passes to `TiltSpec` or `Functional`, the only error that escapes is an
 `AccmvError` (a `ConfigError`), never a bare numpy `TypeError`, `ValueError`
 or `IndexError`.  A functional whose coordinates reach past the primaries of
-the data it is fitted on fails as a `DataError`."""
+the data it is fitted on fails as a `DataError`.  Named bad arguments to the
+fits and the resampling loops are a `ConfigError` too."""
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 from accmv.data import Functional, build_strata
 from accmv.errors import AccmvError, ConfigError, DataError
 from accmv.estimators import estimate_complete_case
-from accmv.glm import fit_outcome
+from accmv.glm import fit_all_odds, fit_odds, fit_outcome
+from accmv.inference import bootstrap
 from accmv.patterns import Pattern, PatternPair
-from accmv.sensitivity import TiltSpec
+from accmv.sensitivity import TiltSpec, sweep
 from accmv.simgen import SimDesign, generate
 
 ITEMS = st.one_of(
@@ -112,3 +114,17 @@ def test_decomposed_product_past_d_is_a_data_error(two_primaries):
     assert strata.stratum(pair).size
     with pytest.raises(DataError, match="out of range for d=2"):
         fit_outcome(ds, strata, pair, Functional("product", (0, 5)), decompose=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ds, s: fit_odds(ds, s, s.incomplete_pairs()[0], keep=(True,) * 9),
+    lambda ds, s: fit_outcome(ds, s, s.incomplete_pairs()[0], Functional("coordinate", (0,)), keep=(False,)),
+    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, B=2.5),
+    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, B="4"),
+    lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
+                        TiltSpec(delta=(1.0,), grid=(0.0,)), B=3.0),
+], ids=["odds-keep-length", "outcome-keep-length", "bootstrap-B-float", "bootstrap-B-text", "sweep-B-float"])
+def test_named_bad_estimation_inputs(two_primaries, call):
+    ds, strata = two_primaries
+    with pytest.raises(ConfigError):
+        call(ds, strata)

@@ -149,6 +149,25 @@ def test_oracle_nuisance_limits_match_truth():
         assert abs(est - truth.theta_true) <= 3 * se
 
 
+def test_complete_case_on_reweighted_index_is_frequency_weighted_mean():
+    # each complete stratum's term is its frequency-weighted sum of f over the
+    # frequency-weighted count of complete records; undrawn records drop out
+    ds = generate(SimDesign("multiple", 2000, 8))
+    counts = np.bincount(np.random.default_rng(3).integers(0, ds.n, ds.n), minlength=ds.n)
+    est = estimate_complete_case(ds, build_strata(ds).reweight(counts), F1)
+    complete = ds.complete_mask
+    n_complete = counts[complete].sum()
+    expect = {}
+    for rv in np.unique(ds.r_codes[complete & (counts > 0)]):
+        sel = complete & (ds.r_codes == rv)
+        expect[(format(rv, f"0{ds.p}b"), "1" * ds.d)] = (counts[sel] * ds.L[sel, 0]).sum() / n_complete
+    assert len(expect) > 1
+    assert est.diagnostics == {"n_complete": n_complete}
+    assert list(est.per_stratum) == list(expect)
+    np.testing.assert_allclose(list(est.per_stratum.values()), list(expect.values()), rtol=1e-12, atol=0)
+    assert est.theta_hat == pytest.approx(sum(expect.values()), rel=1e-12, abs=0)
+
+
 def test_complete_case_errors_without_complete_records():
     X = np.ones((3, 1))
     L = np.full((3, 1), np.nan)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from accmv.data import Dataset, build_strata
-from accmv.errors import CongenialityError
+from accmv.errors import CongenialityError, ConfigError
 from accmv.glm import fit_all_odds
 from accmv.inference import bootstrap
 from accmv.estimators import compute_weights
@@ -160,6 +160,23 @@ def test_gaussian_spec_weighted(mpm_2k):
     Lc = ds.L[wt.rows]
     mu = (wt.total @ Lc) / wt.total.sum()
     np.testing.assert_allclose(est.theta_hat[: ds.d], mu, atol=1e-8)
+
+
+def test_missing_odds_model_is_config_error(mpm_2k):
+    # a present pair without an odds model is an error, never zero odds
+    ds, strata = mpm_2k
+    odds = fit_all_odds(ds, strata)
+    theta = solve_weighted_ee(ds, strata, odds, LIN).theta_hat
+    partial = {k: m for k, m in odds.items() if k != (1, 2)}
+    assert len(partial) == len(odds) - 1
+    for call in (
+        lambda: compute_weights(ds, strata, partial),
+        lambda: solve_weighted_ee(ds, strata, partial, LIN),
+        lambda: sandwich_variance(ds, strata, partial, LIN, theta),
+        lambda: sandwich_variance(ds, strata, partial, LIN, theta, naive=True),
+    ):
+        with pytest.raises(ConfigError, match=r"no odds model .*r=1, a=10"):
+            call()
 
 
 def test_spec_validation():

@@ -5,7 +5,7 @@ import pytest
 
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import ConfigError, DegenerateNormalizationError
-from accmv.estimators import compute_weights, estimate_ipw
+from accmv.estimators import estimate_ipw, weight_table
 from accmv.glm import fit_all_odds, pair_view, view_values
 from accmv.patterns import Pattern, PatternPair
 from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
@@ -55,11 +55,17 @@ def test_monotone_in_tilt_direction():
 
 
 def test_tilt_never_applies_to_complete_pattern(single_20k):
+    # a model keyed by a pair with all primaries observed is never read:
+    # the weights, tilted or not, are those of the models of incomplete pairs
     ds, strata = single_20k
+    odds = fit_all_odds(ds, strata)
     pair = PatternPair(Pattern(0, 2), Pattern(1, 1))    # a = 1_d
-    bogus = {(0, 1): OracleModel(pair, lambda x, l: 1.0)}
-    with pytest.raises(AssertionError):
-        compute_weights(ds, strata, bogus, tilt=(np.zeros(1), np.zeros(1)))
+    extra = {**odds, (0, 1): OracleModel(pair, lambda x, l: 1.0)}
+    deltas, center = [None, np.ones(1)], np.zeros(1)
+    tables = zip(weight_table(ds, strata, extra, deltas, center), weight_table(ds, strata, odds, deltas, center))
+    for got, expect in tables:
+        np.testing.assert_array_equal(got.rows, expect.rows)
+        np.testing.assert_array_equal(got.total, expect.total)
 
 
 def test_tilted_log_odds_contract(single_20k, multiple_20k):
@@ -69,7 +75,7 @@ def test_tilted_log_odds_contract(single_20k, multiple_20k):
     for ds, strata in (single_20k, multiple_20k):
         odds = fit_all_odds(ds, strata)
         delta, center = np.array([0.4, -0.3])[:ds.d], np.array([1.5, 0.5])[:ds.d]
-        wt = compute_weights(ds, strata, odds, tilt=(delta, center))
+        wt, = weight_table(ds, strata, odds, [delta], center)
         expected = np.zeros(ds.n)
         for pr in strata.incomplete_pairs():
             view = pair_view(ds, strata, pr)

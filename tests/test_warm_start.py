@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from accmv.data import Functional, build_strata
-from accmv.estimators import compute_weights, estimate_ipw, estimate_mr, estimate_ra
+from accmv.estimators import estimate_ipw, estimate_mr, estimate_ra, weight_table
 from accmv.glm import design_matrix, fit_all_odds, fit_all_outcomes
 from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
 from accmv.simgen import SimDesign, generate
@@ -123,7 +123,7 @@ def test_grid_equals_per_point_weights(kind, f):
         fvals = f(ds.L[s.complete_mask])
         for m, est in zip(SPEC.grid, grid):
             delta = SPEC.resolved_delta(ds.d, m)
-            wt = compute_weights(ds, s, odds, tilt=(delta, center))
+            wt, = weight_table(ds, s, odds, [delta], center)
             assert est == float(fvals @ wt.total / wt.total.sum())
             assert est == tilted_estimate(ds, s, odds, f, SPEC, m)
             np.testing.assert_allclose(wt.total, loop_weights(ds, s, odds, delta, center), rtol=1e-12, atol=0)
