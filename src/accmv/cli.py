@@ -2,8 +2,10 @@
 
 Subcommands: fit, regress, sensitivity, simulate, table, verify-oracles.
 A JSON config file (--config) overrides the corresponding flags.  Exit codes:
-0 success, 2 config error, 3 data error, 4 fit error, 5 inference error,
-6 oracle-verification discrepancy.
+0 success, 1 standard output closed before the summary was printed (a
+broken pipe), 2 config error, 3 data error, 4 fit error, 5 inference error,
+6 oracle-verification discrepancy.  The --out and --dump-replicates files
+are written before the summary is printed, so a closed pipe does not lose them.
 """
 
 from __future__ import annotations
@@ -351,6 +353,8 @@ def cmd_fit(args) -> int:
         boot = bootstrap(ds, strata, lambda dsx, sx: estimate(dsx, sx).theta_hat,
                          B=args.bootstrap, seed=args.seed or 0, level=args.level)
         report["bootstrap"] = boot.to_dict()
+    if args.out:
+        _write_json(args.out, report)
 
     print(f"method={method}  estimate={est.theta_hat:.6g}  n={ds.n}")
     if se is not None:
@@ -364,8 +368,6 @@ def cmd_fit(args) -> int:
         print(f"  stratum {key}: {v:.6g}")
     for w in warnings:
         print(f"warning: {w}")
-    if args.out:
-        _write_json(args.out, report)
     return 0
 
 
@@ -388,11 +390,6 @@ def cmd_regress(args) -> int:
     cov = sandwich_variance(ds, strata, odds, spec, est.theta_hat, naive=args.naive_sandwich)
     est.covariance = cov
     table = est.wald_table(args.level)
-
-    print(f"marginal parametric model ({spec.describe()}), IPW-weighted, n={ds.n}")
-    print(f"{'coef':<14}{'estimate':>12}{'se':>12}{'lower':>12}{'upper':>12}")
-    for row in table:
-        print(f"{row['coef']:<14}{row['estimate']:>12.5g}{row['se']:>12.5g}{row['lower']:>12.5g}{row['upper']:>12.5g}")
     if args.out:
         _write_json(args.out, {
             "config": _resolved(args),
@@ -400,6 +397,11 @@ def cmd_regress(args) -> int:
             "covariance": cov.tolist(),
             "diagnostics": est.diagnostics,
         })
+
+    print(f"marginal parametric model ({spec.describe(ds.l_names)}), IPW-weighted, n={ds.n}")
+    print(f"{'coef':<14}{'estimate':>12}{'se':>12}{'lower':>12}{'upper':>12}")
+    for row in table:
+        print(f"{row['coef']:<14}{row['estimate']:>12.5g}{row['se']:>12.5g}{row['lower']:>12.5g}{row['upper']:>12.5g}")
     return 0
 
 
@@ -414,14 +416,14 @@ def cmd_sensitivity(args) -> int:
     f = _functional(args, ds.d)
     odds = fit_all_odds(ds, strata, n_min=args.n_min)
     curve = sweep(ds, strata, odds, f, spec, B=args.bootstrap, seed=args.seed or 0, n_min=args.n_min)
+    if args.out:
+        with _writing(args.out):
+            curve.to_csv(args.out)
     print(f"sensitivity sweep for {curve.functional} over {len(curve.multipliers)} grid points")
     if curve.B:
         print(f"bootstrap: {_failed_text(curve.B, curve.failures)}")
     for m, est, lo, hi in zip(curve.multipliers, curve.estimates, curve.ci_lower, curve.ci_upper):
         print(f"  delta x {m:+.4g}: estimate={est:.6g}  CI=({lo:.6g}, {hi:.6g})")
-    if args.out:
-        with _writing(args.out):
-            curve.to_csv(args.out)
     return 0
 
 
@@ -435,14 +437,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_table(args) -> int:
     result = run_table(args.table, args.replicates, args.n, args.seed, args.workers)
-    print(f"table {args.table}: {args.replicates} replicates at n={args.n}, "
-          f"{_failed_text(args.replicates, result['failures'])}, truth={result['truth']}")
-    hdr = f"{'method':<16}{'coef':>6}{'bias':>10}{'sample_se':>11}{'theor_se':>10}{'coverage':>10}"
-    print(hdr)
-    for row in result["rows"]:
-        coef = "" if row["coef"] is None else str(row["coef"])
-        print(f"{row['method']:<16}{coef:>6}{row['bias']:>10.4f}{row['sample_se']:>11.4f}"
-              f"{row['mean_theoretical_se']:>10.4f}{row['coverage']:>10.3f}")
     if args.out:
         with _writing(args.out), open(args.out, "w", newline="") as fh:
             w = csv.DictWriter(fh, ["method", "coef", "bias", "sample_se", "mean_theoretical_se", "coverage"])
@@ -459,6 +453,14 @@ def cmd_table(args) -> int:
                 for name, (est, se) in rep.items():
                     for j, (e, s) in enumerate(zip(np.atleast_1d(est), np.atleast_1d(se))):
                         w.writerow([i, name, j, repr(float(e)), repr(float(s))])
+    print(f"table {args.table}: {args.replicates} replicates at n={args.n}, "
+          f"{_failed_text(args.replicates, result['failures'])}, truth={result['truth']}")
+    hdr = f"{'method':<16}{'coef':>6}{'bias':>10}{'sample_se':>11}{'theor_se':>10}{'coverage':>10}"
+    print(hdr)
+    for row in result["rows"]:
+        coef = "" if row["coef"] is None else str(row["coef"])
+        print(f"{row['method']:<16}{coef:>6}{row['bias']:>10.4f}{row['sample_se']:>11.4f}"
+              f"{row['mean_theoretical_se']:>10.4f}{row['coverage']:>10.3f}")
     return 0
 
 
@@ -466,7 +468,6 @@ def cmd_verify_oracles(args) -> int:
     if args.n_big < 1:
         raise ConfigError("--n-big must be positive")
     report = verify_oracles(SimDesign(args.design, args.n_big, args.seed))
-    print(report.summary())
     if args.out:
         _write_json(args.out, {
             "design": args.design,
@@ -474,6 +475,7 @@ def cmd_verify_oracles(args) -> int:
             "ok": report.ok,
             "rows": [vars(r) for r in report.rows],
         })
+    print(report.summary())
     return 0 if report.ok else 6
 
 
@@ -571,7 +573,15 @@ def main(argv=None) -> int:
         # an overflow or an invalid value stops the run instead of passing
         # inf or NaN on to the estimates
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()           # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`accmv fit ... | head -3`); as the
+        # Python docs' SIGPIPE note does, point stdout at devnull so the flush
+        # at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -209,7 +209,7 @@ def _clamped_eta(Z, coef):
 def odds_negloglik(alpha, Z, y, n_total, w=1.0):
     """Mean negative log-likelihood of the case-vs-pool logistic model, each
     row counted `w` times."""
-    return _negloglik_at(_clamped_eta(Z, alpha), y, n_total, w)
+    return _negloglik_at(_clamped_eta(Z, alpha), w * y, w, n_total)
 
 
 def odds_score_hessian(alpha, Z, y, n_total, w=1.0):
@@ -217,10 +217,13 @@ def odds_score_hessian(alpha, Z, y, n_total, w=1.0):
     return _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n_total, w)
 
 
-def _negloglik_at(eta, y, n_total, w):
-    # log(1 + exp(eta)) computed stably
-    lse = np.logaddexp(0.0, eta)
-    return -((w * y) @ eta - (w * lse).sum()) / n_total
+def _negloglik_at(eta, wy, w, n_total):
+    # eta is clamped to |eta| <= LINPRED_CLAMP, so exp(eta) stays below 1.1e13
+    # and log1p(exp(eta)) neither overflows nor trips np.errstate(over="raise");
+    # on that range it is within a few ulps of np.logaddexp(0, eta), which
+    # numpy does not vectorize where it does exp and log1p
+    lse = np.log1p(np.exp(eta))
+    return -(wy @ eta - (w * lse).sum()) / n_total
 
 
 def _score_hessian_at(eta, Z, y, n_total, w):
@@ -229,6 +232,13 @@ def _score_hessian_at(eta, Z, y, n_total, w):
     W = w * (p * (1.0 - p))
     hess = -(Z.T * W) @ Z / n_total
     return score, hess
+
+
+def _inverse(M, what):
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        raise SingularityError(f"{what} is singular; no influence correction") from None
 
 
 @dataclass(eq=False)
@@ -250,7 +260,7 @@ class OddsModel:
     @cached_property
     def info_inv(self) -> np.ndarray:
         """Inverse of `info`, shared by every influence correction of this fit."""
-        return np.linalg.inv(self.info)
+        return _inverse(self.info, f"{self.pair}: odds information matrix")
 
 
 @dataclass(eq=False)
@@ -277,7 +287,7 @@ class OutcomeModel:
     @cached_property
     def gram_inv(self) -> np.ndarray:
         """Inverse of `gram`, shared by every influence correction of this fit."""
-        return np.linalg.inv(self.gram)
+        return _inverse(self.gram, f"{self.pair}: outcome Gram matrix")
 
     def scale_values(self, view: "PairView", part: str) -> np.ndarray:
         """Product of the observed target coordinates on the "case" or "pool"
@@ -310,6 +320,7 @@ def fit_odds(
         )
     view = pair_view(ds, strata, pair)
     y, w = view.y, view.w
+    wy = w * y
     Z, _, _, names = view.design(keep)
     n = ds.n
 
@@ -317,7 +328,7 @@ def fit_odds(
     start = view._base[0]._alpha.get(key) if view._base else None
     alpha = np.zeros(Z.shape[1]) if start is None else start.copy()
     eta = _clamped_eta(Z, alpha)
-    nll = _negloglik_at(eta, y, n, w)
+    nll = _negloglik_at(eta, wy, w, n)
     nll_path = [nll]
     converged = False
     it = 0
@@ -332,7 +343,7 @@ def fit_odds(
             except np.linalg.LinAlgError:
                 break
             polish_eta = _clamped_eta(Z, polish)
-            if _negloglik_at(polish_eta, y, n, w) <= nll + 1e-14 * (1.0 + abs(nll)):
+            if _negloglik_at(polish_eta, wy, w, n) <= nll + 1e-14 * (1.0 + abs(nll)):
                 alpha, eta = polish, polish_eta
             break
         if np.max(np.abs(eta)) >= LINPRED_CLAMP:
@@ -348,7 +359,7 @@ def fit_odds(
         for _ in range(40):
             cand = alpha + lam * step
             cand_eta = _clamped_eta(Z, cand)
-            cand_nll = _negloglik_at(cand_eta, y, n, w)
+            cand_nll = _negloglik_at(cand_eta, wy, w, n)
             if cand_nll <= nll + 1e-14 * (1.0 + abs(nll)):
                 break
             lam *= 0.5

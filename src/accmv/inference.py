@@ -92,10 +92,13 @@ def seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _check_replicates(B) -> None:
-    """Raise ConfigError unless the replicate count B is an integer."""
+def _check_replicates(B, none_ok: bool = False) -> None:
+    """Raise ConfigError unless the replicate count B is an integer >= 2, or
+    0 (no replicates) where `none_ok`."""
     if isinstance(B, bool) or not isinstance(B, numbers.Integral):
         raise ConfigError(f"the number of replicates B must be an integer, got {B!r}")
+    if B < 2 and not (none_ok and B == 0):
+        raise ConfigError(f"bootstrap needs B >= 2{' (or 0 for none)' if none_ok else ''}, got {B}")
 
 
 def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int, max_failure_rate: float = 0.2,
@@ -172,8 +175,6 @@ def bootstrap(
     `strata.freq` itself.
     """
     _check_replicates(B)
-    if B < 2:
-        raise ConfigError(f"bootstrap needs B >= 2, got {B}")
     z = critical_value(level)
     point = np.atleast_1d(np.asarray(pipeline(ds, strata), dtype=float))
     reps, failures = replicate(ds, strata, lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),

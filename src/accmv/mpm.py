@@ -65,9 +65,9 @@ class ScoreSpec:
         names += [f"c_{i+1}{j+1}" for i in range(d) for j in range(i + 1)]
         return names
 
-    def describe(self) -> str:
+    def describe(self, l_names) -> str:
         if self.kind == "linear":
-            return f"L{self.response + 1} ~ " + " + ".join(f"L{j + 1}" for j in self.predictors)
+            return f"{l_names[self.response]} ~ " + " + ".join(l_names[j] for j in self.predictors)
         return "gaussian mean/covariance"
 
     # -- linear pieces ------------------------------------------------------

@@ -106,20 +106,20 @@ def sweep(
     n_min: int = 10,
 ) -> SensitivityCurve:
     """Tilted estimates over the multiplier grid, sharing the supplied odds
-    fits across grid points.  With B >= 2, a case bootstrap (see
-    `inference.replicate`) refits the odds inside every replicate and
-    evaluates the whole grid on it; normal-based intervals at level
-    `DEFAULT_LEVEL` from the per-point replicate spread are attached."""
+    fits across grid points.  B = 0 runs no bootstrap.  With B >= 2, a case
+    bootstrap (see `inference.replicate`) refits the odds inside every
+    replicate and evaluates the whole grid on it; normal-based intervals at
+    level `DEFAULT_LEVEL` from the per-point replicate spread are attached."""
     if not spec.grid:
         raise ConfigError("sweep needs a nonempty grid")
-    _check_replicates(B)
+    _check_replicates(B, none_ok=True)
     z = critical_value(DEFAULT_LEVEL)
     grid = list(spec.grid)
     ests = _tilted_grid(ds, strata, odds, f, spec, grid)
     lo = [float("nan")] * len(grid)
     hi = [float("nan")] * len(grid)
     failures = {}
-    if B >= 2:
+    if B:
         reps, failures = replicate(
             ds, strata,
             lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid),

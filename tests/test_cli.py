@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -489,3 +492,37 @@ def test_undecodable_csv_exits_3(tmp_path, capsys):
     path.write_bytes(b"Y1,Y2,Y3\n1,2,3\n\xff\xfe,1,2\n")
     assert run(["fit", "--data", str(path), *DATA_ARGS]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bootstrap", ["1", "-3"])
+def test_sensitivity_bootstrap_count_below_two_exits_2(bootstrap, single_csv, capsys):
+    assert run(["sensitivity", "--data", single_csv, *DATA_ARGS, "--delta", "0.5",
+                f"--bootstrap={bootstrap}"]) == 2
+    captured = capsys.readouterr()
+    assert "needs B >= 2" in captured.err and captured.out == ""
+
+
+def test_regress_names_the_model_by_column(mpm_csv, capsys):
+    assert run(["regress", "--data", mpm_csv, "--x-cols", "Y1", "--l-cols", "Y2,Y3",
+                "--response", "Y3", "--predictors", "Y2"]) == 0
+    assert "marginal parametric model (Y3 ~ Y2)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--x-cols", "Y1,Y2", "--l-cols", "Y3", "--method", "mr"],
+    ["regress", "--x-cols", "Y1,Y2", "--l-cols", "Y3", "--score-kind", "gaussian"],
+    ["sensitivity", "--x-cols", "Y1,Y2", "--l-cols", "Y3", "--delta", "0.5", "--grid=-1,0,1"],
+    ["table", "--table", "1", "--replicates", "1", "--n", "500", "--seed", "3", "--workers", "1"],
+], ids=lambda c: c[0])
+def test_closed_stdout_ends_quietly_after_writing_out(command, single_csv, tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "out"
+    data = ["--data", single_csv] if command[0] != "table" else []
+    with subprocess.Popen([sys.executable, "-m", "accmv.cli", *command, *data, "--out", str(out)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()          # the reader goes away before anything is printed
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "Error" not in err, err
+    assert out.stat().st_size > 0

@@ -4,6 +4,7 @@ import pytest
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import PositivityError, SeparationError, SingularityError, SmallStratumError
 from accmv.glm import (
+    LINPRED_CLAMP,
     design_matrix,
     fit_all_odds,
     fit_all_outcomes,
@@ -77,6 +78,20 @@ def test_score_matches_finite_differences(rng):
             e[j] = h
             fd = -(odds_negloglik(alpha + e, Z, y, n) - odds_negloglik(alpha - e, Z, y, n)) / (2 * h)
             assert abs(fd - score[j]) <= 1e-6 * max(1.0, abs(score[j]))
+
+
+def test_negloglik_matches_logaddexp_over_the_clamp_range():
+    # one row per grid point with y = 0 and alpha = 1, so the loss is the
+    # softplus log(1 + exp(eta)) of that row's clamped linear predictor
+    grid = np.concatenate([np.linspace(-LINPRED_CLAMP, LINPRED_CLAMP, 6001),
+                           np.nextafter(LINPRED_CLAMP, 0.0) * np.array([-1.0, 1.0]),
+                           [-1e3, -31.0, 31.0, 1e3]])
+    y, alpha = np.zeros(1), np.ones(1)
+    with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
+        got = np.array([odds_negloglik(alpha, np.array([[x]]), y, 1) for x in grid])
+        ref = np.logaddexp(0.0, np.clip(grid, -LINPRED_CLAMP, LINPRED_CLAMP))
+    ulps = np.abs(got - ref) / np.spacing(ref)
+    assert ulps.max() <= 4, grid[ulps.argmax()]
 
 
 def test_hessian_negative_semidefinite(rng):

@@ -119,8 +119,9 @@ def test_sweep_centers_on_untilted_point(single_20k):
     odds = fit_all_odds(ds, strata)
     sn = estimate_ipw(ds, strata, odds, F1, self_normalize=True).theta_hat
     spec = TiltSpec(delta=(0.8,), grid=(-0.5, 0.0, 0.5))
-    curve = sweep(ds, strata, odds, F1, spec)
+    curve = sweep(ds, strata, odds, F1, spec, B=0)       # B = 0: no bootstrap, no interval
     assert abs(curve.estimates[1] - sn) <= 1e-12
+    assert curve.B is None and np.isnan(curve.ci_lower + curve.ci_upper).all()
 
 
 def test_sweep_empty_grid_rejected(single_20k):
