@@ -49,31 +49,24 @@ def _complete_case_se(ds, strata, f) -> float:
     return float(fv.std(ddof=1) / np.sqrt(fv.size))
 
 
-def _refit_odds(ds, strata, base, kind, n_min):
-    out = dict(base)
-    for key, keep in misspec_masks(kind, "odds").items():
+def _refit(models, masks, fit):
+    """`models` with the model of each pair that `masks` names refitted by
+    `fit(pair, keep)` under its keep mask."""
+    out = dict(models)
+    for key, keep in masks.items():
         if key in out:
-            out[key] = fit_odds(ds, strata, out[key].pair, n_min=n_min, keep=keep)
+            out[key] = fit(out[key].pair, keep)
     return out
 
 
-def _refit_outcomes(ds, strata, base, kind, f, n_min, decompose):
-    out = dict(base)
-    for key, keep in misspec_masks(kind, "outcome").items():
-        if key in out:
-            out[key] = fit_outcome(
-                ds, strata, out[key].pair, f, n_min=n_min, keep=keep, decompose=decompose
-            )
-    return out
-
-
-def _mean_table_rows(ds, strata, kind, f, n_min=10):
+def _mean_table_rows(ds, strata, kind, f):
     """All method rows (estimate, theoretical SE) for tables of mean functionals."""
     decompose = kind == "multiple"
-    odds_ok = fit_all_odds(ds, strata, n_min=n_min)
-    odds_bad = _refit_odds(ds, strata, odds_ok, kind, n_min)
-    outs_ok = fit_all_outcomes(ds, strata, f, n_min=n_min, decompose=decompose)
-    outs_bad = _refit_outcomes(ds, strata, outs_ok, kind, f, n_min, decompose)
+    odds_ok = fit_all_odds(ds, strata)
+    odds_bad = _refit(odds_ok, misspec_masks(kind, "odds"), lambda pr, keep: fit_odds(ds, strata, pr, keep=keep))
+    outs_ok = fit_all_outcomes(ds, strata, f, decompose=decompose)
+    outs_bad = _refit(outs_ok, misspec_masks(kind, "outcome"),
+                      lambda pr, keep: fit_outcome(ds, strata, pr, f, keep=keep, decompose=decompose))
 
     rows = {}
     for name, est in (
@@ -92,9 +85,9 @@ def _mean_table_rows(ds, strata, kind, f, n_min=10):
     return rows
 
 
-def _regression_table_rows(ds, strata, n_min=10):
+def _regression_table_rows(ds, strata):
     spec = ScoreSpec("linear", response=1, predictors=(0,))
-    odds = fit_all_odds(ds, strata, n_min=n_min)
+    odds = fit_all_odds(ds, strata)
     est = solve_weighted_ee(ds, strata, odds, spec)
     cov = sandwich_variance(ds, strata, odds, spec, est.theta_hat)
     rows = {"ipw": (est.theta_hat.copy(), np.sqrt(np.diag(cov)))}

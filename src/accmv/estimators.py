@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, PositivityError
-from .glm import case_gradient, complete_values, fitted, pair_view, score_residuals, view_values
+from .glm import case_gradient, complete_values, fitted, odds_correction, pair_view, score_residuals, view_values
 from .patterns import PatternPair
 
 TILT_CLAMP = 30.0
@@ -171,9 +171,7 @@ def _pair_terms(view, fmap, f, gm, om, influence):
             grad = grad - Zm.pool.T @ (om.scale_values(view, "pool") * o_pool)
         adds.append((view.pool, score_residuals(om, view, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
     if fitted(gm):
-        Zg = view.design(gm.keep)
-        grad = Zg.pool.T @ ro / n
-        adds.append((view.rows, score_residuals(gm, view) * (Zg.stacked @ (gm.info_inv @ grad))))
+        adds.append((view.rows, odds_correction(gm, view, ro)))
     return term, aug, adds
 
 

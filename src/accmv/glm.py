@@ -28,6 +28,7 @@ import numpy as np
 from .data import Dataset, Functional, StratumIndex
 from .errors import (
     ConfigError,
+    DataError,
     NonConvergenceError,
     PositivityError,
     SeparationError,
@@ -46,19 +47,18 @@ def design_matrix(ds: Dataset, rows, pair: PatternPair, keep=None):
     """Design (1, x_r, l_a) for the given record positions.
 
     `keep` optionally masks non-intercept columns; the intercept always stays.
-    Raises if any requested covariate is unobserved (precondition guard).
+    A wrong-length `keep` raises ConfigError, an unobserved covariate DataError.
     """
+    _check_keep(pair, keep)
     rows = np.asarray(rows, dtype=int)
     cov = np.hstack([ds.X[np.ix_(rows, pair.r.indices)], ds.L[np.ix_(rows, pair.a.indices)]])
     names = [ds.x_names[j] for j in pair.r.indices] + [ds.l_names[j] for j in pair.a.indices]
     if keep is not None:
         keep = np.asarray(keep, dtype=bool)
-        if keep.shape[0] != cov.shape[1]:
-            raise ValueError(f"keep mask length {keep.shape[0]} != {cov.shape[1]} covariates")
         cov = cov[:, keep]
         names = [nm for nm, k in zip(names, keep) if k]
     if np.isnan(cov).any():
-        raise ValueError(f"unobserved covariate in design for {pair}")
+        raise DataError(f"unobserved covariate in design for {pair}")
     Z = np.hstack([np.ones((cov.shape[0], 1)), cov])
     return Z, ("intercept", *names)
 
@@ -206,18 +206,8 @@ def _clamped_eta(Z, coef):
     return np.clip(Z @ coef, -LINPRED_CLAMP, LINPRED_CLAMP)
 
 
-def odds_negloglik(alpha, Z, y, n_total, w=1.0):
-    """Mean negative log-likelihood of the case-vs-pool logistic model, each
-    row counted `w` times."""
-    return _negloglik_at(_clamped_eta(Z, alpha), w * y, w, n_total)
-
-
-def odds_score_hessian(alpha, Z, y, n_total, w=1.0):
-    """Exact analytic score and Hessian of the mean log-likelihood."""
-    return _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n_total, w)
-
-
 def _negloglik_at(eta, wy, w, n_total):
+    """Mean case-vs-pool negative log-likelihood at the clamped predictor `eta`."""
     # eta is clamped to |eta| <= LINPRED_CLAMP, so exp(eta) stays below 1.1e13
     # and log1p(exp(eta)) neither overflows nor trips np.errstate(over="raise");
     # on that range it is within a few ulps of np.logaddexp(0, eta), which
@@ -227,6 +217,7 @@ def _negloglik_at(eta, wy, w, n_total):
 
 
 def _score_hessian_at(eta, Z, y, n_total, w):
+    """Exact analytic score and Hessian of the mean log-likelihood."""
     p = 1.0 / (1.0 + np.exp(-eta))
     score = Z.T @ (w * (y - p)) / n_total
     W = w * (p * (1.0 - p))
@@ -248,7 +239,6 @@ class OddsModel:
     pair: PatternPair
     alpha: np.ndarray
     names: tuple[str, ...]
-    converged: bool
     n_case: int
     n_pool: int
     info: np.ndarray                 # (1/n) sum of weighted design outer products at alpha
@@ -306,8 +296,9 @@ def fit_odds(
     """Fit the odds model for one pattern pair by Newton with step halving.
     The line search computes each iterate's linear predictor once.  A fit on
     a reweighted index (a resample) starts from the full-data fit of its pair
-    and keep mask if one ran, else from zero.  A linear predictor at the
-    clamp with the score unconverged means separation."""
+    and keep mask if one ran, else from zero.  A converged score ends the loop
+    with one polishing step; an unconverged one at the clamp means separation,
+    and after MAX_ITER steps or a failed line search, non-convergence."""
     _check_keep(pair, keep)
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
@@ -330,12 +321,9 @@ def fit_odds(
     eta = _clamped_eta(Z, alpha)
     nll = _negloglik_at(eta, wy, w, n)
     nll_path = [nll]
-    converged = False
-    it = 0
-    for it in range(1, MAX_ITER + 1):
+    for it in range(1, MAX_ITER + 2):
         score, hess = _score_hessian_at(eta, Z, y, n, w)
         if np.max(np.abs(score)) <= SCORE_TOL:
-            converged = True
             # one polishing step: quadratic convergence leaves the score near
             # machine precision, keeping downstream influence means tiny
             try:
@@ -351,6 +339,12 @@ def fit_odds(
                 f"{pair}: linear predictor reached the clamp {LINPRED_CLAMP} with unconverged "
                 "score; case and pool look separable"
             )
+        if it > MAX_ITER:
+            raise NonConvergenceError(
+                f"{pair}: odds fit not converged after {MAX_ITER} Newton steps "
+                f"(score max {np.max(np.abs(score)):.3e})",
+                last_iterate=alpha,
+            )
         try:
             step = np.linalg.solve(-hess, score)
         except np.linalg.LinAlgError:
@@ -364,21 +358,13 @@ def fit_odds(
                 break
             lam *= 0.5
         else:
-            break                    # no step along the Newton direction lowers the loss
-        alpha, eta, nll = cand, cand_eta, cand_nll
-        nll_path.append(nll)
-    if not converged:
-        score, _ = _score_hessian_at(eta, Z, y, n, w)
-        if np.max(np.abs(score)) <= SCORE_TOL:
-            converged = True
-        elif np.max(np.abs(eta)) >= LINPRED_CLAMP:
-            raise SeparationError(f"{pair}: separation detected after {it} iterations")
-        else:
             raise NonConvergenceError(
-                f"{pair}: odds fit not converged after {it} iterations "
+                f"{pair}: no step along the Newton direction lowers the loss after {it - 1} steps "
                 f"(score max {np.max(np.abs(score)):.3e})",
                 last_iterate=alpha,
             )
+        alpha, eta, nll = cand, cand_eta, cand_nll
+        nll_path.append(nll)
     # eta is clamped, so it reaches the clamp exactly when Z @ alpha does;
     # below it, eta is Z @ alpha itself
     if np.max(np.abs(eta)) >= LINPRED_CLAMP:
@@ -392,7 +378,6 @@ def fit_odds(
         pair=pair,
         alpha=alpha,
         names=names,
-        converged=converged,
         n_case=n_case,
         n_pool=n_pool,
         info=info,
@@ -496,6 +481,15 @@ def _linear(model: OutcomeModel, view: PairView, part: str) -> np.ndarray:
 def case_gradient(model: OutcomeModel, view: PairView) -> np.ndarray:
     """Gradient in the coefficients of the summed case-row predictions of `model` on `view`."""
     return _kept(model.pieces, (view, "grad"), lambda: view.design(model.keep).case.T @ model.scale_values(view, "case"))
+
+
+def odds_correction(model: OddsModel, view: PairView, ro: np.ndarray) -> np.ndarray:
+    """Influence correction of the odds fit `model` on the stacked rows of
+    `view` for the pool terms `ro` (odds times a residual), one per pool row
+    or one column per estimating-function coordinate, as the result is."""
+    Z = view.design(model.keep)
+    M = Z.stacked @ (model.info_inv @ (Z.pool.T @ ro / view.ds.n))
+    return (score_residuals(model, view) * M.T).T
 
 
 def fitted(model) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
 from .estimators import compute_weights, weight_table
-from .glm import fitted, pair_view, score_residuals, view_values
+from .glm import fitted, odds_correction, pair_view, view_values
 from .inference import critical_value
 
 EE_TOL = 1e-8
@@ -268,10 +268,7 @@ def sandwich_variance(
             if not fitted(model):
                 continue
             view = pair_view(ds, strata, pr)
-            Z = view.design(model.keep)
-            # (q, k) mean of score (outer) gradient of the odds over the pool
-            Cmat = s[view.pool].T @ (Z.pool * view_values(model, view, "pool")[:, None]) / n
-            u[view.rows] += score_residuals(model, view)[:, None] * (Z.stacked @ (model.info_inv @ Cmat.T))
+            u[view.rows] += odds_correction(model, view, s[view.pool] * view_values(model, view, "pool")[:, None])
     ubar = u.mean(axis=0)
     M = (u - ubar).T @ (u - ubar) / n
     try:

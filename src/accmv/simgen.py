@@ -83,69 +83,45 @@ def default_functional(kind: str) -> Functional:
 def generate(design: SimDesign) -> Dataset:
     """Draw a dataset per the design; byte-identical for equal seeds."""
     rng = np.random.default_rng(design.seed)
-    n = design.n
     if design.kind == "single":
-        return _generate_single(rng, n)
+        return _generate_strata(rng, design.n, 1, ("Y3",))
     if design.kind == "multiple":
-        return _generate_multiple(rng, n)
-    return _generate_mpm(rng, n)
+        return _generate_strata(rng, design.n, 2, ("Y3", "Y4"))
+    return _generate_mpm(rng, design.n)
 
 
-_MU_SINGLE = {1: np.array([1.0]), 2: np.array([1.0, -1.0]), 3: np.array([0.0, -1.0, -1.0])}
-_MU_MULTI_SIDE = {1: np.array([0.5]), 2: np.array([1.0, 1.0]), 3: np.array([1.0, 1.0, 1.0])}
+# block mean by (d, block length); a block lists the observed primaries, then
+# the observed auxiliaries
+_MU = {
+    (1, 1): [1.0], (1, 2): [1.0, -1.0], (1, 3): [0.0, -1.0, -1.0],
+    (2, 1): [0.5], (2, 2): [1.0, 1.0], (2, 3): [1.0, 1.0, 1.0], (2, 4): [1.0, 1.0, 1.0, 1.0],
+}
 
 
 def _chol(k):
     return np.linalg.cholesky(equicorr(k))
 
 
-def _generate_single(rng, n) -> Dataset:
-    cat = rng.integers(0, 8, n)          # a = cat // 4, r = cat % 4
-    z = rng.standard_normal((n, 3))
+def _generate_strata(rng, n, d, l_names) -> Dataset:
+    """The "single" (d = 1) and "multiple" (d = 2) designs: two auxiliaries,
+    cells (A = a, R = r) drawn with equal probability, and the observed
+    coordinates of each record one equicorrelated Gaussian block."""
+    cat = rng.integers(0, 4 << d, n)     # a = cat // 4, r = cat % 4
+    z = rng.standard_normal((n, 2 + d))
     X = np.full((n, 2), np.nan)
-    L = np.full((n, 1), np.nan)
-    chols = {k: _chol(k) for k in (1, 2, 3)}
-    for a in (0, 1):
+    L = np.full((n, d), np.nan)
+    chols = {k: _chol(k) for k in range(1, 3 + d)}
+    for a in range(1 << d):
         for r in range(4):
             rows = np.flatnonzero((cat // 4 == a) & (cat % 4 == r))
-            if rows.size == 0:
+            lidx, xidx = list(Pattern(a, d).indices), list(Pattern(r, 2).indices)
+            dim = len(lidx) + len(xidx)
+            if rows.size == 0 or dim == 0:
                 continue
-            xidx = list(Pattern(r, 2).indices)
-            if a == 1:
-                dim = len(xidx) + 1
-                vec = _MU_SINGLE[dim] + z[rows, :dim] @ chols[dim].T
-                L[rows, 0] = vec[:, 0]
-                if xidx:
-                    X[np.ix_(rows, xidx)] = vec[:, 1:]
-            elif xidx:
-                dim = len(xidx)
-                X[np.ix_(rows, xidx)] = _MU_SINGLE[dim] + z[rows, :dim] @ chols[dim].T
-    return Dataset(X, L, ("Y1", "Y2"), ("Y3",))
-
-
-def _generate_multiple(rng, n) -> Dataset:
-    cat = rng.integers(0, 16, n)         # a = cat // 4, r = cat % 4
-    z = rng.standard_normal((n, 4))
-    X = np.full((n, 2), np.nan)
-    L = np.full((n, 2), np.nan)
-    chols = {k: _chol(k) for k in (1, 2, 3, 4)}
-    for a in range(4):
-        for r in range(4):
-            rows = np.flatnonzero((cat // 4 == a) & (cat % 4 == r))
-            if rows.size == 0:
-                continue
-            xidx = list(Pattern(r, 2).indices)
-            lidx = list(Pattern(a, 2).indices)
-            dim = len(xidx) + len(lidx)
-            if dim == 0:
-                continue
-            mu = np.ones(dim) if a == 3 else _MU_MULTI_SIDE[dim]
-            vec = mu + z[rows, :dim] @ chols[dim].T
-            if lidx:
-                L[np.ix_(rows, lidx)] = vec[:, : len(lidx)]
-            if xidx:
-                X[np.ix_(rows, xidx)] = vec[:, len(lidx):]
-    return Dataset(X, L, ("Y1", "Y2"), ("Y3", "Y4"))
+            vec = _MU[d, dim] + z[rows, :dim] @ chols[dim].T
+            L[np.ix_(rows, lidx)] = vec[:, :len(lidx)]
+            X[np.ix_(rows, xidx)] = vec[:, len(lidx):]
+    return Dataset(X, L, ("Y1", "Y2"), l_names)
 
 
 def _generate_mpm(rng, n) -> Dataset:
@@ -331,7 +307,8 @@ def verify_oracles(design: SimDesign) -> OracleReport:
             se = np.sqrt(p_target * (1 - p_target) / n)
             _check(rows, f"P(R={pr.r},A={pr.a})", count / n, p_target, se)
 
-    # odds moment identities: E[g I(case)] = E[O g I(pool)]
+    # odds moment identities: E[g I(case)] = E[O g I(pool)]; on mpm these are
+    # the mass ratios its mechanism implies (O = 1/2 for r = 0, exp(x/2) for r = 1)
     for key in sorted(truth.odds):
         model = truth.odds[key]
         pr = model.pair
@@ -383,26 +360,6 @@ def verify_oracles(design: SimDesign) -> OracleReport:
         _mean_check(rows, "theta via oracle regressions", v, n, truth.theta_true)
 
     if design.kind == "mpm":
-        # incomplete-vs-complete mass ratios implied by the mechanism:
-        # E[g I(R=0, A=a)] = 1/2 E[g I(A=1_d)]             for g of L_a
-        # E[g I(R=1, A=a)] = E[exp(x/2) g I(R=1, A=1_d)]   for g of (X, L_a)
-        # the reference records R >= r with all primaries observed are the pool of r
-        for a in (0, 1, 2):
-            for rv in (0, 1):
-                pr = _pair("mpm", rv, a)
-                if strata.stratum(pr).size == 0:
-                    continue
-                view = pair_view(ds, strata, pr)
-                case, ref = view.case, view.pool
-                wref = np.full(ref.size, 0.5) if rv == 0 else np.exp(0.5 * view.xr_pool[:, 0])
-                la_case, la_ref = view.la_case, view.la_pool
-                pairs_g = [(np.ones(case.size), np.ones(ref.size))]
-                pairs_g += [(la_case[:, j], la_ref[:, j]) for j in range(la_case.shape[1])]
-                if rv == 1:
-                    pairs_g.append((view.xr_case[:, 0], view.xr_pool[:, 0]))
-                for j, (g_case, g_ref) in enumerate(pairs_g):
-                    vals = np.concatenate([g_case, -wref * g_ref])
-                    _mean_check(rows, f"mechanism {pr} moment[{j}]", vals, n, 0.0)
         # regression target through the oracle-weighted estimating equation
         from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 

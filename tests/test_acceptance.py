@@ -18,11 +18,12 @@ from accmv.estimators import (
     estimate_ra,
 )
 from accmv.glm import (
+    _clamped_eta,
+    _negloglik_at,
+    _score_hessian_at,
     design_matrix,
     fit_all_odds,
     fit_all_outcomes,
-    odds_negloglik,
-    odds_score_hessian,
 )
 from accmv.inference import bootstrap
 from accmv.mpm import ScoreSpec, solve_weighted_ee
@@ -184,11 +185,12 @@ def test_criterion_6_property_suites(single_20k, multiple_20k):
     ok = True
     for _ in range(20):
         alpha = rng.uniform(-1, 1, k)
-        score, _ = odds_score_hessian(alpha, Z, y, n)
+        score, _ = _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n, 1.0)
         for j in range(k):
             e = np.zeros(k)
             e[j] = 1e-6
-            fd = -(odds_negloglik(alpha + e, Z, y, n) - odds_negloglik(alpha - e, Z, y, n)) / 2e-6
+            fd = -(_negloglik_at(_clamped_eta(Z, alpha + e), y, 1.0, n)
+                   - _negloglik_at(_clamped_eta(Z, alpha - e), y, 1.0, n)) / 2e-6
             ok &= abs(fd - score[j]) <= 1e-6 * max(1.0, abs(score[j]))
     results["score finite differences"] = ok
 

@@ -1,17 +1,28 @@
 import numpy as np
 import pytest
 
+from accmv import glm
 from accmv.data import Dataset, Functional, build_strata
-from accmv.errors import PositivityError, SeparationError, SingularityError, SmallStratumError
+from accmv.errors import (
+    ConfigError,
+    DataError,
+    NonConvergenceError,
+    PositivityError,
+    SeparationError,
+    SingularityError,
+    SmallStratumError,
+)
 from accmv.glm import (
     LINPRED_CLAMP,
+    SCORE_TOL,
+    _clamped_eta,
+    _negloglik_at,
+    _score_hessian_at,
     design_matrix,
     fit_all_odds,
     fit_all_outcomes,
     fit_odds,
     fit_outcome,
-    odds_negloglik,
-    odds_score_hessian,
     pair_view,
     score_residuals,
 )
@@ -33,7 +44,10 @@ def test_fit_odds_intercept_only_limit(single_20k):
     ds, strata = single_20k
     m = fit_odds(ds, strata, pair(0, 0))
     se = fit_se(m, ds.n)
-    assert m.converged
+    view = pair_view(ds, strata, m.pair)           # a returned fit has converged
+    Z = view.design().stacked
+    score, _ = _score_hessian_at(_clamped_eta(Z, m.alpha), Z, view.y, ds.n, 1.0)
+    assert np.max(np.abs(score)) <= SCORE_TOL
     assert abs(m.alpha[0] - np.log(0.25)) <= 5 * se[0]
 
 
@@ -61,7 +75,7 @@ def test_score_at_solution(single_20k):
         rows = np.concatenate([case, pool])
         y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
         Z, _ = design_matrix(ds, rows, pr)
-        score, _ = odds_score_hessian(m.alpha, Z, y, ds.n)
+        score, _ = _score_hessian_at(_clamped_eta(Z, m.alpha), Z, y, ds.n, 1.0)
         assert np.max(np.abs(score)) <= 1e-8
 
 
@@ -71,12 +85,13 @@ def test_score_matches_finite_differences(rng):
     y = (rng.random(n) < 0.4).astype(float)
     for _ in range(20):
         alpha = rng.uniform(-1, 1, k)
-        score, _ = odds_score_hessian(alpha, Z, y, n)
+        score, _ = _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n, 1.0)
         h = 1e-6
         for j in range(k):
             e = np.zeros(k)
             e[j] = h
-            fd = -(odds_negloglik(alpha + e, Z, y, n) - odds_negloglik(alpha - e, Z, y, n)) / (2 * h)
+            fd = -(_negloglik_at(_clamped_eta(Z, alpha + e), y, 1.0, n)
+                   - _negloglik_at(_clamped_eta(Z, alpha - e), y, 1.0, n)) / (2 * h)
             assert abs(fd - score[j]) <= 1e-6 * max(1.0, abs(score[j]))
 
 
@@ -88,7 +103,7 @@ def test_negloglik_matches_logaddexp_over_the_clamp_range():
                            [-1e3, -31.0, 31.0, 1e3]])
     y, alpha = np.zeros(1), np.ones(1)
     with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
-        got = np.array([odds_negloglik(alpha, np.array([[x]]), y, 1) for x in grid])
+        got = np.array([_negloglik_at(_clamped_eta(np.array([[x]]), alpha), y, 1.0, 1) for x in grid])
         ref = np.logaddexp(0.0, np.clip(grid, -LINPRED_CLAMP, LINPRED_CLAMP))
     ulps = np.abs(got - ref) / np.spacing(ref)
     assert ulps.max() <= 4, grid[ulps.argmax()]
@@ -100,7 +115,7 @@ def test_hessian_negative_semidefinite(rng):
     y = (rng.random(n) < 0.5).astype(float)
     for _ in range(10):
         alpha = rng.uniform(-2, 2, k)
-        _, hess = odds_score_hessian(alpha, Z, y, n)
+        _, hess = _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n, 1.0)
         np.testing.assert_allclose(hess, hess.T, atol=1e-12)
         assert np.linalg.eigvalsh(hess).max() <= 1e-10
 
@@ -127,6 +142,15 @@ def test_separation_error():
     strata = build_strata(ds)
     with pytest.raises(SeparationError):
         fit_odds(ds, strata, pair(1, 0, p=1))
+
+
+def test_non_convergence_error_after_max_iter(single_20k, monkeypatch):
+    # the full-auxiliary fit needs more than one Newton step from zero
+    ds, strata = single_20k
+    monkeypatch.setattr(glm, "MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError, match="not converged after 1 ") as err:
+        fit_odds(ds, strata, pair(3, 0))
+    assert err.value.last_iterate.shape == (3,) and np.any(err.value.last_iterate != 0.0)
 
 
 def test_small_stratum_and_empty_pool():
@@ -272,6 +296,16 @@ def test_pair_view_designs_equal_design_matrix(kind):
             assert np.array_equal(la, ds.L[rows][:, pr.a.indices])
 
 
+def test_design_matrix_input_errors_are_named():
+    # a wrong-length keep mask is a configuration error, an unobserved
+    # covariate a data error naming the pattern pair
+    ds = Dataset(np.array([[1.0, 2.0], [np.nan, 0.5]]), np.array([[np.nan], [1.0]]))
+    with pytest.raises(ConfigError, match="keep mask"):
+        design_matrix(ds, [0], pair(3, 0), keep=(True,))
+    with pytest.raises(DataError, match=r"\(r=11, a=0\)"):
+        design_matrix(ds, [1], pair(3, 0))
+
+
 def test_pair_view_cached_on_its_strata(single_20k):
     ds, strata = single_20k
     pr = pair(3, 0)
@@ -283,5 +317,5 @@ def test_pair_view_cached_on_its_strata(single_20k):
     assert fresh is not view                               # a new index builds its own
     copy = ds.subset(np.arange(ds.n))
     assert pair_view(copy, other, pr) is not fresh         # another dataset gets no stale designs
-    with pytest.raises(ValueError, match="keep mask"):
+    with pytest.raises(ConfigError, match="keep mask"):
         view.design((True,))

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from accmv.data import Dataset
+from accmv.errors import DataError
 from accmv.glm import design_matrix
 from accmv.patterns import Pattern, PatternPair, dominating
 
@@ -93,7 +94,7 @@ def test_extract():
 
 
 def test_extract_unobserved_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError):
         observed_part(np.array([1.0, np.nan]), P("11"))
 
 
