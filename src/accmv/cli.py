@@ -86,17 +86,12 @@ def _mean_table_rows(ds, strata, kind, f):
 
 
 def _regression_table_rows(ds, strata):
+    """The odds-weighted and complete-case (no odds) rows of table 3."""
     spec = ScoreSpec("linear", response=1, predictors=(0,))
-    odds = fit_all_odds(ds, strata)
-    est = solve_weighted_ee(ds, strata, odds, spec)
-    cov = sandwich_variance(ds, strata, odds, spec, est.theta_hat)
-    rows = {"ipw": (est.theta_hat.copy(), np.sqrt(np.diag(cov)))}
-
-    ds_cc = ds.subset(np.flatnonzero(ds.complete_mask))
-    strata_cc = build_strata(ds_cc)
-    est_cc = solve_weighted_ee(ds_cc, strata_cc, {}, spec)
-    cov_cc = sandwich_variance(ds_cc, strata_cc, {}, spec, est_cc.theta_hat)
-    rows["complete_case"] = (est_cc.theta_hat.copy(), np.sqrt(np.diag(cov_cc)))
+    rows = {}
+    for name, odds in (("ipw", fit_all_odds(ds, strata)), ("complete_case", None)):
+        est = solve_weighted_ee(ds, strata, odds, spec)
+        rows[name] = (est.theta_hat.copy(), np.sqrt(np.diag(sandwich_variance(ds, strata, odds, est))))
     return rows
 
 
@@ -343,7 +338,7 @@ def cmd_fit(args) -> int:
     if se is not None:
         report["influence"] = normal_ci(est.theta_hat, se, args.level).to_dict()
     if args.bootstrap:
-        boot = bootstrap(ds, strata, lambda dsx, sx: estimate(dsx, sx).theta_hat,
+        boot = bootstrap(ds, strata, lambda dsx, sx: estimate(dsx, sx).theta_hat, est.theta_hat,
                          B=args.bootstrap, seed=args.seed or 0, level=args.level)
         report["bootstrap"] = boot.to_dict()
     if args.out:
@@ -380,15 +375,14 @@ def cmd_regress(args) -> int:
         spec = ScoreSpec("gaussian")
     odds = fit_all_odds(ds, strata, n_min=args.n_min) if args.method == "ipw" else {}
     est = solve_weighted_ee(ds, strata, odds, spec, method=args.method)
-    cov = sandwich_variance(ds, strata, odds, spec, est.theta_hat, naive=args.naive_sandwich)
-    est.covariance = cov
-    table = est.wald_table(args.level)
+    cov = sandwich_variance(ds, strata, odds, est, naive=args.naive_sandwich)
+    table = est.wald_table(cov, args.level)
     if args.out:
         _write_json(args.out, {
             "config": _resolved(args),
             "coefficients": table,
             "covariance": cov.tolist(),
-            "diagnostics": est.diagnostics,
+            "diagnostics": est.weights.diagnostics(),
         })
 
     print(f"marginal parametric model ({spec.describe(ds.l_names)}), IPW-weighted, n={ds.n}")

@@ -54,10 +54,11 @@ class WeightTable:
         }
 
 
-def weight_table(ds: Dataset, strata: StratumIndex, odds: dict, deltas=(None,), center=None):
+def weight_table(ds: Dataset, strata: StratumIndex, odds: dict | None, deltas=(None,), center=None):
     """Complete-case weight tables from the odds models of the pairs present
     in `strata`, yielded one per entry of `deltas`; every pair present with
-    incomplete primaries needs a model.
+    incomplete primaries needs a model, and `odds` None means zero odds in
+    every pair.
 
     A delta and the `center` are length-d vectors; each odds contribution
     for pair (tau, a) is then multiplied by exp(delta restricted to the
@@ -127,8 +128,10 @@ class ThetaEstimate:
         }
 
 
-def _require_models(strata: StratumIndex, models: dict, family: str) -> list[PatternPair]:
-    pairs = strata.incomplete_pairs()
+def _require_models(strata: StratumIndex, models: dict | None, family: str) -> list[PatternPair]:
+    """The incomplete pairs present in `strata`, each of which needs a model
+    in `models`; None stands for no model (a zero term) in every pair."""
+    pairs = strata.incomplete_pairs() if models is not None else []
     for pr in pairs:
         if pr.key not in models:
             raise ConfigError(f"no {family} model supplied for stratum {pr} present in the data")
@@ -192,10 +195,8 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
     """
     if influence and strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
-    if odds is not None:
-        _require_models(strata, odds, "odds")
-    if outcomes is not None:
-        _require_models(strata, outcomes, "outcome")
+    _require_models(strata, odds, "odds")
+    _require_models(strata, outcomes, "outcome")
     fmap = complete_values(ds, strata, f)
     sums = {}
     for pr in strata.pairs():

@@ -372,15 +372,13 @@ def fit_odds(
 
     if view._base is None:
         view._alpha[key] = alpha
-    p = 1.0 / (1.0 + np.exp(-eta))
-    info = (Z.T * (w * (p * (1.0 - p)))) @ Z / n
     return OddsModel(
         pair=pair,
         alpha=alpha,
         names=names,
         n_case=n_case,
         n_pool=n_pool,
-        info=info,
+        info=-_score_hessian_at(eta, Z, y, n, w)[1],
         keep=tuple(keep) if keep is not None else None,
         n_iter=it,
         nll_path=nll_path,

@@ -6,10 +6,11 @@ estimator, adding one correction term per estimated nuisance model.  Models
 supplied as known functions (anything without fitted metadata) contribute no
 correction.  The influence values come from the estimators' own pass over
 the pattern pairs, which `estimate_*(..., influence=True)` also attaches.
-The nonparametric bootstrap resamples whole records and reruns the entire
-pipeline, nuisance refits included.  A resample is drawn as per-record
-frequencies: the full-data stratum index reweighted by them (see
-`StratumIndex.reweight`), which the package's fits and estimators honour.
+The nonparametric bootstrap takes the caller's point estimate, resamples
+whole records and reruns the entire pipeline on each resample, nuisance
+refits included.  A resample is drawn as per-record frequencies: the
+full-data stratum index reweighted by them (see `StratumIndex.reweight`),
+which the package's fits and estimators honour.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import Dataset, StratumIndex
+from .data import Dataset, StratumIndex, check_finite
 from .errors import AccmvError, BootstrapInstabilityError, ConfigError
 from .estimators import InfluenceVector, _walk
 
@@ -101,8 +102,8 @@ def _check_replicates(B, none_ok: bool = False) -> None:
         raise ConfigError(f"bootstrap needs B >= 2{' (or 0 for none)' if none_ok else ''}, got {B}")
 
 
-def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int, max_failure_rate: float = 0.2,
-              what: str = "bootstrap") -> tuple[list, dict]:
+def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int,
+              max_failure_rate: float = 0.2) -> tuple[list, dict]:
     """Run `fn(ds, resampled strata)` on B case resamples of the records.
 
     Replicate i draws n records with replacement from the i-th child of
@@ -121,7 +122,7 @@ def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int, max_fail
             failures[type(e).__name__] += 1
     failures = dict(sorted(failures.items()))
     if B - len(values) > max_failure_rate * B:
-        raise BootstrapInstabilityError(f"{B - len(values)}/{B} {what} replicates failed to fit: {failures}")
+        raise BootstrapInstabilityError(f"{B - len(values)}/{B} bootstrap replicates failed to fit: {failures}")
     return values, failures
 
 
@@ -160,26 +161,30 @@ def bootstrap(
     ds: Dataset,
     strata: StratumIndex,
     pipeline,
+    estimate,
     B: int = DEFAULT_B,
     seed: int = 0,
     level: float = DEFAULT_LEVEL,
     max_failure_rate: float = 0.2,
 ) -> BootstrapReport:
-    """Case bootstrap of a full estimation pipeline.
+    """Case bootstrap of a full estimation pipeline around its point estimate.
 
-    `pipeline(ds, strata)` returns a scalar or vector estimate; it runs on
-    the full-data index for the point estimate and is rerun on each
-    resample (see `replicate`), nuisance refits included.  A resample is
-    `strata` reweighted by record frequencies, so the pipeline must sum over
-    records through the package's fits and estimators, or honour
-    `strata.freq` itself.
+    `estimate` is the scalar or vector that `pipeline(ds, strata)` returns
+    on the full data; `pipeline` is rerun on each resample (see
+    `replicate`), nuisance refits included.  A resample is `strata`
+    reweighted by record frequencies, so the pipeline must sum over records
+    through the package's fits and estimators, or honour `strata.freq`
+    itself.
     """
     _check_replicates(B)
     z = critical_value(level)
-    point = np.atleast_1d(np.asarray(pipeline(ds, strata), dtype=float))
+    check_finite("the bootstrap's point estimate", np.atleast_1d(estimate))
+    point = np.atleast_1d(np.asarray(estimate, dtype=float))
     reps, failures = replicate(ds, strata, lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
                                B, seed, max_failure_rate)
     mat = np.vstack(reps)
+    if point.shape != mat.shape[1:]:
+        raise ConfigError(f"the point estimate has shape {point.shape} but each replicate {mat.shape[1:]}")
     se = mat.std(axis=0, ddof=1)
     lo_q, hi_q = np.quantile(mat, [(1 - level) / 2.0, (1 + level) / 2.0], axis=0)
 

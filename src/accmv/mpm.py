@@ -15,13 +15,14 @@ naive variant drops those corrections for diagnostics.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
-from .estimators import compute_weights, weight_table
+from .estimators import WeightTable, _require_models, compute_weights
 from .glm import fitted, odds_correction, pair_view, view_values
 from .inference import critical_value
 
@@ -51,6 +52,9 @@ class ScoreSpec:
         if self.kind == "linear":
             if self.response is None or not self.predictors:
                 raise ConfigError("linear score needs a response coordinate and predictors")
+            for j in (self.response, *self.predictors):
+                if isinstance(j, bool) or not isinstance(j, numbers.Integral) or j < 0:
+                    raise ConfigError(f"score coordinates must be non-negative integers, got {j!r}")
             if self.response in self.predictors:
                 raise ConfigError("response coordinate cannot also be a predictor")
 
@@ -167,20 +171,16 @@ class ScoreSpec:
 @dataclass
 class MpmEstimate:
     theta_hat: np.ndarray
-    covariance: np.ndarray | None
     iterations: int                  # always 0: the root is in closed form
     residual: float                  # largest |sum w s_j| / sum w |s_j| over score columns
     coef_names: list[str]
-    diagnostics: dict | None = None
+    spec: ScoreSpec                  # the estimating function solved
+    weights: WeightTable             # the weights it was solved with
 
-    def standard_errors(self) -> np.ndarray:
-        if self.covariance is None:
-            raise ConfigError("no covariance attached to this estimate")
-        return np.sqrt(np.diag(self.covariance))
-
-    def wald_table(self, level: float = 0.95) -> list[dict]:
+    def wald_table(self, covariance: np.ndarray, level: float = 0.95) -> list[dict]:
+        """Wald intervals of the coefficients under `covariance`."""
         z = critical_value(level)
-        se = self.standard_errors()
+        se = np.sqrt(np.diag(covariance))
         return [
             {
                 "coef": nm,
@@ -196,7 +196,7 @@ class MpmEstimate:
 def solve_weighted_ee(
     ds: Dataset,
     strata: StratumIndex,
-    odds: dict,
+    odds: dict | None,
     spec: ScoreSpec,
     method: str = "ipw",
 ) -> MpmEstimate:
@@ -204,13 +204,17 @@ def solve_weighted_ee(
     records in closed form (`ScoreSpec.init`: weighted least squares, or the
     weighted mean and covariance).  The check that it solves the equation is
     scale-free: per score column j, |sum_i w_i s_ij| <= EE_TOL * sum_i w_i |s_ij|,
-    a column of zero terms counting as solved."""
+    a column of zero terms counting as solved.  `odds` None weights every
+    complete-primary record by its frequency alone (the complete-case fit)."""
     if method != "ipw":
         raise CongenialityError(
             f"method {method!r} is not available for marginal parametric models: outcome "
             "regressions condition one part of L on another and can conflict with the "
             "marginal model; use IPW"
         )
+    for j in (spec.response, *spec.predictors) if spec.kind == "linear" else ():
+        if j >= ds.d:
+            raise ConfigError(f"score coordinate {j} out of range for d={ds.d}")
     wt = compute_weights(ds, strata, odds)
     Lc, w = ds.L[wt.rows], wt.total
     if Lc.shape[0] == 0:
@@ -227,33 +231,36 @@ def solve_weighted_ee(
         )
     return MpmEstimate(
         theta_hat=theta,
-        covariance=None,
         iterations=0,
         residual=resid,
         coef_names=spec.coef_names(ds.l_names),
-        diagnostics=wt.diagnostics(),
+        spec=spec,
+        weights=wt,
     )
 
 
 def sandwich_variance(
     ds: Dataset,
     strata: StratumIndex,
-    odds: dict,
-    spec: ScoreSpec,
-    theta_hat,
+    odds: dict | None,
+    est: MpmEstimate,
     naive: bool = False,
 ) -> np.ndarray:
-    """Empirical sandwich covariance of the weighted estimating-equation root.
+    """Empirical sandwich covariance of the weighted estimating-equation root
+    `est`, which `solve_weighted_ee` fitted with `odds` on these data.
 
     The combined per-record influence stacks the weighted score with, unless
     naive=True, a correction for each fitted odds model propagating its
     coefficient noise through the weights.  Every pair present with
-    incomplete primaries needs an odds model.  Defined for unit frequencies.
+    incomplete primaries needs an odds model, unless `odds` is None.
+    Defined for unit frequencies.
     """
     if strata.freq is not None:
         raise ConfigError("the sandwich is defined for unit frequencies only, not on a reweighted index")
-    theta_hat = np.asarray(theta_hat, dtype=float)
-    wt, = weight_table(ds, strata, odds)
+    pairs = _require_models(strata, odds, "odds")
+    spec, theta_hat, wt = est.spec, est.theta_hat, est.weights
+    if not np.array_equal(wt.rows, np.flatnonzero(strata.complete_mask)):
+        raise ConfigError("the estimate was solved on other data: its complete-primary records differ")
     Lc, w = ds.L[wt.rows], wt.total
     n = ds.n
     q = spec.q(ds.d)
@@ -263,7 +270,7 @@ def sandwich_variance(
     u[wt.rows] = s[wt.rows] * w[:, None]
     A = spec.jacobian_sum(theta_hat, Lc, w) / n
     if not naive:
-        for pr in strata.incomplete_pairs():
+        for pr in pairs:
             model = odds[pr.key]
             if not fitted(model):
                 continue

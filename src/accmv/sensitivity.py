@@ -18,7 +18,7 @@ from .data import Dataset, Functional, StratumIndex, check_finite
 from .errors import ConfigError, DegenerateNormalizationError
 from .estimators import weight_table
 from .glm import fit_all_odds
-from .inference import DEFAULT_LEVEL, _check_replicates, critical_value, replicate
+from .inference import DEFAULT_LEVEL, _check_replicates, bootstrap
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid) -> list[float]:
 @dataclass
 class SensitivityCurve:
     functional: str
-    deltas: list            # effective per-coordinate delta per grid point
     multipliers: list
     estimates: list
     ci_lower: list
@@ -85,7 +84,6 @@ class SensitivityCurve:
     seed: int | None = None
     n_failed: int = 0
     failures: dict = field(default_factory=dict)   # AccmvError subclass name -> count
-    meta: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -107,30 +105,24 @@ def sweep(
 ) -> SensitivityCurve:
     """Tilted estimates over the multiplier grid, sharing the supplied odds
     fits across grid points.  B = 0 runs no bootstrap.  With B >= 2, a case
-    bootstrap (see `inference.replicate`) refits the odds inside every
-    replicate and evaluates the whole grid on it; normal-based intervals at
-    level `DEFAULT_LEVEL` from the per-point replicate spread are attached."""
+    bootstrap (see `inference.bootstrap`) refits the odds inside every
+    replicate and evaluates the whole grid on it; its normal-based intervals
+    at level `DEFAULT_LEVEL` are attached."""
     if not spec.grid:
         raise ConfigError("sweep needs a nonempty grid")
     _check_replicates(B, none_ok=True)
-    z = critical_value(DEFAULT_LEVEL)
     grid = list(spec.grid)
     ests = _tilted_grid(ds, strata, odds, f, spec, grid)
     lo = [float("nan")] * len(grid)
     hi = [float("nan")] * len(grid)
     failures = {}
     if B:
-        reps, failures = replicate(
-            ds, strata,
-            lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid),
-            B, seed, what="sweep",
-        )
-        se = np.asarray(reps).std(axis=0, ddof=1)
-        lo = [float(e - z * s) for e, s in zip(ests, se)]
-        hi = [float(e + z * s) for e, s in zip(ests, se)]
+        boot = bootstrap(ds, strata, lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid),
+                         ests, B, seed, DEFAULT_LEVEL)
+        lo, hi = np.atleast_1d(boot.normal.lower).tolist(), np.atleast_1d(boot.normal.upper).tolist()
+        failures = boot.failures
     return SensitivityCurve(
         functional=f.describe(),
-        deltas=[spec.resolved_delta(ds.d, m).tolist() for m in grid],
         multipliers=grid,
         estimates=ests,
         ci_lower=lo,
@@ -139,5 +131,4 @@ def sweep(
         seed=seed if B else None,
         n_failed=sum(failures.values()),
         failures=failures,
-        meta={"center": spec.resolved_center(ds.d).tolist(), "level": DEFAULT_LEVEL},
     )

@@ -365,7 +365,7 @@ def verify_oracles(design: SimDesign) -> OracleReport:
 
         spec = ScoreSpec("linear", response=1, predictors=(0,))
         est = solve_weighted_ee(ds, strata, truth.odds, spec)
-        cov = sandwich_variance(ds, strata, truth.odds, spec, est.theta_hat)
+        cov = sandwich_variance(ds, strata, truth.odds, est)
         for j, nm in enumerate(est.coef_names):
             _check(rows, f"beta[{nm}] via oracle weights", est.theta_hat[j], truth.theta_true[j], np.sqrt(cov[j, j]))
 

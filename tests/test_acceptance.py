@@ -222,8 +222,9 @@ def test_criterion_6_property_suites(single_20k, multiple_20k):
     def pipeline(d, s):
         return estimate_ra(d, s, fit_all_outcomes(d, s, f1), f1).theta_hat
 
-    r1 = bootstrap(sub, build_strata(sub), pipeline, B=20, seed=SEED)
-    r2 = bootstrap(sub, build_strata(sub), pipeline, B=20, seed=SEED)
+    point = pipeline(sub, build_strata(sub))
+    r1 = bootstrap(sub, build_strata(sub), pipeline, point, B=20, seed=SEED)
+    r2 = bootstrap(sub, build_strata(sub), pipeline, point, B=20, seed=SEED)
     results["bootstrap determinism"] = (
         r1.se == r2.se and r1.percentile.lower == r2.percentile.lower
         and r1.normal.upper == r2.normal.upper

@@ -8,6 +8,8 @@ any scale, with missing cells, constant columns and tiny strata, the fits,
 estimators, sweep and marginal model raise only `AccmvError`s and return
 finite numbers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,15 +125,19 @@ def test_decomposed_product_past_d_is_a_data_error(two_primaries):
 @pytest.mark.parametrize("call", [
     lambda ds, s: fit_odds(ds, s, s.incomplete_pairs()[0], keep=(True,) * 9),
     lambda ds, s: fit_outcome(ds, s, s.incomplete_pairs()[0], Functional("coordinate", (0,)), keep=(False,)),
-    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, B=2.5),
-    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, B="4"),
+    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, 0.0, B=2.5),
+    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, 0.0, B="4"),
+    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, float("nan"), B=4),
+    lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, "0.0x", B=4),
+    lambda ds, s: bootstrap(ds, s, lambda d, x: [0.0, 1.0], 0.0, B=4),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=3.0),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=1),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=-3),
-], ids=["odds-keep-length", "outcome-keep-length", "bootstrap-B-float", "bootstrap-B-text", "sweep-B-float",
+], ids=["odds-keep-length", "outcome-keep-length", "bootstrap-B-float", "bootstrap-B-text",
+        "bootstrap-estimate-nan", "bootstrap-estimate-text", "bootstrap-estimate-shape", "sweep-B-float",
         "sweep-B-one", "sweep-B-negative"])
 def test_named_bad_estimation_inputs(two_primaries, call):
     ds, strata = two_primaries
@@ -157,6 +163,8 @@ def small_datasets(draw):
 
 def finite_numbers(value):
     """Every number reachable from `value` is finite."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return finite_numbers(vars(value))
     if isinstance(value, dict):
         return all(finite_numbers(v) for v in value.values())
     if isinstance(value, (list, tuple)):
@@ -189,7 +197,7 @@ def test_estimation_api_raises_only_accmv_errors(ds, n_min, kind):
         attempt("sweep", lambda: sweep(ds, strata, odds, f, TiltSpec(delta=(0.5,), grid=(-1.0, 0.0, 1.0))))
         attempt("mpm", lambda: solve_weighted_ee(ds, strata, odds, spec))
         if "mpm" in got:
-            attempt("sandwich", lambda: sandwich_variance(ds, strata, odds, spec, got["mpm"].theta_hat))
+            attempt("sandwich", lambda: sandwich_variance(ds, strata, odds, got["mpm"]))
     if outcomes is not None:
         attempt("ra", lambda: estimate_ra(ds, strata, outcomes, f, influence=True))
         if odds is not None:

@@ -526,3 +526,60 @@ def test_closed_stdout_ends_quietly_after_writing_out(command, single_csv, tmp_p
     assert proc.returncode == 1
     assert "Traceback" not in err and "Error" not in err, err
     assert out.stat().st_size > 0
+
+
+def test_fit_bootstrap_fits_the_full_data_once(single_csv, monkeypatch, capsys):
+    # the bootstrap takes the point estimate the command already holds
+    import accmv.cli
+
+    full_data = []
+    inner = accmv.cli.fit_all_odds
+
+    def counted(ds, strata, **kwargs):
+        full_data.append(strata.freq is None)
+        return inner(ds, strata, **kwargs)
+
+    monkeypatch.setattr(accmv.cli, "fit_all_odds", counted)
+    assert run(["fit", "--data", single_csv, *DATA_ARGS, "--method", "mr", "--bootstrap", "4", "--seed", "1"]) == 0
+    assert sum(full_data) == 1 and len(full_data) == 5
+
+
+@pytest.fixture(scope="module")
+def thin_stratum_csv(tmp_path_factory):
+    """200 records whose one incomplete stratum holds 10, the least an odds
+    fit takes: a resample that draws fewer fails with SmallStratumError."""
+    rng = np.random.default_rng(0)
+    X, L = rng.standard_normal((200, 1)), rng.standard_normal((200, 1))
+    L[:10] = np.nan
+    path = tmp_path_factory.mktemp("thin") / "thin.csv"
+    write_csv(path, Dataset(X, L, ("X1",), ("L1",)))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--method", "ipw"],
+    ["sensitivity", "--delta", "0.5"],
+], ids=lambda c: c[0])
+def test_too_many_failed_replicates_exit_5(command, thin_stratum_csv, capsys):
+    assert run([*command, "--data", thin_stratum_csv, "--x-cols", "X1", "--l-cols", "L1",
+                "--bootstrap", "20", "--seed", "1"]) == 5
+    captured = capsys.readouterr()
+    assert "inference error: 5/20 bootstrap replicates failed to fit: {'SmallStratumError': 5}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("table", [1, 3])
+def test_dump_replicates_reads_back_as_raw(table, tmp_path, capsys):
+    path = tmp_path / "dump.csv"
+    assert run(["table", "--table", str(table), "--replicates", "3", "--n", "2000", "--seed", "4",
+                "--workers", "1", "--dump-replicates", str(path)]) == 0
+    with open(path, newline="") as fh:
+        back = [(int(r["replicate"]), r["method"], int(r["coef"]), float(r["estimate"]), float(r["se"]))
+                for r in csv.DictReader(fh)]
+    raw = run_table(table, 3, 2000, 4, workers=1)["raw"]
+    expected = [(i, name, j, e, s)
+                for i, rep in enumerate(raw)
+                for name, (est, se) in rep.items()
+                for j, (e, s) in enumerate(zip(np.atleast_1d(est).tolist(), np.atleast_1d(se).tolist()))]
+    assert back == expected
+    assert max(row[2] for row in back) == (1 if table == 3 else 0)

@@ -159,8 +159,17 @@ def test_dataset_rejects_infinite_cells(block, bad):
 
 
 def test_dimension_cap():
-    with pytest.raises(ConfigError):
-        Dataset(np.ones((2, 10)), np.ones((2, 3)))
+    # the cap on p + d, and the shapes a dataset cannot hold: row counts
+    # that differ, no record, no auxiliary or no primary column
+    for X, L, why in (
+        (np.ones((2, 10)), np.ones((2, 3)), "exceeds the cap"),
+        (np.ones((3, 1)), np.ones((2, 1)), "X has 3 rows but L has 2"),
+        (np.ones((0, 1)), np.ones((0, 1)), "at least one record"),
+        (np.ones((2, 0)), np.ones((2, 1)), "at least one auxiliary and one primary"),
+        (np.ones((2, 1)), np.ones((2, 0)), "at least one auxiliary and one primary"),
+    ):
+        with pytest.raises(ConfigError, match=why):
+            Dataset(X, L)
 
 
 def test_record_patterns():

@@ -127,17 +127,20 @@ def test_bootstrap_deterministic(single_20k):
     def pipeline(d, s):
         return estimate_ra(d, s, fit_all_outcomes(d, s, F1), F1).theta_hat
 
-    r1 = bootstrap(small, build_strata(small), pipeline, B=30, seed=7)
-    r2 = bootstrap(small, build_strata(small), pipeline, B=30, seed=7)
+    point = pipeline(small, build_strata(small))
+    r1 = bootstrap(small, build_strata(small), pipeline, point, B=30, seed=7)
+    r2 = bootstrap(small, build_strata(small), pipeline, point, B=30, seed=7)
     assert r1.se == r2.se
     assert r1.normal.lower == r2.normal.lower and r1.percentile.upper == r2.percentile.upper
-    r3 = bootstrap(small, build_strata(small), pipeline, B=30, seed=8)
+    r3 = bootstrap(small, build_strata(small), pipeline, point, B=30, seed=8)
     assert r3.se != r1.se
 
 
 def test_bootstrap_degenerate_rows_zero_width():
     ds = Dataset(np.ones((30, 1)), np.full((30, 1), 2.5))
-    rep = bootstrap(ds, build_strata(ds), lambda d, s: estimate_complete_case(d, s, F1).theta_hat, B=20, seed=1)
+    strata = build_strata(ds)
+    point = estimate_complete_case(ds, strata, F1).theta_hat
+    rep = bootstrap(ds, strata, lambda d, s: estimate_complete_case(d, s, F1).theta_hat, point, B=20, seed=1)
     assert rep.se == 0.0
     assert rep.percentile.lower == rep.percentile.upper == 2.5
 
@@ -145,7 +148,7 @@ def test_bootstrap_degenerate_rows_zero_width():
 def test_bootstrap_guards():
     ds = Dataset(np.ones((10, 1)), np.ones((10, 1)))
     with pytest.raises(ConfigError):
-        bootstrap(ds, build_strata(ds), lambda d, s: 0.0, B=1, seed=0)
+        bootstrap(ds, build_strata(ds), lambda d, s: 0.0, 0.0, B=1, seed=0)
 
     calls = {"k": 0}
 
@@ -156,7 +159,7 @@ def test_bootstrap_guards():
         return 0.0
 
     with pytest.raises(BootstrapInstabilityError):
-        bootstrap(ds, build_strata(ds), flaky, B=10, seed=0)
+        bootstrap(ds, build_strata(ds), flaky, flaky(ds, build_strata(ds)), B=10, seed=0)
 
 
 def test_bootstrap_skip_count():
@@ -169,7 +172,7 @@ def test_bootstrap_skip_count():
             raise FitError("boom")
         return estimate_complete_case(d, s, F1).theta_hat
 
-    rep = bootstrap(ds, build_strata(ds), sometimes, B=20, seed=3)
+    rep = bootstrap(ds, build_strata(ds), sometimes, sometimes(ds, build_strata(ds)), B=20, seed=3)
     assert rep.n_failed >= 1
     assert rep.B == 20
 

@@ -7,6 +7,7 @@ from accmv.glm import fit_all_odds
 from accmv.inference import bootstrap
 from accmv.estimators import compute_weights
 from accmv.mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
+from accmv.simgen import SimDesign, generate
 
 LIN = ScoreSpec("linear", response=1, predictors=(0,))
 
@@ -75,7 +76,7 @@ def test_sandwich_complete_data_equals_hc0():
     ds = complete_ds(n=300, seed=5)
     strata = build_strata(ds)
     est = solve_weighted_ee(ds, strata, {}, LIN)
-    cov = sandwich_variance(ds, strata, {}, LIN, est.theta_hat)
+    cov = sandwich_variance(ds, strata, {}, est)
     Z = np.column_stack([np.ones(ds.n), ds.L[:, 0]])
     resid = ds.L[:, 1] - Z @ est.theta_hat
     bread = np.linalg.inv(Z.T @ Z)
@@ -87,7 +88,7 @@ def test_sandwich_psd_and_symmetric(mpm_2k):
     ds, strata = mpm_2k
     odds = fit_all_odds(ds, strata)
     est = solve_weighted_ee(ds, strata, odds, LIN)
-    cov = sandwich_variance(ds, strata, odds, LIN, est.theta_hat)
+    cov = sandwich_variance(ds, strata, odds, est)
     np.testing.assert_allclose(cov, cov.T, atol=1e-15)
     assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
@@ -96,8 +97,8 @@ def test_naive_sandwich_differs(mpm_2k):
     ds, strata = mpm_2k
     odds = fit_all_odds(ds, strata)
     est = solve_weighted_ee(ds, strata, odds, LIN)
-    full = sandwich_variance(ds, strata, odds, LIN, est.theta_hat)
-    naive = sandwich_variance(ds, strata, odds, LIN, est.theta_hat, naive=True)
+    full = sandwich_variance(ds, strata, odds, est)
+    naive = sandwich_variance(ds, strata, odds, est, naive=True)
     assert not np.allclose(full, naive)
 
 
@@ -109,13 +110,11 @@ def test_congeniality_policy(mpm_2k):
 
 
 def test_recovers_truth_at_scale():
-    from accmv.simgen import SimDesign, generate
-
     ds = generate(SimDesign("mpm", 20000, 555))
     strata = build_strata(ds)
     odds = fit_all_odds(ds, strata)
     est = solve_weighted_ee(ds, strata, odds, LIN)
-    cov = sandwich_variance(ds, strata, odds, LIN, est.theta_hat)
+    cov = sandwich_variance(ds, strata, odds, est)
     se = np.sqrt(np.diag(cov))
     target = np.array([-1.0, 0.5])
     assert np.all(np.abs(est.theta_hat - target) <= 5 * se)
@@ -125,13 +124,13 @@ def test_bootstrap_agrees_with_sandwich(mpm_2k):
     ds, strata = mpm_2k
     odds = fit_all_odds(ds, strata)
     est = solve_weighted_ee(ds, strata, odds, LIN)
-    cov = sandwich_variance(ds, strata, odds, LIN, est.theta_hat)
+    cov = sandwich_variance(ds, strata, odds, est)
     sand_se = np.sqrt(np.diag(cov))
 
     def pipeline(d, s):
         return solve_weighted_ee(d, s, fit_all_odds(d, s), LIN).theta_hat
 
-    rep = bootstrap(ds, strata, pipeline, B=300, seed=99)
+    rep = bootstrap(ds, strata, pipeline, est.theta_hat, B=300, seed=99)
     assert np.all(np.abs(rep.se - sand_se) / sand_se <= 0.15)
 
 
@@ -145,7 +144,7 @@ def test_gaussian_spec_recovers_moments():
     C = spec._factor(est.theta_hat, d)
     np.testing.assert_allclose(mu, ds.L.mean(axis=0), atol=1e-8)
     np.testing.assert_allclose(C @ C.T, np.cov(ds.L.T, ddof=0), atol=1e-8)
-    cov = sandwich_variance(ds, strata, {}, spec, est.theta_hat)
+    cov = sandwich_variance(ds, strata, {}, est)
     assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
 
@@ -166,17 +165,27 @@ def test_missing_odds_model_is_config_error(mpm_2k):
     # a present pair without an odds model is an error, never zero odds
     ds, strata = mpm_2k
     odds = fit_all_odds(ds, strata)
-    theta = solve_weighted_ee(ds, strata, odds, LIN).theta_hat
+    est = solve_weighted_ee(ds, strata, odds, LIN)
     partial = {k: m for k, m in odds.items() if k != (1, 2)}
     assert len(partial) == len(odds) - 1
     for call in (
         lambda: compute_weights(ds, strata, partial),
         lambda: solve_weighted_ee(ds, strata, partial, LIN),
-        lambda: sandwich_variance(ds, strata, partial, LIN, theta),
-        lambda: sandwich_variance(ds, strata, partial, LIN, theta, naive=True),
+        lambda: sandwich_variance(ds, strata, partial, est),
+        lambda: sandwich_variance(ds, strata, partial, est, naive=True),
     ):
         with pytest.raises(ConfigError, match=r"no odds model .*r=1, a=10"):
             call()
+
+
+def test_sandwich_rejects_an_estimate_of_other_data(mpm_2k):
+    ds, strata = mpm_2k
+    est = solve_weighted_ee(ds, strata, fit_all_odds(ds, strata), LIN)
+    for n in (1000, 3000):
+        other = generate(SimDesign("mpm", n, 2))
+        s = build_strata(other)
+        with pytest.raises(ConfigError, match="solved on other data"):
+            sandwich_variance(other, s, fit_all_odds(other, s), est)
 
 
 def test_spec_validation():
@@ -188,12 +197,24 @@ def test_spec_validation():
     assert names == ["intercept", "Y2"]
 
 
+def test_score_coordinates_are_checked(mpm_2k):
+    # a negative coordinate would alias one counted from the end, a float
+    # one would fail as an index, and one past d is not in the data
+    for response, predictors in ((-1, (0,)), (1, (-2,)), (1.5, (0,)), (True, (0,))):
+        with pytest.raises(ConfigError, match="non-negative integers"):
+            ScoreSpec("linear", response=response, predictors=predictors)
+    ds, strata = mpm_2k
+    odds = fit_all_odds(ds, strata)
+    for response, predictors, bad in ((5, (0,), 5), (1, (7,), 7)):
+        with pytest.raises(ConfigError, match=f"coordinate {bad} out of range for d=2"):
+            solve_weighted_ee(ds, strata, odds, ScoreSpec("linear", response=response, predictors=predictors))
+
+
 def test_wald_table(mpm_2k):
     ds, strata = mpm_2k
     odds = fit_all_odds(ds, strata)
     est = solve_weighted_ee(ds, strata, odds, LIN)
-    est.covariance = sandwich_variance(ds, strata, odds, LIN, est.theta_hat)
-    table = est.wald_table()
+    table = est.wald_table(sandwich_variance(ds, strata, odds, est))
     assert [row["coef"] for row in table] == ["intercept", "Y2"]
     for row in table:
         assert row["lower"] <= row["estimate"] <= row["upper"]

@@ -179,7 +179,7 @@ def test_influence_and_sandwich_need_unit_frequencies(single_20k, mpm_2k):
     odds = fit_all_odds(ds, rw)
     est = solve_weighted_ee(ds, rw, odds, LIN)
     with pytest.raises(ConfigError):
-        sandwich_variance(ds, rw, odds, LIN, est.theta_hat)
+        sandwich_variance(ds, rw, odds, est)
 
 
 def test_failures_are_tallied_by_error_class():
@@ -194,7 +194,8 @@ def test_failures_are_tallied_by_error_class():
             raise FitError("boom")
         return estimate_complete_case(d, s, F1).theta_hat
 
-    rep = bootstrap(ds, build_strata(ds), sometimes, B=20, seed=3, max_failure_rate=0.5)
+    rep = bootstrap(ds, build_strata(ds), sometimes, sometimes(ds, build_strata(ds)), B=20, seed=3,
+                    max_failure_rate=0.5)
     # the point estimate is call 1; replicates are calls 2-21
     assert rep.failures == {"FitError": 3, "SmallStratumError": 4}
     assert rep.n_failed == 7
