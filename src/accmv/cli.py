@@ -21,7 +21,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .data import Functional, Schema, build_strata, load_csv, write_csv
+from .data import DEFAULT_MISSING_TOKENS, Functional, Schema, build_strata, load_csv, write_csv
 from .errors import AccmvError, ConfigError, DataError, FitError, InferenceError
 from .estimators import (
     estimate_complete_case,
@@ -253,7 +253,7 @@ def _apply_config(args):
 def _schema(args) -> Schema:
     if not args.x_cols or not args.l_cols:
         raise ConfigError("--x-cols and --l-cols (or config equivalents) are required")
-    tokens = tuple(args.missing_tokens) if args.missing_tokens else ("", "NA")
+    tokens = tuple(args.missing_tokens) if args.missing_tokens else DEFAULT_MISSING_TOKENS
     return Schema(tuple(args.x_cols), tuple(args.l_cols), tokens)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .patterns import Pattern, PatternPair, dominating
 
 MAX_TOTAL_DIM = 12
 DEFAULT_MISSING_TOKENS = ("", "NA")
+_WRITE_BLOCK = 1 << 16        # rows held as Python floats at a time by write_csv
 
 
 @dataclass
@@ -95,19 +97,24 @@ def _mask_codes(mask: np.ndarray) -> np.ndarray:
 
 
 def load_csv(path, schema: Schema) -> Dataset:
-    """Read a headered CSV into a Dataset, deriving masks cell by cell.
+    """Read a headered CSV into a Dataset.
 
     Missing tokens (case-sensitive, whitespace-stripped) become NaN.  Any
-    other cell must parse as a finite real.
+    other cell must parse as a finite real.  A line that is empty or holds
+    only whitespace is not a record.  numpy's tokenizer reads a regular
+    file; a file it rejects, or input that cannot be opened twice, such as
+    a pipe, is read record by record, so that an error names its line,
+    column and cell.
     """
     try:
         fh = open(path, newline="")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
-        reader = _rows(fh, path)
+        reader = csv.reader(fh)
+        rows = _rows(reader, path)
         try:
-            header = next(reader)
+            _, header = next(rows)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -115,24 +122,52 @@ def load_csv(path, schema: Schema) -> Dataset:
         for name in (*schema.x_cols, *schema.l_cols):
             if name not in pos:
                 raise SchemaError(f"{path}: column {name!r} not found in header {header}")
-        x_idx = [pos[c] for c in schema.x_cols]
-        l_idx = [pos[c] for c in schema.l_cols]
+        cols = [pos[c] for c in (*schema.x_cols, *schema.l_cols)]
         tokens = set(schema.missing_tokens)
-
-        X_rows, L_rows = [], []
-        for rownum, row in enumerate(reader, start=2):
-            X_rows.append(_parse_cells(row, x_idx, header, tokens, path, rownum))
-            L_rows.append(_parse_cells(row, l_idx, header, tokens, path, rownum))
-    if not X_rows:
+        XL = _loadtxt(path, reader.line_num, cols, tokens) if fh.seekable() else None
+        if XL is None:
+            XL = np.array([_parse_cells(row, cols, header, tokens, path, line) for line, row in rows])
+    if not len(XL):
         raise SchemaError(f"{path}: no data rows")
-    return Dataset(np.array(X_rows), np.array(L_rows), schema.x_cols, schema.l_cols)
+    p = len(schema.x_cols)
+    X, L = XL[:, :p].copy(), XL[:, p:].copy()
+    del XL                              # freed before the Dataset's checks allocate more
+    return Dataset(X, L, schema.x_cols, schema.l_cols)
 
 
-def _rows(fh, path):
-    """The rows of a CSV file; a line that is not CSV or not text is a ParseError."""
-    reader = csv.reader(fh)
+def _loadtxt(path, skip, cols, tokens):
+    """The cells at `cols` of the lines after the first `skip`, parsed as
+    `_parse_cells` parses them, or None when numpy's reader rejects the file
+    or finds no record in it."""
+    def cell(s):
+        s = s.strip()
+        if s in tokens:
+            return math.nan
+        v = float(s)
+        if not math.isfinite(v):        # else the text "nan" would pass as a missing cell
+            raise ValueError(f"non-finite value {s!r}")
+        return v
+
+    with open(path, newline="") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            XL = np.loadtxt(fh, delimiter=",", skiprows=skip, usecols=cols, ndmin=2,
+                            comments=None, quotechar='"', converters=cell)
+        except ValueError:              # UnicodeDecodeError included
+            return None
+    return XL if len(XL) else None
+
+
+def _rows(reader, path):
+    """(line, record) for each record of a CSV reader, numbering a record by
+    the line it starts on.  An empty or whitespace-only line is skipped; a
+    line that is not CSV or not text is a ParseError."""
+    line = reader.line_num + 1
     try:
-        yield from reader
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):
+                yield line, row
+            line = reader.line_num + 1
     except (csv.Error, UnicodeDecodeError) as e:
         raise ParseError(f"{path}: {e}") from None
 
@@ -157,13 +192,11 @@ def _parse_cells(row, idx, header, tokens, path, rownum):
 def write_csv(path, ds: Dataset) -> None:
     """Inverse of load_csv: empty cells for missing entries, repr-exact floats."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([*ds.x_names, *ds.l_names])
-        for i in range(ds.n):
-            row = []
-            for v in (*ds.X[i], *ds.L[i]):
-                row.append("" if math.isnan(v) else repr(float(v)))
-            w.writerow(row)
+        csv.writer(fh).writerow([*ds.x_names, *ds.l_names])
+        for i in range(0, ds.n, _WRITE_BLOCK):
+            rows = np.hstack([ds.X[i:i + _WRITE_BLOCK], ds.L[i:i + _WRITE_BLOCK]]).tolist()
+            # no repr of a finite float contains "nan" or needs quoting
+            fh.writelines(",".join(map(repr, row)).replace("nan", "") + "\r\n" for row in rows)
 
 
 @dataclass

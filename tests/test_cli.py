@@ -370,6 +370,19 @@ def test_fit_golden(design, method, single_csv, multiple_csv, tmp_path, capsys):
     assert abs(report["influence"]["se"] - se) <= 1e-12
 
 
+def test_trailing_blank_lines_are_not_records(single_csv, tmp_path, capsys):
+    padded = tmp_path / "padded.csv"
+    with open(single_csv, "rb") as fh:
+        padded.write_bytes(fh.read() + b"\r\n\r\n")
+    estimates = []
+    for data in (single_csv, str(padded)):
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--data", data, *DATA_ARGS, "--method", "mr", "--out", str(out)]) == 0
+        estimates.append(json.loads(out.read_text())["estimate"])
+    capsys.readouterr()
+    assert estimates[0] == estimates[1]
+
+
 def test_config_strings_go_through_option_converters(single_csv, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "o.json"

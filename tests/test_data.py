@@ -1,11 +1,18 @@
 import math
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from accmv import data
 from accmv.data import Dataset, Functional, Schema, build_strata, load_csv, write_csv
-from accmv.errors import ConfigError, DataError, ParseError, SchemaError
+from accmv.errors import AccmvError, ConfigError, DataError, ParseError, SchemaError
 from accmv.patterns import Pattern
+from accmv.simgen import SimDesign, generate
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -26,7 +33,8 @@ def test_load_csv_masks(tmp_path):
 
 
 def test_all_missing_row_retained(tmp_path):
-    path = write(tmp_path, "X1,X2,L1,L2\n,,,\n1,2,3,4\n")
+    # a line of delimiters is a record; an empty or whitespace-only line is not
+    path = write(tmp_path, "\nX1,X2,L1,L2\n,,,\n\n \t\n1,2,3,4\n\n\n")
     ds = load_csv(path, Schema(("X1", "X2"), ("L1", "L2")))
     assert ds.n == 2
     assert ds.r_codes[0] == 0 and ds.a_codes[0] == 0
@@ -42,6 +50,24 @@ def test_parse_error_names_cell(tmp_path):
     path = write(tmp_path, "X1,X2,L1\n1,zap,3\n")
     with pytest.raises(ParseError, match="X2"):
         load_csv(path, SCHEMA21)
+    path = write(tmp_path, "X1,X2,L1\n1,2,3\n\n  \n1,2,nan\n")
+    with pytest.raises(ParseError, match=r"d\.csv:5: column 'L1': non-finite value 'nan'"):
+        load_csv(path, SCHEMA21)
+
+
+@pytest.mark.parametrize("text", ["X1,X2,L1\n", "X1,X2,L1\r\n\r\n \n"])
+def test_header_only_file_has_no_data_rows(tmp_path, text):
+    path = write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SchemaError, match="no data rows"):
+            load_csv(path, SCHEMA21)
+
+
+def test_file_name_selects_no_decompressor(tmp_path):
+    # numpy opens "*.gz" paths through gzip; load_csv reads the file as text
+    ds = load_csv(write(tmp_path, "X1,X2,L1\n1.2,,3.4\n", name="d.csv.gz"), SCHEMA21)
+    assert ds.X[0, 0] == 1.2 and ds.L[0, 0] == 3.4
 
 
 def test_schema_error(tmp_path):
@@ -55,20 +81,121 @@ def test_missing_file():
         load_csv("/nonexistent/never.csv", SCHEMA21)
 
 
+def assert_roundtrip(path, ds):
+    """load_csv(write_csv(ds)) gives back bit-identical arrays, read by numpy's tokenizer."""
+    write_csv(path, ds)
+    fast = []
+    loadtxt = data._loadtxt
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_loadtxt", lambda *args: fast.append(loadtxt(*args)) or fast[-1])
+        back = load_csv(path, Schema(ds.x_names, ds.l_names))
+    assert fast[0] is not None
+    assert ds.X.tobytes() == back.X.tobytes()
+    assert ds.L.tobytes() == back.L.tobytes()
+    np.testing.assert_array_equal(ds.r_codes, back.r_codes)
+    np.testing.assert_array_equal(ds.a_codes, back.a_codes)
+
+
 def test_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((40, 2))
     L = rng.standard_normal((40, 2))
     X[rng.random((40, 2)) < 0.4] = np.nan
     L[rng.random((40, 2)) < 0.4] = np.nan
-    ds = Dataset(X, L)
+    assert_roundtrip(tmp_path / "out.csv", Dataset(X, L))
+
+
+@pytest.mark.parametrize("design", ["single", "multiple", "mpm"])
+def test_roundtrip_of_simulated_data(tmp_path, design):
+    assert_roundtrip(tmp_path / "out.csv", generate(SimDesign(design, 3000, 17)))
+
+
+def test_write_csv_bytes(tmp_path):
+    X = np.array([[np.nan, -0.0], [1e-300, 0.30000000000000004], [2.0, np.nan]])
+    L = np.array([[1 / 3, -123456789.12345679], [np.nan, np.nan], [5e-324, 1.7976931348623157e308]])
     path = tmp_path / "out.csv"
+    write_csv(path, Dataset(X, L, ("X1", "dose, mg"), ("L1", "L2")))
+    assert path.read_bytes() == (
+        b'X1,"dose, mg",L1,L2\r\n'
+        b",-0.0,0.3333333333333333,-123456789.12345679\r\n"
+        b"1e-300,0.30000000000000004,,\r\n"
+        b"2.0,,5e-324,1.7976931348623157e+308\r\n"
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_from_a_pipe(tmp_path):
+    # a pipe cannot be reopened, so it is read record by record
+    ds = generate(SimDesign("single", 2000, 3))
+    path, fifo = tmp_path / "d.csv", tmp_path / "pipe"
     write_csv(path, ds)
-    back = load_csv(path, Schema(ds.x_names, ds.l_names))
-    assert ds.X.tobytes() == back.X.tobytes()
-    assert ds.L.tobytes() == back.L.tobytes()
-    np.testing.assert_array_equal(ds.r_codes, back.r_codes)
-    np.testing.assert_array_equal(ds.a_codes, back.a_codes)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        back = load_csv(fifo, Schema(ds.x_names, ds.l_names))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert ds.X.tobytes() == back.X.tobytes() and ds.L.tobytes() == back.L.tobytes()
+
+
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", "NA", " 3 ", "1_0", "-0.0", "1e-300"]),
+)
+BAD_CELLS = st.sampled_from(["nan", "NaN", "inf", "-inf", "0x1p3", "1,5"])
+
+
+@st.composite
+def csv_cells(draw):
+    """One cell as it appears in the file; most of them parse."""
+    cell = draw(st.sampled_from([GOOD_CELLS] * 19 + [BAD_CELLS]).flatmap(lambda cells: cells))
+    how = draw(st.sampled_from(["plain"] * 18 + ["quoted", "stray quote"]))
+    if how == "quoted":
+        return '"' + cell.replace('"', '""') + '"'
+    if how == "stray quote":
+        at = draw(st.integers(0, len(cell)))
+        return cell[:at] + '"' + cell[at:]
+    return cell
+
+
+@st.composite
+def csv_texts(draw):
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    blank = st.sampled_from(["", " ", "\t", "  \t"])
+    lines = draw(st.lists(blank, max_size=2))   # blank lines before the header too
+    # a header may quote its names or span two lines
+    lines.append(draw(st.sampled_from(["X1,X2,L1", '"X1",X2, L1 ', f'X1,X2,L1,"two{end}lines"'])))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.sampled_from([True] * 5 + [False])):     # rows of 3, short rows and long rows
+            width = draw(st.sampled_from([3] * 8 + [1, 2, 4, 5]))
+            lines.append(",".join(draw(csv_cells()) for _ in range(width)))
+        else:
+            lines.append(draw(blank))
+    return end.join(lines) + draw(st.sampled_from(["", end, end + end]))
+
+
+def load_outcome(path, per_cell):
+    """Bits of the arrays `load_csv` returns, or the type and text of its error."""
+    with pytest.MonkeyPatch.context() as mp:
+        if per_cell:
+            mp.setattr(data, "_loadtxt", lambda *args: None)
+        try:
+            ds = load_csv(path, SCHEMA21)
+        except AccmvError as e:
+            return type(e).__name__, str(e)
+    return ds.X.shape, ds.X.tobytes(), ds.L.tobytes()
+
+
+# derandomized, so every run tries the same 400 files
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(csv_texts())
+def test_fast_and_per_cell_readers_agree(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diff") / "d.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    assert load_outcome(path, per_cell=False) == load_outcome(path, per_cell=True)
 
 
 def eight_record_fixture():
