@@ -12,17 +12,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import multiprocessing as mp
 import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 
 from .data import DEFAULT_MISSING_TOKENS, Functional, Schema, build_strata, load_csv, write_csv
-from .errors import AccmvError, ConfigError, DataError, FitError, InferenceError
+from .errors import ConfigError, DataError, FitError, InferenceError
 from .estimators import (
     estimate_complete_case,
     estimate_ipw,
@@ -30,7 +30,7 @@ from .estimators import (
     estimate_ra,
 )
 from .glm import complete_values, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
-from .inference import bootstrap, critical_value, normal_ci, seed_sequence
+from .inference import attempt, bootstrap, critical_value, failures_of, normal_ci, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
 from .simgen import SimDesign, default_functional, generate, misspec_masks, oracle_value, verify_oracles
@@ -105,14 +105,6 @@ def table_replicate(table: int, n: int, seed) -> dict:
     return _mean_table_rows(ds, strata, kind, default_functional(kind))
 
 
-def _table_worker(args):
-    """The rows of one replicate, or the class name of the error that failed it."""
-    try:
-        return table_replicate(*args)
-    except AccmvError as e:
-        return type(e).__name__
-
-
 def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) -> dict:
     """Replicate a benchmark table and summarize bias, sample SE, mean
     theoretical SE, and 95% CI coverage per method row.
@@ -129,14 +121,15 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     truth = oracle_value(kind).theta_true
     children = seed_sequence(seed).spawn(replicates)
     args = [(table, n, children[i]) for i in range(replicates)]
+    work = functools.partial(attempt, table_replicate)     # pickled by reference
     workers = workers if workers > 0 else (os.cpu_count() or 1)
     if workers > 1 and replicates > 1:
         ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
         with ctx.Pool(min(workers, replicates)) as pool:
-            results = pool.map(_table_worker, args, chunksize=max(1, replicates // (workers * 8)))
+            results = pool.starmap(work, args, chunksize=max(1, replicates // (workers * 8)))
     else:
-        results = [_table_worker(a) for a in args]
-    failures = dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
+        results = [work(*a) for a in args]
+    failures = failures_of(results)
     results = [None if isinstance(r, str) else r for r in results]
     ok = [r for r in results if r is not None]
     if not ok:

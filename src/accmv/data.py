@@ -118,15 +118,15 @@ def load_csv(path, schema: Schema) -> Dataset:
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        pos = {name: i for i, name in enumerate(header)}
         for name in (*schema.x_cols, *schema.l_cols):
-            if name not in pos:
-                raise SchemaError(f"{path}: column {name!r} not found in header {header}")
-        cols = [pos[c] for c in (*schema.x_cols, *schema.l_cols)]
-        tokens = set(schema.missing_tokens)
-        XL = _loadtxt(path, reader.line_num, cols, tokens) if fh.seekable() else None
+            if header.count(name) != 1:
+                raise SchemaError(f"{path}: column {name!r} {'repeated in' if name in header else 'not found in'} "
+                                  f"header {header}")
+        cols = [header.index(c) for c in (*schema.x_cols, *schema.l_cols)]
+        parse = _cell_parser(set(schema.missing_tokens))
+        XL = _loadtxt(path, reader.line_num, cols, parse) if fh.seekable() else None
         if XL is None:
-            XL = np.array([_parse_cells(row, cols, header, tokens, path, line) for line, row in rows])
+            XL = np.array([_parse_cells(row, cols, header, parse, path, line) for line, row in rows])
     if not len(XL):
         raise SchemaError(f"{path}: no data rows")
     p = len(schema.x_cols)
@@ -135,24 +135,38 @@ def load_csv(path, schema: Schema) -> Dataset:
     return Dataset(X, L, schema.x_cols, schema.l_cols)
 
 
-def _loadtxt(path, skip, cols, tokens):
-    """The cells at `cols` of the lines after the first `skip`, parsed as
-    `_parse_cells` parses them, or None when numpy's reader rejects the file
-    or finds no record in it."""
-    def cell(s):
+def _cell_parser(tokens):
+    """The cell rule of both readers: strip; a missing token is NaN, else a
+    finite float.  A cell over the csv module's field limit raises, as
+    `csv.reader` does, so numpy's reader leaves such a file to `_rows`."""
+    limit, nan, isfinite = csv.field_size_limit(), math.nan, math.isfinite
+
+    def parse(s):
+        if len(s) > limit:
+            raise ValueError(f"field larger than field limit ({limit})")
         s = s.strip()
         if s in tokens:
-            return math.nan
-        v = float(s)
-        if not math.isfinite(v):        # else the text "nan" would pass as a missing cell
+            return nan
+        try:
+            v = float(s)
+        except ValueError:
+            raise ValueError(f"cannot parse {s!r}") from None
+        if not isfinite(v):             # else the text "nan" would pass as a missing cell
             raise ValueError(f"non-finite value {s!r}")
         return v
 
+    return parse
+
+
+def _loadtxt(path, skip, cols, parse):
+    """The cells at `cols` of the lines after the first `skip`, each read by
+    `parse`, or None when numpy's reader or `parse` rejects the file or
+    numpy finds no record in it."""
     with open(path, newline="") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             XL = np.loadtxt(fh, delimiter=",", skiprows=skip, usecols=cols, ndmin=2,
-                            comments=None, quotechar='"', converters=cell)
+                            comments=None, quotechar='"', converters=parse)
         except ValueError:              # UnicodeDecodeError included
             return None
     return XL if len(XL) else None
@@ -172,20 +186,13 @@ def _rows(reader, path):
         raise ParseError(f"{path}: {e}") from None
 
 
-def _parse_cells(row, idx, header, tokens, path, rownum):
+def _parse_cells(row, idx, header, parse, path, rownum):
     out = []
     for i in idx:
-        cell = row[i].strip() if i < len(row) else ""
-        if cell in tokens:
-            out.append(math.nan)
-            continue
         try:
-            v = float(cell)
-        except ValueError:
-            raise ParseError(f"{path}:{rownum}: column {header[i]!r}: cannot parse {cell!r}") from None
-        if not math.isfinite(v):
-            raise ParseError(f"{path}:{rownum}: column {header[i]!r}: non-finite value {cell!r}")
-        out.append(v)
+            out.append(parse(row[i] if i < len(row) else ""))
+        except ValueError as e:
+            raise ParseError(f"{path}:{rownum}: column {header[i]!r}: {e}") from None
     return out
 
 

@@ -93,7 +93,6 @@ class InfluenceVector:
     """Centered per-record influence values of an estimate."""
 
     values: np.ndarray
-    method: str
 
     @property
     def se(self) -> float:
@@ -227,7 +226,7 @@ def _estimate(ds, method, walk, denom, **extra) -> ThetaEstimate:
     sums, _, phi = walk
     per = {k: float(v / denom) for k, v in sums.items()}
     theta = float(sum(per.values()))
-    iv = InfluenceVector(phi - theta, method) if phi is not None else None
+    iv = InfluenceVector(phi - theta) if phi is not None else None
     return ThetaEstimate(theta_hat=theta, method=method, per_stratum=per, n=ds.n, influence=iv, **extra)
 
 

@@ -268,7 +268,6 @@ class OutcomeModel:
     names: tuple[str, ...]
     n_pool: int
     gram: np.ndarray                 # (1/n) sum over pool of design outer products
-    residual_variance: float
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
@@ -427,15 +426,12 @@ def fit_outcome(
     beta, _, rank, _ = np.linalg.lstsq(Z, rho, rcond=None)
     if rank < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
-    resid = rho - Z @ beta
-    dof = n_pool - Z.shape[1]
     return OutcomeModel(
         pair=pair,
         beta=beta,
         names=names,
         n_pool=n_pool,
         gram=Z.T @ Z / ds.n,
-        residual_variance=float(resid @ resid / dof) if dof > 0 else 0.0,
         keep=tuple(keep) if keep is not None else None,
         resp_coord=resp_coord,
         scale_coords=scale_coords,

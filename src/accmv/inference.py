@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -30,19 +30,25 @@ DEFAULT_B = 500
 DEFAULT_LEVEL = 0.95
 
 
+def _plain(v):
+    """A float for a scalar or one-element array, else a list of floats."""
+    v = np.asarray(v, dtype=float)
+    return v.item() if v.size == 1 else v.tolist()
+
+
 @dataclass
 class CiReport:
-    estimate: float
-    se: float
-    lower: float
-    upper: float
+    estimate: float | list
+    se: float | list
+    lower: float | list
+    upper: float | list
     level: float
     method: str
     B: int | None = None
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in ("estimate", "se", "lower", "upper", "level", "method", "B", "seed")}
+        return asdict(self)
 
 
 def critical_value(level) -> float:
@@ -53,37 +59,32 @@ def critical_value(level) -> float:
 
 
 def normal_ci(estimate, se, level: float = DEFAULT_LEVEL) -> CiReport:
-    """Wald interval of an influence-function SE."""
+    """Wald interval `estimate ± z·se` of a scalar or elementwise of a vector."""
     z = critical_value(level)
-    return CiReport(
-        estimate=float(estimate),
-        se=float(se),
-        lower=float(estimate - z * se),
-        upper=float(estimate + z * se),
-        level=level,
-        method="influence",
-    )
+    estimate, se = np.asarray(estimate, dtype=float), np.asarray(se, dtype=float)
+    return CiReport(_plain(estimate), _plain(se), _plain(estimate - z * se), _plain(estimate + z * se),
+                    level, "influence")
 
 
-def _influence(ds, strata, f, theta_hat, method, **models) -> tuple[float, InfluenceVector]:
-    iv = InfluenceVector(_walk(ds, strata, f, influence=True, **models).influence - theta_hat, method)
+def _influence(ds, strata, f, theta_hat, **models) -> tuple[float, InfluenceVector]:
+    iv = InfluenceVector(_walk(ds, strata, f, influence=True, **models).influence - theta_hat)
     return iv.se, iv
 
 
 def if_variance_ipw(ds, strata, odds, f, theta_hat: float) -> tuple[float, InfluenceVector]:
     """Influence-function SE for the inverse-probability-weighted estimate."""
-    return _influence(ds, strata, f, theta_hat, "ipw", odds=odds)
+    return _influence(ds, strata, f, theta_hat, odds=odds)
 
 
 def if_variance_ra(ds, strata, outcomes, f, theta_hat: float) -> tuple[float, InfluenceVector]:
     """Influence-function SE for the regression-adjustment estimate."""
-    return _influence(ds, strata, f, theta_hat, "ra", outcomes=outcomes)
+    return _influence(ds, strata, f, theta_hat, outcomes=outcomes)
 
 
 def if_variance_mr(ds, strata, odds, outcomes, f, theta_hat: float) -> tuple[float, InfluenceVector]:
     """Influence-function SE for the multiply-robust estimate, with correction
     terms for both nuisance families."""
-    return _influence(ds, strata, f, theta_hat, "mr", odds=odds, outcomes=outcomes)
+    return _influence(ds, strata, f, theta_hat, odds=odds, outcomes=outcomes)
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -102,6 +103,19 @@ def _check_replicates(B, none_ok: bool = False) -> None:
         raise ConfigError(f"bootstrap needs B >= 2{' (or 0 for none)' if none_ok else ''}, got {B}")
 
 
+def attempt(fn, *args):
+    """`fn(*args)`, or the class name of the `AccmvError` that stopped it."""
+    try:
+        return fn(*args)
+    except AccmvError as e:
+        return type(e).__name__
+
+
+def failures_of(results) -> dict:
+    """The failed `attempt` results counted by error class name, in name order."""
+    return dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
+
+
 def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int,
               max_failure_rate: float = 0.2) -> tuple[list, dict]:
     """Run `fn(ds, resampled strata)` on B case resamples of the records.
@@ -110,26 +124,25 @@ def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int,
     SeedSequence(seed) and passes `strata` reweighted by how often each
     record was drawn, so results do not depend on execution order.
     Returns the outputs of the replicates that succeeded, in stream order,
-    and the failed ones counted by `AccmvError` subclass name; more than
-    `max_failure_rate` of them failing aborts.
+    and the failed ones counted by `AccmvError` subclass name (see
+    `attempt`, so `fn` returns no str); more than `max_failure_rate` of
+    them failing aborts.
     """
-    values, failures = [], Counter()
+    results = []
     for child in seed_sequence(seed).spawn(B):
         rows = np.random.default_rng(child).integers(0, ds.n, ds.n)
-        try:
-            values.append(fn(ds, strata.reweight(np.bincount(rows, minlength=ds.n))))
-        except AccmvError as e:
-            failures[type(e).__name__] += 1
-    failures = dict(sorted(failures.items()))
-    if B - len(values) > max_failure_rate * B:
-        raise BootstrapInstabilityError(f"{B - len(values)}/{B} bootstrap replicates failed to fit: {failures}")
-    return values, failures
+        results.append(attempt(fn, ds, strata.reweight(np.bincount(rows, minlength=ds.n))))
+    failures = failures_of(results)
+    n_failed = sum(failures.values())
+    if n_failed > max_failure_rate * B:
+        raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit: {failures}")
+    return [r for r in results if not isinstance(r, str)], failures
 
 
 @dataclass
 class BootstrapReport:
-    estimate: np.ndarray
-    se: np.ndarray
+    estimate: float | list
+    se: float | list
     normal: CiReport
     percentile: CiReport
     B: int
@@ -139,22 +152,7 @@ class BootstrapReport:
     failures: dict = field(default_factory=dict)   # AccmvError subclass name -> count
 
     def to_dict(self) -> dict:
-        def as_list(v):
-            return np.asarray(v).tolist()
-
-        return {
-            "estimate": as_list(self.estimate),
-            "se": as_list(self.se),
-            "normal": {k: as_list(v) if isinstance(v, np.ndarray) else v for k, v in self.normal.to_dict().items()},
-            "percentile": {
-                k: as_list(v) if isinstance(v, np.ndarray) else v for k, v in self.percentile.to_dict().items()
-            },
-            "B": self.B,
-            "seed": self.seed,
-            "n_failed": self.n_failed,
-            "failures": self.failures,
-            "level": self.level,
-        }
+        return asdict(self)
 
 
 def bootstrap(
@@ -177,7 +175,7 @@ def bootstrap(
     itself.
     """
     _check_replicates(B)
-    z = critical_value(level)
+    critical_value(level)            # reject a bad level before any replicate runs
     check_finite("the bootstrap's point estimate", np.atleast_1d(estimate))
     point = np.atleast_1d(np.asarray(estimate, dtype=float))
     reps, failures = replicate(ds, strata, lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
@@ -187,22 +185,9 @@ def bootstrap(
         raise ConfigError(f"the point estimate has shape {point.shape} but each replicate {mat.shape[1:]}")
     se = mat.std(axis=0, ddof=1)
     lo_q, hi_q = np.quantile(mat, [(1 - level) / 2.0, (1 + level) / 2.0], axis=0)
-
-    def squeeze(v):
-        v = np.asarray(v)
-        return float(v[0]) if v.size == 1 else v
-
-    normal = CiReport(
-        estimate=squeeze(point), se=squeeze(se),
-        lower=squeeze(point - z * se), upper=squeeze(point + z * se),
-        level=level, method="bootstrap-normal", B=B, seed=seed,
-    )
-    percentile = CiReport(
-        estimate=squeeze(point), se=squeeze(se),
-        lower=squeeze(lo_q), upper=squeeze(hi_q),
-        level=level, method="bootstrap-percentile", B=B, seed=seed,
-    )
+    normal = replace(normal_ci(point, se, level), method="bootstrap-normal", B=B, seed=seed)
+    percentile = replace(normal, lower=_plain(lo_q), upper=_plain(hi_q), method="bootstrap-percentile")
     return BootstrapReport(
-        estimate=squeeze(point), se=squeeze(se), normal=normal, percentile=percentile,
+        estimate=normal.estimate, se=normal.se, normal=normal, percentile=percentile,
         B=B, seed=seed, n_failed=B - len(reps), level=level, failures=failures,
     )

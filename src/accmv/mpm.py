@@ -24,7 +24,7 @@ from .data import Dataset, StratumIndex
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
 from .estimators import WeightTable, _require_models, compute_weights
 from .glm import fitted, odds_correction, pair_view, view_values
-from .inference import critical_value
+from .inference import normal_ci
 
 EE_TOL = 1e-8
 
@@ -179,18 +179,9 @@ class MpmEstimate:
 
     def wald_table(self, covariance: np.ndarray, level: float = 0.95) -> list[dict]:
         """Wald intervals of the coefficients under `covariance`."""
-        z = critical_value(level)
-        se = np.sqrt(np.diag(covariance))
-        return [
-            {
-                "coef": nm,
-                "estimate": float(th),
-                "se": float(s),
-                "lower": float(th - z * s),
-                "upper": float(th + z * s),
-            }
-            for nm, th, s in zip(self.coef_names, self.theta_hat, se)
-        ]
+        ci = normal_ci(self.theta_hat, np.sqrt(np.diag(covariance)), level)
+        rows = zip(self.coef_names, ci.estimate, ci.se, ci.lower, ci.upper)
+        return [dict(zip(("coef", "estimate", "se", "lower", "upper"), row)) for row in rows]
 
 
 def solve_weighted_ee(

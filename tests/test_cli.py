@@ -507,6 +507,30 @@ def test_undecodable_csv_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_repeated_header_column_exits_3(tmp_path, capsys):
+    path = tmp_path / "repeated.csv"
+    path.write_text("Y1,Y1,Y2,Y3\n1,5,2,NA\n2,6,3,3\n")
+    assert run(["fit", "--data", str(path), *DATA_ARGS]) == 3
+    assert "column 'Y1' repeated in header" in capsys.readouterr().err
+
+
+def test_column_order_leaves_the_fit_report_unchanged(single_csv, tmp_path, capsys):
+    # the schema names the columns, so their order in the file cannot matter
+    with open(single_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    moved = tmp_path / "moved.csv"
+    with open(moved, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[::-1] for row in rows])
+    sections = []
+    for path in (single_csv, moved):
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--data", str(path), *DATA_ARGS, "--method", "mr",
+                    "--bootstrap", "8", "--seed", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        sections.append([json.dumps(report[k], sort_keys=True) for k in ("estimate", "influence", "bootstrap")])
+    assert sections[0] == sections[1]
+
+
 @pytest.mark.parametrize("bootstrap", ["1", "-3"])
 def test_sensitivity_bootstrap_count_below_two_exits_2(bootstrap, single_csv, capsys):
     assert run(["sensitivity", "--data", single_csv, *DATA_ARGS, "--delta", "0.5",

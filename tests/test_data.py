@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import threading
@@ -74,6 +75,24 @@ def test_schema_error(tmp_path):
     path = write(tmp_path, "A,B\n1,2\n")
     with pytest.raises(SchemaError, match="X1"):
         load_csv(path, SCHEMA21)
+
+
+def test_repeated_header_name(tmp_path):
+    # a schema column named twice is ambiguous; a repeated name the schema
+    # does not use is not
+    path = write(tmp_path, "X1,X1,X2,L1\n1,5,0,NA\n2,6,0,3\n")
+    with pytest.raises(SchemaError, match="column 'X1' repeated in header"):
+        load_csv(path, SCHEMA21)
+    ds = load_csv(write(tmp_path, "X1,Z,X2,Z,L1\n1,5,0,x,NA\n2,6,0,,3\n"), SCHEMA21)
+    assert ds.X.tolist() == [[1.0, 0.0], [2.0, 0.0]] and math.isnan(ds.L[0, 0]) and ds.L[1, 0] == 3.0
+
+
+def test_cell_over_the_field_limit_fails_on_both_readers(tmp_path):
+    # numpy's reader has no field limit of its own; the cell rule applies the
+    # csv module's, so the file goes to the per-cell reader, which names it
+    path = write(tmp_path, "X1,X2,L1\n1,2,3\n1,0." + "0" * 200000 + "1,NA\n")
+    expected = ("ParseError", f"{path}: field larger than field limit ({csv.field_size_limit()})")
+    assert load_outcome(path, per_cell=False) == load_outcome(path, per_cell=True) == expected
 
 
 def test_missing_file():

@@ -171,7 +171,8 @@ def test_fit_outcome_limits(single_20k):
     # coefficient covariance from the classical OLS formula on the pool
     pool = strata.pool(Pattern(3, 2))
     Z, _ = design_matrix(ds, pool, pair(3, 0))
-    cov = m.residual_variance * np.linalg.inv(Z.T @ Z)
+    resid = F1(ds.L[pool]) - Z @ m.beta
+    cov = resid @ resid / (pool.size - Z.shape[1]) * np.linalg.inv(Z.T @ Z)
     assert np.all(np.abs(m.beta - target) <= 5 * np.sqrt(np.diag(cov)))
 
     m0 = fit_outcome(ds, strata, pair(0, 0), F1)

@@ -4,7 +4,7 @@ import pytest
 from accmv.data import Dataset, build_strata
 from accmv.errors import CongenialityError, ConfigError
 from accmv.glm import fit_all_odds
-from accmv.inference import bootstrap
+from accmv.inference import bootstrap, normal_ci
 from accmv.estimators import compute_weights
 from accmv.mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from accmv.simgen import SimDesign, generate
@@ -218,3 +218,9 @@ def test_wald_table(mpm_2k):
     assert [row["coef"] for row in table] == ["intercept", "Y2"]
     for row in table:
         assert row["lower"] <= row["estimate"] <= row["upper"]
+    # each row reads the one Wald interval, at any level
+    cov = sandwich_variance(ds, strata, odds, est)
+    ci = normal_ci(est.theta_hat, np.sqrt(np.diag(cov)), 0.8)
+    table = est.wald_table(cov, 0.8)
+    for key in ("estimate", "se", "lower", "upper"):
+        assert [row[key] for row in table] == getattr(ci, key)
