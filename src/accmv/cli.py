@@ -46,6 +46,8 @@ _TABLE_DESIGNS = {1: "single", 2: "multiple", 3: "mpm"}
 def _complete_case_se(ds, strata, f) -> float:
     """Standard error of the complete-case mean of f."""
     fv = complete_values(ds, strata, f)[strata.complete_mask]
+    if fv.size < 2:
+        raise InferenceError(f"the complete-case SE needs at least 2 complete records, got {fv.size}")
     return float(fv.std(ddof=1) / np.sqrt(fv.size))
 
 

@@ -124,7 +124,7 @@ def load_csv(path, schema: Schema) -> Dataset:
                                   f"header {header}")
         cols = [header.index(c) for c in (*schema.x_cols, *schema.l_cols)]
         parse = _cell_parser(set(schema.missing_tokens))
-        XL = _loadtxt(path, reader.line_num, cols, parse) if fh.seekable() else None
+        XL = _loadtxt(path, reader.line_num, cols, len(header), parse) if fh.seekable() else None
         if XL is None:
             XL = np.array([_parse_cells(row, cols, header, parse, path, line) for line, row in rows])
     if not len(XL):
@@ -158,18 +158,22 @@ def _cell_parser(tokens):
     return parse
 
 
-def _loadtxt(path, skip, cols, parse):
+def _loadtxt(path, skip, cols, ncols, parse):
     """The cells at `cols` of the lines after the first `skip`, each read by
-    `parse`, or None when numpy's reader or `parse` rejects the file or
-    numpy finds no record in it."""
+    `parse`, or None when numpy's reader or `parse` rejects the file, numpy
+    finds no record in it, or a record has other than `ncols` fields.  The
+    other columns are read as their lengths, so a cell there over the csv
+    field limit also leaves the file to `_rows`, which rejects it."""
     with open(path, newline="") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            XL = np.loadtxt(fh, delimiter=",", skiprows=skip, usecols=cols, ndmin=2,
-                            comments=None, quotechar='"', converters=parse)
+            XL = np.loadtxt(fh, delimiter=",", skiprows=skip, ndmin=2, comments=None, quotechar='"',
+                            converters={j: parse if j in cols else len for j in range(ncols)})
         except ValueError:              # UnicodeDecodeError included
             return None
-    return XL if len(XL) else None
+    if not len(XL) or XL.shape[1] != ncols or (np.delete(XL, cols, axis=1) > csv.field_size_limit()).any():
+        return None
+    return XL.take(cols, axis=1)
 
 
 def _rows(reader, path):
@@ -277,14 +281,14 @@ class StratumIndex:
         drawn = freq > 0
         by_pair = {}
         for key, rows in self.by_pair.items():
-            kept = rows[drawn[rows]]
+            kept = rows.compress(drawn[rows])      # faster than a boolean index, same rows
             if kept.size:
                 by_pair[key] = kept
         return StratumIndex(
             p=self.p, d=self.d, n=self.n,
             r_codes=self.r_codes, complete_mask=self.complete_mask & drawn,
             by_pair=by_pair,
-            pools={rv: rows[drawn[rows]] for rv, rows in self.pools.items()},
+            pools={rv: rows.compress(drawn[rows]) for rv, rows in self.pools.items()},
             complete_code=self.complete_code,
             freq=freq,
             parent=self,

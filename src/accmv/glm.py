@@ -44,23 +44,24 @@ DEFAULT_N_MIN = 10
 
 
 def design_matrix(ds: Dataset, rows, pair: PatternPair, keep=None):
-    """Design (1, x_r, l_a) for the given record positions.
+    """Design (1, x_r, l_a) for the given record positions, one row each,
+    as the transpose of a C-contiguous block that holds each column in a row.
 
     `keep` optionally masks non-intercept columns; the intercept always stays.
     A wrong-length `keep` raises ConfigError, an unobserved covariate DataError.
     """
     _check_keep(pair, keep)
     rows = np.asarray(rows, dtype=int)
-    cov = np.hstack([ds.X[np.ix_(rows, pair.r.indices)], ds.L[np.ix_(rows, pair.a.indices)]])
-    names = [ds.x_names[j] for j in pair.r.indices] + [ds.l_names[j] for j in pair.a.indices]
+    cols = [(ds.X, j, ds.x_names[j]) for j in pair.r.indices] + [(ds.L, j, ds.l_names[j]) for j in pair.a.indices]
     if keep is not None:
-        keep = np.asarray(keep, dtype=bool)
-        cov = cov[:, keep]
-        names = [nm for nm, k in zip(names, keep) if k]
-    if np.isnan(cov).any():
+        cols = [c for c, k in zip(cols, keep) if k]
+    block = np.empty((1 + len(cols), rows.size))
+    block[0] = 1.0
+    for out, (M, j, _) in zip(block[1:], cols):
+        out[:] = M[rows, j]
+    if np.isnan(block).any():
         raise DataError(f"unobserved covariate in design for {pair}")
-    Z = np.hstack([np.ones((cov.shape[0], 1)), cov])
-    return Z, ("intercept", *names)
+    return block.T, ("intercept", *(name for *_, name in cols))
 
 
 class KeptDesign(NamedTuple):
@@ -79,6 +80,8 @@ class PairView:
     `w` holds their frequencies.  The design of each keep mask is built on
     first use with `design_matrix` on `rows`, or taken as a row selection of
     the `base` view's design; its case and pool parts are row slices of it.
+    Each is stored feature-major, as the transpose of a C-contiguous (k, m)
+    block, so the products the fits form on it read contiguous memory.
     The fits, estimators and influence functions all read these shared
     designs.  A unit-frequency view also keeps the odds coefficients that
     `fit_odds` converged to on it, per keep mask, where the fits on its
@@ -97,17 +100,16 @@ class PairView:
         self.w_case, self.w_pool = self.w[:case.size], self.w[case.size:]
         for a in (self.rows, self.y, self.w):
             a.flags.writeable = False
-        self._base = base            # (view, row mask) whose designs this view selects from
+        self._base = base            # (view, row positions) whose designs this view selects from
         self._kept = {}
         self._alpha = {}             # keep key -> converged odds coefficients
 
     def reweighted(self, freq: np.ndarray) -> "PairView":
         """The rows of this view drawn by the per-record frequencies `freq`."""
         w = freq[self.rows]
-        sel = w > 0
-        nc = self.case.size
-        return PairView(self.ds, self.case[sel[:nc]], self.pool[sel[nc:]], self.pair,
-                        w=w[sel], base=(self, sel))
+        pos = np.flatnonzero(w > 0)      # drawn positions: a take by index beats a boolean mask
+        rows, nc = self.rows.take(pos), np.searchsorted(pos, self.case.size)
+        return PairView(self.ds, rows[:nc], rows[nc:], self.pair, w=w.take(pos), base=(self, pos))
 
     def design(self, keep=None) -> KeptDesign:
         """Designs restricted to the non-intercept columns `keep` marks."""
@@ -116,9 +118,9 @@ class PairView:
             if self._base is None:
                 Z, names = design_matrix(self.ds, self.rows, self.pair, key)
             else:
-                view, sel = self._base
-                kept = view.design(key)
-                Z, names = kept.stacked[sel], kept.names
+                view, pos = self._base
+                base = view.design(key)
+                Z, names = base.stacked.T.take(pos, axis=1).T, base.names
             Z.flags.writeable = False    # shared by every caller, and so are its slices
             nc = self.case.size
             self._kept[key] = KeptDesign(Z, Z[:nc], Z[nc:], names)
@@ -207,21 +209,24 @@ def _clamped_eta(Z, coef):
 
 
 def _negloglik_at(eta, wy, w, n_total):
-    """Mean case-vs-pool negative log-likelihood at the clamped predictor `eta`."""
+    """Mean case-vs-pool negative log-likelihood at the clamped predictor
+    `eta`, and exp(eta), from which the score and Hessian at `eta` are formed."""
     # eta is clamped to |eta| <= LINPRED_CLAMP, so exp(eta) stays below 1.1e13
     # and log1p(exp(eta)) neither overflows nor trips np.errstate(over="raise");
     # on that range it is within a few ulps of np.logaddexp(0, eta), which
     # numpy does not vectorize where it does exp and log1p
-    lse = np.log1p(np.exp(eta))
-    return -(wy @ eta - (w * lse).sum()) / n_total
+    e = np.exp(eta)
+    return -(wy @ eta - w @ np.log1p(e)) / n_total, e
 
 
-def _score_hessian_at(eta, Z, y, n_total, w):
-    """Exact analytic score and Hessian of the mean log-likelihood."""
-    p = 1.0 / (1.0 + np.exp(-eta))
+def _score_hessian_at(e, Z, y, n_total, w):
+    """Exact analytic score and Hessian of the mean log-likelihood, given
+    e = exp(eta).  The weight p(1 - p) is e/(1 + e)^2, which keeps its
+    relative accuracy where 1 - p would cancel."""
+    q = 1.0 / (1.0 + e)
+    p = e * q
     score = Z.T @ (w * (y - p)) / n_total
-    W = w * (p * (1.0 - p))
-    hess = -(Z.T * W) @ Z / n_total
+    hess = -(Z.T * (w * (p * q))) @ Z / n_total
     return score, hess
 
 
@@ -318,10 +323,10 @@ def fit_odds(
     start = view._base[0]._alpha.get(key) if view._base else None
     alpha = np.zeros(Z.shape[1]) if start is None else start.copy()
     eta = _clamped_eta(Z, alpha)
-    nll = _negloglik_at(eta, wy, w, n)
+    nll, e = _negloglik_at(eta, wy, w, n)
     nll_path = [nll]
     for it in range(1, MAX_ITER + 2):
-        score, hess = _score_hessian_at(eta, Z, y, n, w)
+        score, hess = _score_hessian_at(e, Z, y, n, w)
         if np.max(np.abs(score)) <= SCORE_TOL:
             # one polishing step: quadratic convergence leaves the score near
             # machine precision, keeping downstream influence means tiny
@@ -330,8 +335,9 @@ def fit_odds(
             except np.linalg.LinAlgError:
                 break
             polish_eta = _clamped_eta(Z, polish)
-            if _negloglik_at(polish_eta, wy, w, n) <= nll + 1e-14 * (1.0 + abs(nll)):
-                alpha, eta = polish, polish_eta
+            polish_nll, polish_e = _negloglik_at(polish_eta, wy, w, n)
+            if polish_nll <= nll + 1e-14 * (1.0 + abs(nll)):
+                alpha, eta, e = polish, polish_eta, polish_e
             break
         if np.max(np.abs(eta)) >= LINPRED_CLAMP:
             raise SeparationError(
@@ -352,7 +358,7 @@ def fit_odds(
         for _ in range(40):
             cand = alpha + lam * step
             cand_eta = _clamped_eta(Z, cand)
-            cand_nll = _negloglik_at(cand_eta, wy, w, n)
+            cand_nll, cand_e = _negloglik_at(cand_eta, wy, w, n)
             if cand_nll <= nll + 1e-14 * (1.0 + abs(nll)):
                 break
             lam *= 0.5
@@ -362,7 +368,7 @@ def fit_odds(
                 f"(score max {np.max(np.abs(score)):.3e})",
                 last_iterate=alpha,
             )
-        alpha, eta, nll = cand, cand_eta, cand_nll
+        alpha, eta, e, nll = cand, cand_eta, cand_e, cand_nll
         nll_path.append(nll)
     # eta is clamped, so it reaches the clamp exactly when Z @ alpha does;
     # below it, eta is Z @ alpha itself
@@ -377,7 +383,7 @@ def fit_odds(
         names=names,
         n_case=n_case,
         n_pool=n_pool,
-        info=-_score_hessian_at(eta, Z, y, n, w)[1],
+        info=-_score_hessian_at(e, Z, y, n, w)[1],
         keep=tuple(keep) if keep is not None else None,
         n_iter=it,
         nll_path=nll_path,

@@ -181,16 +181,16 @@ def test_criterion_6_property_suites(single_20k, multiple_20k):
     rng = np.random.default_rng(SEED)
     n, k = 500, 3
     Z = np.hstack([np.ones((n, 1)), rng.standard_normal((n, k - 1))])
-    y = (rng.random(n) < 0.4).astype(float)
+    y, w = (rng.random(n) < 0.4).astype(float), np.ones(n)
     ok = True
     for _ in range(20):
         alpha = rng.uniform(-1, 1, k)
-        score, _ = _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n, 1.0)
+        score, _ = _score_hessian_at(np.exp(_clamped_eta(Z, alpha)), Z, y, n, w)
         for j in range(k):
             e = np.zeros(k)
             e[j] = 1e-6
-            fd = -(_negloglik_at(_clamped_eta(Z, alpha + e), y, 1.0, n)
-                   - _negloglik_at(_clamped_eta(Z, alpha - e), y, 1.0, n)) / 2e-6
+            fd = -(_negloglik_at(_clamped_eta(Z, alpha + e), y, w, n)[0]
+                   - _negloglik_at(_clamped_eta(Z, alpha - e), y, w, n)[0]) / 2e-6
             ok &= abs(fd - score[j]) <= 1e-6 * max(1.0, abs(score[j]))
     results["score finite differences"] = ok
 

@@ -87,6 +87,20 @@ def test_fit_small_stratum_exits_4(tmp_path, capsys):
     assert "r=1" in err and "a=0" in err
 
 
+def test_complete_case_se_of_one_record_exits_5(tmp_path):
+    # the sample SD of one value is undefined: a named inference error, not a
+    # numpy warning followed by a floating-point fit error
+    path = tmp_path / "one.csv"
+    path.write_text("x,l\n1.0,2.0\n0.5,\n0.7,\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "accmv.cli", "fit", "--data", str(path), "--x-cols", "x",
+                           "--l-cols", "l", "--method", "cc"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 5
+    assert "inference error: the complete-case SE needs at least 2 complete records, got 1" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
 def test_fit_missing_file_exits_3(capsys):
     assert run(["fit", "--data", "/no/such/file.csv", *DATA_ARGS]) == 3
     assert "data error" in capsys.readouterr().err

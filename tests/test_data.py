@@ -95,6 +95,17 @@ def test_cell_over_the_field_limit_fails_on_both_readers(tmp_path):
     assert load_outcome(path, per_cell=False) == load_outcome(path, per_cell=True) == expected
 
 
+@pytest.mark.parametrize("text", ["X1,X2,L1,Z\n1,2,3,x\n1,2,NA,{}\n", "X1,X2,L1\n1,2,3,0.5\n1,2,NA,{}\n"],
+                         ids=["unused-column", "beyond-the-header"])
+def test_cell_over_the_field_limit_in_an_unused_column_fails_on_both_readers(tmp_path, text):
+    # numpy's reader converts the schema's columns only; it reads the others
+    # as their lengths, and a record wider than the header goes to the
+    # per-cell reader, so the csv module's limit holds in every column
+    path = write(tmp_path, text.format("0." + "0" * 200000 + "1"))
+    expected = ("ParseError", f"{path}: field larger than field limit ({csv.field_size_limit()})")
+    assert load_outcome(path, per_cell=False) == load_outcome(path, per_cell=True) == expected
+
+
 def test_missing_file():
     with pytest.raises(DataError):
         load_csv("/nonexistent/never.csv", SCHEMA21)

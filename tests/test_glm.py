@@ -46,7 +46,7 @@ def test_fit_odds_intercept_only_limit(single_20k):
     se = fit_se(m, ds.n)
     view = pair_view(ds, strata, m.pair)           # a returned fit has converged
     Z = view.design().stacked
-    score, _ = _score_hessian_at(_clamped_eta(Z, m.alpha), Z, view.y, ds.n, 1.0)
+    score, _ = _score_hessian_at(np.exp(_clamped_eta(Z, m.alpha)), Z, view.y, ds.n, 1.0)
     assert np.max(np.abs(score)) <= SCORE_TOL
     assert abs(m.alpha[0] - np.log(0.25)) <= 5 * se[0]
 
@@ -75,23 +75,23 @@ def test_score_at_solution(single_20k):
         rows = np.concatenate([case, pool])
         y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
         Z, _ = design_matrix(ds, rows, pr)
-        score, _ = _score_hessian_at(_clamped_eta(Z, m.alpha), Z, y, ds.n, 1.0)
+        score, _ = _score_hessian_at(np.exp(_clamped_eta(Z, m.alpha)), Z, y, ds.n, 1.0)
         assert np.max(np.abs(score)) <= 1e-8
 
 
 def test_score_matches_finite_differences(rng):
     n, k = 400, 3
     Z = np.hstack([np.ones((n, 1)), rng.standard_normal((n, k - 1))])
-    y = (rng.random(n) < 0.4).astype(float)
+    y, w = (rng.random(n) < 0.4).astype(float), np.ones(n)
     for _ in range(20):
         alpha = rng.uniform(-1, 1, k)
-        score, _ = _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n, 1.0)
+        score, _ = _score_hessian_at(np.exp(_clamped_eta(Z, alpha)), Z, y, n, w)
         h = 1e-6
         for j in range(k):
             e = np.zeros(k)
             e[j] = h
-            fd = -(_negloglik_at(_clamped_eta(Z, alpha + e), y, 1.0, n)
-                   - _negloglik_at(_clamped_eta(Z, alpha - e), y, 1.0, n)) / (2 * h)
+            fd = -(_negloglik_at(_clamped_eta(Z, alpha + e), y, w, n)[0]
+                   - _negloglik_at(_clamped_eta(Z, alpha - e), y, w, n)[0]) / (2 * h)
             assert abs(fd - score[j]) <= 1e-6 * max(1.0, abs(score[j]))
 
 
@@ -103,10 +103,19 @@ def test_negloglik_matches_logaddexp_over_the_clamp_range():
                            [-1e3, -31.0, 31.0, 1e3]])
     y, alpha = np.zeros(1), np.ones(1)
     with np.errstate(over="raise", under="raise", invalid="raise", divide="raise"):
-        got = np.array([_negloglik_at(_clamped_eta(np.array([[x]]), alpha), y, 1.0, 1) for x in grid])
+        got = np.array([_negloglik_at(_clamped_eta(np.array([[x]]), alpha), y, np.ones(1), 1)[0] for x in grid])
         ref = np.logaddexp(0.0, np.clip(grid, -LINPRED_CLAMP, LINPRED_CLAMP))
     ulps = np.abs(got - ref) / np.spacing(ref)
     assert ulps.max() <= 4, grid[ulps.argmax()]
+
+
+def test_hessian_weight_keeps_its_accuracy_in_the_tail():
+    # one row with design 1, so the Hessian is minus the weight p(1 - p) at
+    # eta; 1 - p cancels near the clamp, e / (1 + e)^2 does not
+    for eta in (10.0, 20.0, 29.0, 30.0):
+        _, hess = _score_hessian_at(np.exp(np.array([eta])), np.ones((1, 1)), np.zeros(1), 1, np.ones(1))
+        ref = float(1 / (4 * np.cosh(np.longdouble(eta) / 2) ** 2))
+        assert abs(-hess[0, 0] - ref) <= 4 * np.spacing(ref), eta
 
 
 def test_hessian_negative_semidefinite(rng):
@@ -115,7 +124,7 @@ def test_hessian_negative_semidefinite(rng):
     y = (rng.random(n) < 0.5).astype(float)
     for _ in range(10):
         alpha = rng.uniform(-2, 2, k)
-        _, hess = _score_hessian_at(_clamped_eta(Z, alpha), Z, y, n, 1.0)
+        _, hess = _score_hessian_at(np.exp(_clamped_eta(Z, alpha)), Z, y, n, 1.0)
         np.testing.assert_allclose(hess, hess.T, atol=1e-12)
         assert np.linalg.eigvalsh(hess).max() <= 1e-10
 
@@ -289,7 +298,7 @@ def test_pair_view_designs_equal_design_matrix(kind):
             Zp, _ = design_matrix(ds, pool, pr, keep)
             Zs, _ = design_matrix(ds, view.rows, pr, keep)
             assert np.array_equal(d.case, Zc) and np.array_equal(d.pool, Zp)
-            assert np.array_equal(d.stacked, Zs) and d.stacked.flags.c_contiguous
+            assert np.array_equal(d.stacked, Zs) and d.stacked.T.flags.c_contiguous
             assert not (d.stacked.flags.writeable or d.pool.flags.writeable or view.xr_case.flags.writeable)
             assert d.names == names
         for rows, xr, la in ((case, view.xr_case, view.la_case), (pool, view.xr_pool, view.la_pool)):
