@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
-import multiprocessing as mp
+import numbers
 import os
 import sys
 from contextlib import contextmanager
@@ -30,7 +29,7 @@ from .estimators import (
     estimate_ra,
 )
 from .glm import complete_values, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
-from .inference import attempt, bootstrap, critical_value, failures_of, normal_ci, seed_sequence
+from .inference import bootstrap, critical_value, normal_ci, replicate, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
 from .simgen import SimDesign, default_functional, generate, misspec_masks, oracle_value, verify_oracles
@@ -114,25 +113,16 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     `raw` holds each replicate's rows in stream order, None for a failed one;
     `failures` counts the failed ones by `AccmvError` subclass name.
     """
-    if table not in (1, 2, 3):
+    if isinstance(table, bool) or table not in (1, 2, 3):
         raise ConfigError(f"table must be 1, 2, or 3, got {table}")
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+    for name, value, least in (("replicates", replicates, 1), ("workers", workers, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     kind = _TABLE_DESIGNS[table]
     SimDesign(kind, n)               # reject a bad design before any replicate runs
     truth = oracle_value(kind).theta_true
-    children = seed_sequence(seed).spawn(replicates)
-    args = [(table, n, children[i]) for i in range(replicates)]
-    work = functools.partial(attempt, table_replicate)     # pickled by reference
-    workers = workers if workers > 0 else (os.cpu_count() or 1)
-    if workers > 1 and replicates > 1:
-        ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
-        with ctx.Pool(min(workers, replicates)) as pool:
-            results = pool.starmap(work, args, chunksize=max(1, replicates // (workers * 8)))
-    else:
-        results = [work(*a) for a in args]
-    failures = failures_of(results)
-    results = [None if isinstance(r, str) else r for r in results]
+    args = [(table, n, child) for child in seed_sequence(seed).spawn(replicates)]
+    results, failures = replicate(table_replicate, args, min(workers or os.cpu_count() or 1, replicates))
     ok = [r for r in results if r is not None]
     if not ok:
         raise FitError(f"every replicate failed to fit: {_failed_text(replicates, failures)}")

@@ -50,11 +50,7 @@ class SmallStratumError(FitError):
 
 
 class NonConvergenceError(FitError):
-    """Iterative solver failed to converge; carries the last iterate."""
-
-    def __init__(self, message, last_iterate=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
+    """Iterative solver failed to converge."""
 
 
 class SeparationError(FitError):

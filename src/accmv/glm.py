@@ -347,8 +347,7 @@ def fit_odds(
         if it > MAX_ITER:
             raise NonConvergenceError(
                 f"{pair}: odds fit not converged after {MAX_ITER} Newton steps "
-                f"(score max {np.max(np.abs(score)):.3e})",
-                last_iterate=alpha,
+                f"(score max {np.max(np.abs(score)):.3e})"
             )
         try:
             step = np.linalg.solve(-hess, score)
@@ -365,8 +364,7 @@ def fit_odds(
         else:
             raise NonConvergenceError(
                 f"{pair}: no step along the Newton direction lowers the loss after {it - 1} steps "
-                f"(score max {np.max(np.abs(score)):.3e})",
-                last_iterate=alpha,
+                f"(score max {np.max(np.abs(score)):.3e})"
             )
         alpha, eta, e, nll = cand, cand_eta, cand_e, cand_nll
         nll_path.append(nll)

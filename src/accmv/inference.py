@@ -15,7 +15,11 @@ which the package's fits and estimators honour.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import multiprocessing as mp
 import numbers
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from statistics import NormalDist
@@ -116,27 +120,21 @@ def failures_of(results) -> dict:
     return dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
 
 
-def replicate(ds: Dataset, strata: StratumIndex, fn, B: int, seed: int,
-              max_failure_rate: float = 0.2) -> tuple[list, dict]:
-    """Run `fn(ds, resampled strata)` on B case resamples of the records.
-
-    Replicate i draws n records with replacement from the i-th child of
-    SeedSequence(seed) and passes `strata` reweighted by how often each
-    record was drawn, so results do not depend on execution order.
-    Returns the outputs of the replicates that succeeded, in stream order,
-    and the failed ones counted by `AccmvError` subclass name (see
-    `attempt`, so `fn` returns no str); more than `max_failure_rate` of
-    them failing aborts.
-    """
-    results = []
-    for child in seed_sequence(seed).spawn(B):
-        rows = np.random.default_rng(child).integers(0, ds.n, ds.n)
-        results.append(attempt(fn, ds, strata.reweight(np.bincount(rows, minlength=ds.n))))
-    failures = failures_of(results)
-    n_failed = sum(failures.values())
-    if n_failed > max_failure_rate * B:
-        raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit: {failures}")
-    return [r for r in results if not isinstance(r, str)], failures
+def replicate(fn, args, workers: int = 1) -> tuple[list, dict]:
+    """`attempt(fn, *a)` for each tuple `a` of `args` in order, None for a
+    failed one (so `fn` returns neither None nor a str), and the failures
+    tallied by `failures_of`.  With `workers` > 1 the sequence `args` runs in
+    a pool of that many processes (fork where available, else spawn, which
+    needs `fn` importable by name); otherwise it is drawn lazily, serially."""
+    work = functools.partial(attempt, fn)
+    if workers > 1:
+        ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
+        with ctx.Pool(workers) as pool:
+            results = pool.starmap(work, args, chunksize=max(1, len(args) // (workers * 8)))
+    else:
+        # starmap drops each tuple before drawing the next: one is alive at a time
+        results = list(itertools.starmap(work, args))
+    return [None if isinstance(r, str) else r for r in results], failures_of(results)
 
 
 @dataclass
@@ -168,19 +166,31 @@ def bootstrap(
     """Case bootstrap of a full estimation pipeline around its point estimate.
 
     `estimate` is the scalar or vector that `pipeline(ds, strata)` returns
-    on the full data; `pipeline` is rerun on each resample (see
-    `replicate`), nuisance refits included.  A resample is `strata`
-    reweighted by record frequencies, so the pipeline must sum over records
-    through the package's fits and estimators, or honour `strata.freq`
-    itself.
+    on the full data; `pipeline` is rerun serially on each resample,
+    nuisance refits included.  A resample is `strata` reweighted by record
+    frequencies, so the pipeline must sum over records through the package's
+    fits and estimators, or honour `strata.freq` itself.  More than
+    `max_failure_rate` of the B replicates failing aborts.
     """
     _check_replicates(B)
     critical_value(level)            # reject a bad level before any replicate runs
     check_finite("the bootstrap's point estimate", np.atleast_1d(estimate))
+    if not (isinstance(max_failure_rate, numbers.Real) and 0.0 <= max_failure_rate <= 1.0):
+        raise ConfigError(f"max_failure_rate must be a number in [0, 1], got {max_failure_rate!r}")
     point = np.atleast_1d(np.asarray(estimate, dtype=float))
-    reps, failures = replicate(ds, strata, lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
-                               B, seed, max_failure_rate)
-    mat = np.vstack(reps)
+
+    def resamples():
+        # replicate i draws from child stream i; reweight runs outside `attempt`, so a bad index raises
+        for child in seed_sequence(seed).spawn(B):
+            rows = np.random.default_rng(child).integers(0, ds.n, ds.n)
+            yield ds, strata.reweight(np.bincount(rows, minlength=ds.n))
+
+    results, failures = replicate(lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
+                                  resamples())
+    n_failed = sum(failures.values())
+    if n_failed > max_failure_rate * B:
+        raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit: {failures}")
+    mat = np.vstack([r for r in results if r is not None])
     if point.shape != mat.shape[1:]:
         raise ConfigError(f"the point estimate has shape {point.shape} but each replicate {mat.shape[1:]}")
     se = mat.std(axis=0, ddof=1)
@@ -189,5 +199,5 @@ def bootstrap(
     percentile = replace(normal, lower=_plain(lo_q), upper=_plain(hi_q), method="bootstrap-percentile")
     return BootstrapReport(
         estimate=normal.estimate, se=normal.se, normal=normal, percentile=percentile,
-        B=B, seed=seed, n_failed=B - len(reps), level=level, failures=failures,
+        B=B, seed=seed, n_failed=n_failed, level=level, failures=failures,
     )

@@ -65,9 +65,7 @@ class ScoreSpec:
         if self.kind == "linear":
             return ["intercept", *(l_names[j] for j in self.predictors)]
         d = len(l_names)
-        names = [f"mu_{l_names[j]}" for j in range(d)]
-        names += [f"c_{i+1}{j+1}" for i in range(d) for j in range(i + 1)]
-        return names
+        return [f"mu_{name}" for name in l_names] + [f"c_{i+1}{j+1}" for i, j in zip(*np.tril_indices(d))]
 
     def describe(self, l_names) -> str:
         if self.kind == "linear":
@@ -79,14 +77,13 @@ class ScoreSpec:
         return np.hstack([np.ones((L.shape[0], 1)), L[:, list(self.predictors)]])
 
     # -- gaussian pieces ----------------------------------------------------
-    def _tril_index(self, d):
-        return [(i, j) for i in range(d) for j in range(i + 1)]
+    # The factor's parameters run over np.tril_indices(d), row by row; exp and
+    # log touch its diagonal only, since exp of an off-diagonal entry can overflow.
 
     def _factor(self, theta, d):
         C = np.zeros((d, d))
-        for k, (i, j) in enumerate(self._tril_index(d)):
-            v = theta[d + k]
-            C[i, j] = np.exp(v) if i == j else v
+        C[np.tril_indices(d)] = theta[d:]
+        C[np.diag_indices(d)] = np.exp(np.diag(C))
         return C
 
     def score(self, theta, L) -> np.ndarray:
@@ -97,16 +94,10 @@ class ScoreSpec:
             resid = L[:, self.response] - Z @ theta
             return Z * resid[:, None]
         d = L.shape[1]
-        mu = theta[:d]
         C = self._factor(theta, d)
-        sigma = C @ C.T
-        dev = L - mu
-        cols = [dev]
-        prods = np.empty((L.shape[0], len(self._tril_index(d))))
-        for k, (i, j) in enumerate(self._tril_index(d)):
-            prods[:, k] = dev[:, i] * dev[:, j] - sigma[i, j]
-        cols.append(prods)
-        return np.hstack(cols)
+        dev = L - theta[:d]
+        i, j = np.tril_indices(d)
+        return np.hstack([dev, dev[:, i] * dev[:, j] - (C @ C.T)[i, j]])
 
     def jacobian_sum(self, theta, L, w) -> np.ndarray:
         """Sum over records of w_i * (d s / d theta), shape (q, q)."""
@@ -116,31 +107,23 @@ class ScoreSpec:
             Z = self._zmat(L)
             return -(Z * w[:, None]).T @ Z
         d = L.shape[1]
-        q = self.q(d)
-        tril = self._tril_index(d)
-        mu = theta[:d]
+        i, j = np.tril_indices(d)
+        k = np.arange(i.size)
         C = self._factor(theta, d)
-        dev = L - mu
         sw = float(w.sum())
-        swdev = w @ dev
-        J = np.zeros((q, q))
+        swdev = w @ (L - theta[:d])
+        J = np.zeros((self.q(d), self.q(d)))
         J[:d, :d] = -sw * np.eye(d)
-        for k, (i, j) in enumerate(tril):
-            row = d + k
-            # d/d mu of dev_i*dev_j - sigma_ij, summed with weights
-            grad_mu = np.zeros(d)
-            grad_mu[i] -= swdev[j]
-            grad_mu[j] -= swdev[i]
-            J[row, :d] = grad_mu
-            # d sigma_ij / d factor params, record independent
-            for k2, (a, b) in enumerate(tril):
-                scale = C[a, b] if a == b else 1.0
-                dsig = 0.0
-                if i == a:
-                    dsig += C[j, b]
-                if j == a:
-                    dsig += C[i, b]
-                J[row, d + k2] = -sw * dsig * scale
+        # d/d mu of dev_i*dev_j - sigma_ij, summed with weights
+        J[d + k, i] -= swdev[j]
+        J[d + k, j] -= swdev[i]
+        # d sigma / d C_ab = dC C' + C dC' with dC = e_a e_b', record independent;
+        # a diagonal parameter is log C_aa, so its derivative is scaled by C_aa
+        dC = np.zeros((i.size, d, d))
+        dC[k, i, j] = 1.0
+        dC = dC @ C.T
+        dsigma = dC + dC.transpose(0, 2, 1)
+        J[d:, d:] = -sw * dsigma[:, i, j].T * np.where(i == j, C[i, j], 1.0)
         return J
 
     def init(self, L, w) -> np.ndarray:
@@ -162,10 +145,8 @@ class ScoreSpec:
             C = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             raise SingularityError("weighted covariance not positive definite")
-        theta = np.concatenate(
-            [mu, [np.log(C[i, i]) if i == j else C[i, j] for i, j in self._tril_index(L.shape[1])]]
-        )
-        return theta
+        C[np.diag_indices(L.shape[1])] = np.log(np.diag(C))
+        return np.concatenate([mu, C[np.tril_indices(L.shape[1])]])
 
 
 @dataclass
@@ -217,8 +198,7 @@ def solve_weighted_ee(
     if not resid <= EE_TOL:
         raise NonConvergenceError(
             f"closed-form root leaves the weighted estimating equation unsolved "
-            f"(residual ratio {resid:.3e})",
-            last_iterate=theta,
+            f"(residual ratio {resid:.3e})"
         )
     return MpmEstimate(
         theta_hat=theta,

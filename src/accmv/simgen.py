@@ -17,6 +17,7 @@ masks of the misspecified fits, and the generated data never depend on it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +44,8 @@ class SimDesign:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown design kind {self.kind!r}")
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
         if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -3,10 +3,10 @@ passes to `TiltSpec` or `Functional`, the only error that escapes is an
 `AccmvError` (a `ConfigError`), never a bare numpy `TypeError`, `ValueError`
 or `IndexError`.  A functional whose coordinates reach past the primaries of
 the data it is fitted on fails as a `DataError`.  Named bad arguments to the
-fits and the resampling loops are a `ConfigError` too.  On small datasets of
-any scale, with missing cells, constant columns and tiny strata, the fits,
-estimators, sweep and marginal model raise only `AccmvError`s and return
-finite numbers."""
+fits and the resampling loops are a `ConfigError` too, raised before any
+replicate runs.  On small datasets of any scale, with missing cells, constant
+columns and tiny strata, the fits, estimators, sweep and marginal model raise
+only `AccmvError`s and return finite numbers."""
 
 import dataclasses
 
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from accmv.cli import run_table
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import AccmvError, ConfigError, DataError
 from accmv.estimators import estimate_complete_case, estimate_ipw, estimate_mr, estimate_ra
@@ -89,8 +90,17 @@ def test_functional_raises_only_config_errors(kind, coords, thresholds, fn):
     lambda: Functional("coordinate", ("x",)),
     lambda: Functional("coordinate", (1.5,)),
     lambda: Functional("coordinate", 0),
+    lambda: run_table(True, 2, 2000, 1),
+    lambda: run_table(3, 2.5, 2000, 1),
+    lambda: run_table(3, True, 2000, 1),
+    lambda: run_table(3, 2, 2000.5, 1),
+    lambda: run_table(3, 2, 2000, 1, workers=1.5),
+    lambda: run_table(3, 2, 2000, 1, workers="2"),
+    lambda: run_table(3, 2, 2000, 1, workers=-1),
+    lambda: generate(SimDesign("single", 2.5)),
 ], ids=["delta-text", "grid-none", "delta-scalar", "threshold-text", "coord-negative", "coord-text",
-        "coord-float", "coords-scalar"])
+        "coord-float", "coords-scalar", "table-bool", "table-replicates-float", "table-replicates-bool", "table-n-float",
+        "table-workers-float", "table-workers-text", "table-workers-negative", "design-n-float"])
 def test_named_bad_inputs(build):
     with pytest.raises(ConfigError):
         build()
@@ -122,6 +132,10 @@ def test_decomposed_product_past_d_is_a_data_error(two_primaries):
         fit_outcome(ds, strata, pair, Functional("product", (0, 5)), decompose=True)
 
 
+def no_replicate(ds, strata):
+    pytest.fail("a replicate ran before the arguments were checked")
+
+
 @pytest.mark.parametrize("call", [
     lambda ds, s: fit_odds(ds, s, s.incomplete_pairs()[0], keep=(True,) * 9),
     lambda ds, s: fit_outcome(ds, s, s.incomplete_pairs()[0], Functional("coordinate", (0,)), keep=(False,)),
@@ -130,6 +144,8 @@ def test_decomposed_product_past_d_is_a_data_error(two_primaries):
     lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, float("nan"), B=4),
     lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, "0.0x", B=4),
     lambda ds, s: bootstrap(ds, s, lambda d, x: [0.0, 1.0], 0.0, B=4),
+    lambda ds, s: bootstrap(ds, s, no_replicate, 0.0, B=4, max_failure_rate="x"),
+    lambda ds, s: bootstrap(ds, s.reweight(np.ones(ds.n)), no_replicate, 0.0, B=4),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=3.0),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
@@ -137,7 +153,8 @@ def test_decomposed_product_past_d_is_a_data_error(two_primaries):
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=-3),
 ], ids=["odds-keep-length", "outcome-keep-length", "bootstrap-B-float", "bootstrap-B-text",
-        "bootstrap-estimate-nan", "bootstrap-estimate-text", "bootstrap-estimate-shape", "sweep-B-float",
+        "bootstrap-estimate-nan", "bootstrap-estimate-text", "bootstrap-estimate-shape",
+        "bootstrap-failure-rate-text", "bootstrap-reweighted-index", "sweep-B-float",
         "sweep-B-one", "sweep-B-negative"])
 def test_named_bad_estimation_inputs(two_primaries, call):
     ds, strata = two_primaries

@@ -44,23 +44,60 @@ def test_root_residual_behaviour(mpm_2k):
     assert perturbed > at_root
 
 
+@pytest.fixture(scope="module")
+def three_primaries():
+    """2000 records of one auxiliary and three correlated primaries: complete,
+    or missing L3, L2 and L3, or L1, so three pattern pairs need odds models."""
+    rng = np.random.default_rng(5)
+    n = 2000
+    X = rng.standard_normal((n, 1))
+    L = 0.5 * X + rng.standard_normal((n, 3)) @ np.array([[1.0, 0.3, 0.2], [0.0, 1.0, 0.4], [0.0, 0.0, 1.0]])
+    missing = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 0, 0]], dtype=bool)
+    L[missing[rng.choice(4, n, p=[0.6, 0.15, 0.1, 0.15])]] = np.nan
+    ds = Dataset(X, L)
+    return ds, build_strata(ds)
+
+
 @pytest.mark.parametrize("spec", [LIN, ScoreSpec("gaussian")])
-def test_jacobian_matches_finite_differences(spec, mpm_2k):
-    ds, strata = mpm_2k
+def test_jacobian_matches_finite_differences(spec, mpm_2k, three_primaries):
+    # d = 2 and d = 3: at d = 3 the gaussian factor has rows with three distinct triangle indices
+    for ds, strata in (mpm_2k, three_primaries):
+        odds = fit_all_odds(ds, strata)
+        est = solve_weighted_ee(ds, strata, odds, spec)
+        rows = np.flatnonzero(ds.complete_mask)
+        Lc = ds.L[rows]
+        w = compute_weights(ds, strata, odds).total
+        theta = est.theta_hat + 0.05  # off the root so the Jacobian is generic
+        J = spec.jacobian_sum(theta, Lc, w)
+        h = 1e-6
+        for j in range(theta.size):
+            e = np.zeros(theta.size)
+            e[j] = h
+            fd = (w @ spec.score(theta + e, Lc) - w @ spec.score(theta - e, Lc)) / (2 * h)
+            denom = max(1.0, np.abs(J[:, j]).max())
+            assert np.max(np.abs(fd - J[:, j])) / denom <= 1e-5, (ds.d, j)
+
+
+@pytest.mark.parametrize("spec", [LIN, ScoreSpec("gaussian")], ids=["linear", "gaussian"])
+def test_sandwich_is_the_covariance_of_the_pipeline_derivatives(spec):
+    # The influence value of record i is the derivative of the whole fit,
+    # odds refits included, along the frequencies (1 - eps) + eps * n * e_i,
+    # which keep the total mass at n; the sandwich is (1/n^2) sum D_i D_i'.
+    ds = generate(SimDesign("mpm", 300, 3))
+    strata = build_strata(ds)
     odds = fit_all_odds(ds, strata)
-    est = solve_weighted_ee(ds, strata, odds, spec)
-    rows = np.flatnonzero(ds.complete_mask)
-    Lc = ds.L[rows]
-    w = compute_weights(ds, strata, odds).total
-    theta = est.theta_hat + 0.05  # off the root so the Jacobian is generic
-    J = spec.jacobian_sum(theta, Lc, w)
-    h = 1e-6
-    for j in range(theta.size):
-        e = np.zeros(theta.size)
-        e[j] = h
-        fd = (w @ spec.score(theta + e, Lc) - w @ spec.score(theta - e, Lc)) / (2 * h)
-        denom = max(1.0, np.abs(J[:, j]).max())
-        assert np.max(np.abs(fd - J[:, j])) / denom <= 1e-5
+    cov = sandwich_variance(ds, strata, odds, solve_weighted_ee(ds, strata, odds, spec))
+    eps = 1e-6
+    D = np.empty((ds.n, cov.shape[0]))
+    for i in range(ds.n):
+        theta = []
+        for step in (eps, -eps):
+            freq = np.full(ds.n, 1.0 - step)
+            freq[i] += step * ds.n
+            rw = strata.reweight(freq)
+            theta.append(solve_weighted_ee(ds, rw, fit_all_odds(ds, rw), spec).theta_hat)
+        D[i] = (theta[0] - theta[1]) / (2 * eps)
+    assert np.max(np.abs(D.T @ D / ds.n**2 - cov)) <= 1e-6 * np.max(np.abs(cov))
 
 
 def test_weight_scale_invariance(mpm_2k):

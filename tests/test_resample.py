@@ -20,7 +20,7 @@ from accmv.estimators import (
     estimate_ra,
 )
 from accmv.glm import fit_all_odds, fit_all_outcomes, pair_view
-from accmv.inference import bootstrap, if_variance_mr, replicate
+from accmv.inference import bootstrap, if_variance_mr
 from accmv.mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from accmv.patterns import Pattern, PatternPair
 from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
@@ -35,7 +35,7 @@ LIN = ScoreSpec("linear", response=1, predictors=(0,))
 
 
 def draw(ds, seed):
-    """The rows `inference.replicate` draws for stream 0 of `seed`."""
+    """The rows `inference.bootstrap` draws for stream 0 of `seed`."""
     child = np.random.SeedSequence(seed).spawn(1)[0]
     return np.random.default_rng(child).integers(0, ds.n, ds.n)
 
@@ -91,15 +91,18 @@ def test_replicate_loop_draws_the_case_resamples():
     ds = generate(SimDesign("single", 1500, 77))
     strata = build_strata(ds)
 
-    def pipeline(d, s):
-        return estimate_mr(d, s, fit_all_odds(d, s), fit_all_outcomes(d, s, F1), F1).theta_hat
+    seen = []
 
-    reps, failures = replicate(ds, strata, pipeline, B=5, seed=31)
+    def pipeline(d, s):
+        seen.append(estimate_mr(d, s, fit_all_odds(d, s), fit_all_outcomes(d, s, F1), F1).theta_hat)
+        return seen[-1]
+
+    rep = bootstrap(ds, strata, pipeline, pipeline(ds, strata), B=5, seed=31)
     ref = []
     for child in np.random.SeedSequence(31).spawn(5):
         sub = ds.subset(np.random.default_rng(child).integers(0, ds.n, ds.n))
         ref.append(pipeline(sub, build_strata(sub)))
-    assert failures == {} and close(ref, reps)
+    assert rep.failures == {} and close(ref, seen[1:6])
 
 
 def test_sweep_replicates_match_case_resampling(single_20k):

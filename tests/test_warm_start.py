@@ -24,7 +24,7 @@ SPEC = TiltSpec(delta=(0.8,), center=(1.0,), grid=(-1.0, -0.5, 0.0, 0.5, 1.0))
 
 
 def counts(ds, seed):
-    """Record frequencies of the draw `inference.replicate` makes for stream 0 of `seed`."""
+    """Record frequencies of the draw `inference.bootstrap` makes for stream 0 of `seed`."""
     child = np.random.SeedSequence(seed).spawn(1)[0]
     return np.bincount(np.random.default_rng(child).integers(0, ds.n, ds.n), minlength=ds.n)
 
