@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import numbers
 import os
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from .data import DEFAULT_MISSING_TOKENS, Functional, Schema, build_strata, load_csv, write_csv
+from .data import DEFAULT_MISSING_TOKENS, Functional, Schema, build_strata, check_integer, load_csv, write_csv
 from .errors import ConfigError, DataError, FitError, InferenceError
 from .estimators import (
     estimate_complete_case,
@@ -113,11 +112,10 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     `raw` holds each replicate's rows in stream order, None for a failed one;
     `failures` counts the failed ones by `AccmvError` subclass name.
     """
-    if isinstance(table, bool) or table not in (1, 2, 3):
+    for name, value, least in (("table", table, 1), ("replicates", replicates, 1), ("workers", workers, 0)):
+        check_integer(name, value, least)
+    if table not in _TABLE_DESIGNS:
         raise ConfigError(f"table must be 1, 2, or 3, got {table}")
-    for name, value, least in (("replicates", replicates, 1), ("workers", workers, 0)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
     kind = _TABLE_DESIGNS[table]
     SimDesign(kind, n)               # reject a bad design before any replicate runs
     truth = oracle_value(kind).theta_true
@@ -283,6 +281,8 @@ def _resolved(args) -> dict:
 
 def cmd_fit(args) -> int:
     critical_value(args.level)       # reject a bad level before any fitting
+    if args.self_normalize and args.method != "ipw":
+        raise ConfigError(f"--self-normalize applies to --method ipw only, got --method {args.method}")
     ds = load_csv(args.data, _schema(args))
     strata = build_strata(ds)
     f = _functional(args, ds.d)
@@ -306,7 +306,7 @@ def cmd_fit(args) -> int:
         return estimate_mr(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), outs, f,
                            influence=influence)
 
-    est = estimate(ds, strata, influence=not (method == "ipw" and args.self_normalize))
+    est = estimate(ds, strata, influence=not args.self_normalize)
     if est.influence is not None:
         se = est.influence.se
     elif method == "cc":
@@ -437,8 +437,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify_oracles(args) -> int:
-    if args.n_big < 1:
-        raise ConfigError("--n-big must be positive")
     report = verify_oracles(SimDesign(args.design, args.n_big, args.seed))
     if args.out:
         _write_json(args.out, {
@@ -469,8 +467,6 @@ def _add_functional_opts(p):
                    choices=["coordinate", "mean", "product", "threshold"])
     p.add_argument("--coords", type=_int_list, default=(), help="1-based primary coordinates")
     p.add_argument("--thresholds", type=_float_list, default=(), help="thresholds for the indicator")
-    p.add_argument("--decompose-product", action="store_true",
-                   help="for product functionals, regress the unobserved factor and scale by observed ones")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,6 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="estimate a mean functional of the primary variables")
     _add_data_opts(p)
     _add_functional_opts(p)
+    p.add_argument("--decompose-product", action="store_true",
+                   help="for product functionals, regress the unobserved factor and scale by observed ones")
     p.add_argument("--method", default="mr", choices=["ipw", "ra", "mr", "cc"])
     p.add_argument("--self-normalize", action="store_true", help="divide IPW by the weight sum instead of n")
     p.add_argument("--bootstrap", type=int, default=0, metavar="B")

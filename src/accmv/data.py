@@ -312,6 +312,12 @@ def build_strata(ds: Dataset) -> StratumIndex:
     return idx
 
 
+def check_integer(name, value, least=0) -> None:
+    """Raise ConfigError unless `value` is an integer, not a bool, and at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def check_finite(name, values) -> None:
     """Raise ConfigError unless `values` is a sequence of finite numbers."""
     try:
@@ -337,8 +343,10 @@ class Functional:
     def __post_init__(self):
         if self.kind not in _FUNCTIONAL_KINDS:
             raise ConfigError(f"unknown functional kind {self.kind!r}")
-        if not (isinstance(self.coords, tuple) and all(isinstance(c, numbers.Integral) and c >= 0 for c in self.coords)):
+        if not isinstance(self.coords, tuple):
             raise ConfigError(f"functional coordinates must be a tuple of 0-based integers, got {self.coords!r}")
+        for c in self.coords:
+            check_integer("a functional coordinate", c)
         check_finite("thresholds", self.thresholds)
         if self.kind == "coordinate" and len(self.coords) != 1:
             raise ConfigError("coordinate functional takes exactly one coordinate")

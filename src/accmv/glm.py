@@ -126,22 +126,10 @@ class PairView:
             self._kept[key] = KeptDesign(Z, Z[:nc], Z[nc:], names)
         return self._kept[key]
 
-    # x_r and l_a blocks, as columns of the unmasked design
-    @property
-    def xr_case(self) -> np.ndarray:
-        return self.design().case[:, 1:1 + len(self.pair.r.indices)]
-
-    @property
-    def la_case(self) -> np.ndarray:
-        return self.design().case[:, 1 + len(self.pair.r.indices):]
-
-    @property
-    def xr_pool(self) -> np.ndarray:
-        return self.design().pool[:, 1:1 + len(self.pair.r.indices)]
-
-    @property
-    def la_pool(self) -> np.ndarray:
-        return self.design().pool[:, 1 + len(self.pair.r.indices):]
+    def blocks(self, part: str) -> tuple[np.ndarray, np.ndarray]:
+        """The x_r and l_a columns of the unmasked design on the "case" or "pool" rows."""
+        Z, k = getattr(self.design(), part), 1 + len(self.pair.r.indices)
+        return Z[:, 1:k], Z[:, k:]
 
 
 def _keep_key(keep):
@@ -249,7 +237,6 @@ class OddsModel:
     info: np.ndarray                 # (1/n) sum of weighted design outer products at alpha
     keep: tuple | None = None
     n_iter: int = 0
-    nll_path: list = field(default_factory=list)
     pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # per view, see view_values
 
     @cached_property
@@ -287,7 +274,7 @@ class OutcomeModel:
         """Product of the observed target coordinates on the "case" or "pool"
         rows of `view`, 1 when there are none."""
         pos = [self.pair.a.indices.index(c) for c in self.scale_coords]
-        return _kept(self.pieces, (view, "scale_" + part), lambda: getattr(view, "la_" + part)[:, pos].prod(axis=1))
+        return _kept(self.pieces, (view, "scale_" + part), lambda: view.blocks(part)[1][:, pos].prod(axis=1))
 
 
 def fit_odds(
@@ -324,50 +311,44 @@ def fit_odds(
     alpha = np.zeros(Z.shape[1]) if start is None else start.copy()
     eta = _clamped_eta(Z, alpha)
     nll, e = _negloglik_at(eta, wy, w, n)
-    nll_path = [nll]
     for it in range(1, MAX_ITER + 2):
         score, hess = _score_hessian_at(e, Z, y, n, w)
-        if np.max(np.abs(score)) <= SCORE_TOL:
-            # one polishing step: quadratic convergence leaves the score near
-            # machine precision, keeping downstream influence means tiny
-            try:
-                polish = alpha + np.linalg.solve(-hess, score)
-            except np.linalg.LinAlgError:
-                break
-            polish_eta = _clamped_eta(Z, polish)
-            polish_nll, polish_e = _negloglik_at(polish_eta, wy, w, n)
-            if polish_nll <= nll + 1e-14 * (1.0 + abs(nll)):
-                alpha, eta, e = polish, polish_eta, polish_e
-            break
-        if np.max(np.abs(eta)) >= LINPRED_CLAMP:
-            raise SeparationError(
-                f"{pair}: linear predictor reached the clamp {LINPRED_CLAMP} with unconverged "
-                "score; case and pool look separable"
-            )
-        if it > MAX_ITER:
-            raise NonConvergenceError(
-                f"{pair}: odds fit not converged after {MAX_ITER} Newton steps "
-                f"(score max {np.max(np.abs(score)):.3e})"
-            )
+        # a converged score takes one trial of the full step, a polishing step
+        # that leaves the score near machine precision and so keeps downstream
+        # influence means tiny; an unconverged one halves the step up to 40 times
+        converged = np.max(np.abs(score)) <= SCORE_TOL
+        if not converged:
+            if np.max(np.abs(eta)) >= LINPRED_CLAMP:
+                raise SeparationError(
+                    f"{pair}: linear predictor reached the clamp {LINPRED_CLAMP} with unconverged "
+                    "score; case and pool look separable"
+                )
+            if it > MAX_ITER:
+                raise NonConvergenceError(
+                    f"{pair}: odds fit not converged after {MAX_ITER} Newton steps "
+                    f"(score max {np.max(np.abs(score)):.3e})"
+                )
         try:
             step = np.linalg.solve(-hess, score)
         except np.linalg.LinAlgError:
+            if converged:
+                break
             raise SingularityError(f"{pair}: singular Hessian in odds fit (collinear or separated design)")
-        lam = 1.0
-        for _ in range(40):
-            cand = alpha + lam * step
+        for k in range(1 if converged else 40):
+            cand = alpha + 0.5 ** k * step
             cand_eta = _clamped_eta(Z, cand)
             cand_nll, cand_e = _negloglik_at(cand_eta, wy, w, n)
             if cand_nll <= nll + 1e-14 * (1.0 + abs(nll)):
+                alpha, eta, e, nll = cand, cand_eta, cand_e, cand_nll
                 break
-            lam *= 0.5
         else:
-            raise NonConvergenceError(
-                f"{pair}: no step along the Newton direction lowers the loss after {it - 1} steps "
-                f"(score max {np.max(np.abs(score)):.3e})"
-            )
-        alpha, eta, e, nll = cand, cand_eta, cand_e, cand_nll
-        nll_path.append(nll)
+            if not converged:
+                raise NonConvergenceError(
+                    f"{pair}: no step along the Newton direction lowers the loss after {it - 1} steps "
+                    f"(score max {np.max(np.abs(score)):.3e})"
+                )
+        if converged:
+            break
     # eta is clamped, so it reaches the clamp exactly when Z @ alpha does;
     # below it, eta is Z @ alpha itself
     if np.max(np.abs(eta)) >= LINPRED_CLAMP:
@@ -384,7 +365,6 @@ def fit_odds(
         info=-_score_hessian_at(e, Z, y, n, w)[1],
         keep=tuple(keep) if keep is not None else None,
         n_iter=it,
-        nll_path=nll_path,
     )
 
 
@@ -469,7 +449,7 @@ def view_values(model, view: PairView, part: str) -> np.ndarray:
         if model.scale_coords:
             vals = _kept(model.pieces, (view, part), lambda: vals * model.scale_values(view, part))
         return vals
-    return model.predict(getattr(view, "xr_" + part), getattr(view, "la_" + part))
+    return model.predict(*view.blocks(part))
 
 
 def _linear(model: OutcomeModel, view: PairView, part: str) -> np.ndarray:

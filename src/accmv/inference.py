@@ -26,7 +26,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .data import Dataset, StratumIndex, check_finite
+from .data import Dataset, StratumIndex, check_finite, check_integer
 from .errors import AccmvError, BootstrapInstabilityError, ConfigError
 from .estimators import InfluenceVector, _walk
 
@@ -93,8 +93,7 @@ def if_variance_mr(ds, strata, odds, outcomes, f, theta_hat: float) -> tuple[flo
 
 def seed_sequence(seed) -> np.random.SeedSequence:
     """The SeedSequence of a non-negative integer seed."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    check_integer("seed", seed)
     return np.random.SeedSequence(seed)
 
 

@@ -15,12 +15,11 @@ naive variant drops those corrections for diagnostics.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, StratumIndex
+from .data import Dataset, StratumIndex, check_integer
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
 from .estimators import WeightTable, _require_models, compute_weights
 from .glm import fitted, odds_correction, pair_view, view_values
@@ -53,8 +52,7 @@ class ScoreSpec:
             if self.response is None or not self.predictors:
                 raise ConfigError("linear score needs a response coordinate and predictors")
             for j in (self.response, *self.predictors):
-                if isinstance(j, bool) or not isinstance(j, numbers.Integral) or j < 0:
-                    raise ConfigError(f"score coordinates must be non-negative integers, got {j!r}")
+                check_integer("a score coordinate", j)
             if self.response in self.predictors:
                 raise ConfigError("response coordinate cannot also be a predictor")
 

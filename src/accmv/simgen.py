@@ -17,12 +17,11 @@ masks of the misspecified fits, and the generated data never depend on it.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Functional, build_strata
+from .data import Dataset, Functional, build_strata, check_integer
 from .errors import ConfigError
 from .estimators import compute_weights
 from .glm import pair_view
@@ -44,10 +43,9 @@ class SimDesign:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown design kind {self.kind!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
-            raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_integer("n", self.n, least=1)
+        if not isinstance(self.seed, np.random.SeedSequence):     # table replicates pass one
+            check_integer("seed", self.seed)
 
 
 class OracleModel:
@@ -317,7 +315,7 @@ def verify_oracles(design: SimDesign) -> OracleReport:
             continue
         view = pair_view(ds, strata, pr)
         _, Zc, Zp, names = view.design()
-        ovals = model.predict(view.xr_pool, view.la_pool)
+        ovals = model.predict(*view.blocks("pool"))
         for j, nm in enumerate(names):
             vals = np.concatenate([Zc[:, j], -ovals * Zp[:, j]])
             _mean_check(rows, f"odds {pr} moment[{nm}]", vals, n, 0.0)
@@ -331,7 +329,7 @@ def verify_oracles(design: SimDesign) -> OracleReport:
             continue
         view = pair_view(ds, strata, pr)
         _, _, Zp, names = view.design()
-        resid = f(ds.L[view.pool]) - model.predict(view.xr_pool, view.la_pool)
+        resid = f(ds.L[view.pool]) - model.predict(*view.blocks("pool"))
         for j, nm in enumerate(names):
             _mean_check(rows, f"regression {pr} orth[{nm}]", resid * Zp[:, j], n, 0.0)
 
@@ -339,8 +337,8 @@ def verify_oracles(design: SimDesign) -> OracleReport:
         # pointwise windows for the richest pool regression
         view = pair_view(ds, strata, _pair("multiple", 3, 0))
         model = truth.outcomes[(3, 0)]
-        xp = view.xr_pool
-        resid = f(ds.L[view.pool]) - model.predict(xp, view.la_pool)
+        xp, lp = view.blocks("pool")
+        resid = f(ds.L[view.pool]) - model.predict(xp, lp)
         for c in (0.5, 1.0, 1.5):
             g = ((np.abs(xp[:, 0] - c) <= 0.25) & (np.abs(xp[:, 1] - c) <= 0.25)).astype(float)
             _mean_check(rows, f"regression {view.pair} window@{c}", resid * g, n, 0.0)
@@ -357,7 +355,7 @@ def verify_oracles(design: SimDesign) -> OracleReport:
         v[complete] = f(ds.L[complete])
         for pr in strata.incomplete_pairs():
             view = pair_view(ds, strata, pr)
-            v[view.case] = truth.outcomes[pr.key].predict(view.xr_case, view.la_case)
+            v[view.case] = truth.outcomes[pr.key].predict(*view.blocks("case"))
         _mean_check(rows, "theta via oracle regressions", v, n, truth.theta_true)
 
     if design.kind == "mpm":

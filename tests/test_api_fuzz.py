@@ -90,7 +90,9 @@ def test_functional_raises_only_config_errors(kind, coords, thresholds, fn):
     lambda: Functional("coordinate", ("x",)),
     lambda: Functional("coordinate", (1.5,)),
     lambda: Functional("coordinate", 0),
+    lambda: Functional("coordinate", (True,)),
     lambda: run_table(True, 2, 2000, 1),
+    lambda: run_table(1.0, 1, 300, 1, workers=1),
     lambda: run_table(3, 2.5, 2000, 1),
     lambda: run_table(3, True, 2000, 1),
     lambda: run_table(3, 2, 2000.5, 1),
@@ -98,9 +100,13 @@ def test_functional_raises_only_config_errors(kind, coords, thresholds, fn):
     lambda: run_table(3, 2, 2000, 1, workers="2"),
     lambda: run_table(3, 2, 2000, 1, workers=-1),
     lambda: generate(SimDesign("single", 2.5)),
+    lambda: generate(SimDesign("single", 10, 2.5)),
+    lambda: generate(SimDesign("single", 10, "x")),
+    lambda: generate(SimDesign("single", 10, -1.0)),
 ], ids=["delta-text", "grid-none", "delta-scalar", "threshold-text", "coord-negative", "coord-text",
-        "coord-float", "coords-scalar", "table-bool", "table-replicates-float", "table-replicates-bool", "table-n-float",
-        "table-workers-float", "table-workers-text", "table-workers-negative", "design-n-float"])
+        "coord-float", "coords-scalar", "coord-bool", "table-bool", "table-float", "table-replicates-float",
+        "table-replicates-bool", "table-n-float", "table-workers-float", "table-workers-text", "table-workers-negative",
+        "design-n-float", "design-seed-float", "design-seed-text", "design-seed-negative-float"])
 def test_named_bad_inputs(build):
     with pytest.raises(ConfigError):
         build()

@@ -274,6 +274,9 @@ def test_table_bad_n_exits_2(capsys):
     assert run(["table", "--table", "1", "--replicates", "2", "--n", "0", "--seed", "1", "--workers", "1"]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "replicates failed" not in err
+    # verify-oracles leaves its sample size to the same design check
+    assert run(["verify-oracles", "--design", "single", "--n-big", "0"]) == 2
+    assert "n must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
 # One seeded replicate per table at n = 2000: (estimate, SE) of every row, as
@@ -340,6 +343,30 @@ def test_sensitivity_has_no_level_option(single_csv, tmp_path, capsys):
     cfg.write_text(json.dumps({"level": 1.5}))
     assert run([*argv, "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_sensitivity_has_no_decompose_product_option(single_csv, tmp_path, capsys):
+    # the sweep fits no outcome model, so neither the flag nor its config key exists there
+    argv = ["sensitivity", "--data", single_csv, *DATA_ARGS, "--grid=0,1"]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--decompose-product"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"decompose_product": True}))
+    assert run([*argv, "--config", str(cfg)]) == 2
+    assert "'decompose_product' does not match any option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["ra", "mr", "cc"])
+def test_self_normalize_without_ipw_exits_2(method, single_csv, tmp_path, capsys):
+    # self-normalizing divides the IPW sum by the weight total; no other method has one
+    argv = ["fit", "--data", single_csv, *DATA_ARGS, "--method", method]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"self_normalize": True}))
+    for extra in (["--self-normalize"], ["--config", str(cfg)]):
+        assert run([*argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert "--self-normalize applies to --method ipw only" in captured.err and captured.out == ""
 
 
 def test_level_from_config_is_checked(single_csv, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import BootstrapInstabilityError, ConfigError, FitError
 from accmv.estimators import estimate_complete_case, estimate_ipw, estimate_mr, estimate_ra
-from accmv.glm import design_matrix, fit_all_odds, fit_all_outcomes
+from accmv.glm import design_matrix, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
 from accmv.inference import (
     attempt,
     bootstrap,
@@ -20,7 +20,7 @@ from accmv.inference import (
     if_variance_ra,
     normal_ci,
 )
-from accmv.simgen import SimDesign, generate, oracle_value
+from accmv.simgen import SimDesign, default_functional, generate, misspec_masks, oracle_value
 
 from toy import toy_single_primary
 
@@ -121,6 +121,64 @@ def test_mr_influence_equals_pointwise_eif_on_toy():
                     val += float(toy.m(r, a, xv, la))
         phi[i] = val - est.theta_hat
     np.testing.assert_allclose(iv.values, phi, atol=1e-12)
+
+
+def mean_pipeline(kind, method, models):
+    """`estimate_<method>` on (ds, strata) with every model refitted there:
+    "fitted" models, "masked" ones under the benchmark's misspecification
+    masks, "decomposed" outcome fits of the product, or fixed "oracle" models."""
+    f, truth = default_functional(kind), oracle_value(kind)
+    masks = {fam: misspec_masks(kind, fam) if models == "masked" else {} for fam in ("odds", "outcome")}
+
+    def odds(ds, s):
+        if models == "oracle":
+            return truth.odds
+        return {pr.key: fit_odds(ds, s, pr, keep=masks["odds"].get(pr.key)) for pr in s.incomplete_pairs()}
+
+    def outcomes(ds, s):
+        if models == "oracle":
+            return truth.outcomes
+        return {pr.key: fit_outcome(ds, s, pr, f, keep=masks["outcome"].get(pr.key), decompose=models == "decomposed")
+                for pr in s.incomplete_pairs()}
+
+    def estimate(ds, s, influence=False):
+        if method == "ipw":
+            return estimate_ipw(ds, s, odds(ds, s), f, influence=influence)
+        if method == "ra":
+            return estimate_ra(ds, s, outcomes(ds, s), f, influence=influence)
+        return estimate_mr(ds, s, odds(ds, s), outcomes(ds, s), f, influence=influence)
+    return estimate
+
+
+DERIVATIVE_CASES = [
+    *((kind, method, models) for models in ("fitted", "masked") for kind in ("single", "multiple")
+      for method in ("ipw", "ra", "mr")),
+    ("single", "mr", "oracle"), ("multiple", "mr", "oracle"),
+    ("multiple", "ra", "decomposed"), ("multiple", "mr", "decomposed"),
+]
+
+
+@pytest.mark.parametrize("kind,method,models", DERIVATIVE_CASES, ids=["-".join(c) for c in DERIVATIVE_CASES])
+def test_influence_values_are_the_pipeline_derivatives(kind, method, models):
+    # The influence value of record i is the derivative of the whole
+    # pipeline, refits included, along the frequencies (1 - eps) + eps * n * e_i,
+    # which keep the total mass at n.  A wrong correction term moves the
+    # values by a tenth or more of their largest one.
+    estimate = mean_pipeline(kind, method, models)
+    ds = generate(SimDesign(kind, 600, 3))
+    strata = build_strata(ds)
+    values = estimate(ds, strata, influence=True).influence.values
+    records = np.random.default_rng(0).choice(ds.n, 25, replace=False)
+    eps = 1e-6
+    D = np.empty(records.size)
+    for k, i in enumerate(records):
+        theta = []
+        for step in (eps, -eps):
+            freq = np.full(ds.n, 1.0 - step)
+            freq[i] += step * ds.n
+            theta.append(estimate(ds, strata.reweight(freq)).theta_hat)
+        D[k] = (theta[0] - theta[1]) / (2 * eps)
+    assert np.max(np.abs(D - values[records])) <= 1e-6 * np.max(np.abs(values))
 
 
 def test_bootstrap_deterministic(single_20k):

@@ -238,7 +238,7 @@ def test_score_coordinates_are_checked(mpm_2k):
     # a negative coordinate would alias one counted from the end, a float
     # one would fail as an index, and one past d is not in the data
     for response, predictors in ((-1, (0,)), (1, (-2,)), (1.5, (0,)), (True, (0,))):
-        with pytest.raises(ConfigError, match="non-negative integers"):
+        with pytest.raises(ConfigError, match="score coordinate must be an integer >= 0"):
             ScoreSpec("linear", response=response, predictors=predictors)
     ds, strata = mpm_2k
     odds = fit_all_odds(ds, strata)

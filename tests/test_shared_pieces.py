@@ -56,7 +56,7 @@ def direct(model, view, f):
             return np.exp(np.clip(Z @ model.alpha, -glm.LINPRED_CLAMP, glm.LINPRED_CLAMP))
         return {"case": odds(d.case), "pool": odds(d.pool), "score": view.y - odds(d.stacked) / (1.0 + odds(d.stacked))}
     pos = [model.pair.a.indices.index(c) for c in model.scale_coords]
-    s_case, s_pool = view.la_case[:, pos].prod(axis=1), view.la_pool[:, pos].prod(axis=1)
+    s_case, s_pool = (view.blocks(part)[1][:, pos].prod(axis=1) for part in ("case", "pool"))
     L = view.ds.L[view.pool]
     rho = L[:, model.resp_coord] if model.resp_coord is not None else f(L)
     return {"case": d.case @ model.beta * s_case, "pool": d.pool @ model.beta * s_pool,
