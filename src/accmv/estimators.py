@@ -28,9 +28,6 @@ from .errors import ConfigError, PositivityError
 from .glm import case_gradient, complete_values, fitted, odds_correction, pair_view, score_residuals, view_values
 from .patterns import PatternPair
 
-TILT_CLAMP = 30.0
-
-
 @dataclass
 class WeightTable:
     """Total weight 1 + Q per record with all primaries observed, times the
@@ -54,38 +51,16 @@ class WeightTable:
         }
 
 
-def weight_table(ds: Dataset, strata: StratumIndex, odds: dict | None, deltas=(None,), center=None):
-    """Complete-case weight tables from the odds models of the pairs present
-    in `strata`, yielded one per entry of `deltas`; every pair present with
-    incomplete primaries needs a model, and `odds` None means zero odds in
-    every pair.
-
-    A delta and the `center` are length-d vectors; each odds contribution
-    for pair (tau, a) is then multiplied by exp(delta restricted to the
-    coordinates a leaves unobserved, centered), and None leaves it untilted.
-    What does not depend on delta is built once for all the tables.
-    """
+def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict | None) -> WeightTable:
+    """The complete-case weight table from the odds models of the pairs
+    present in `strata`; every pair present with incomplete primaries needs
+    a model, and `odds` None means zero odds in every pair."""
     rows = np.flatnonzero(strata.complete_mask)
-    freq = strata.weights(rows)
-    pieces = []
+    total = np.ones(ds.n)
     for pr in _require_models(strata, odds, "odds"):
         view = pair_view(ds, strata, pr)
-        v = view_values(odds[pr.key], view, "pool")
-        miss = [j for j in range(ds.d) if j not in pr.a.indices]
-        centered = None if center is None else ds.L[np.ix_(view.pool, miss)] - np.asarray(center)[miss]
-        pieces.append((v, view.pool, miss, centered))
-    for delta in deltas:
-        total = np.ones(ds.n)
-        for v, pool, miss, centered in pieces:
-            if delta is not None:
-                v = v * np.exp(np.clip(centered @ np.asarray(delta)[miss], -TILT_CLAMP, TILT_CLAMP))
-            total[pool] += v
-        yield WeightTable(rows=rows, total=total[rows] * freq)
-
-
-def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict) -> WeightTable:
-    """The untilted complete-case weight table, see `weight_table`."""
-    return next(weight_table(ds, strata, odds))
+        total[view.pool] += view_values(odds[pr.key], view, "pool")
+    return WeightTable(rows=rows, total=total[rows] * strata.weights(rows))
 
 
 @dataclass
@@ -247,7 +222,7 @@ def estimate_ipw(
     if self_normalize and influence:
         raise ConfigError("no influence-function SE for the self-normalized IPW estimate")
     walk = _walk(ds, strata, f, odds=odds, influence=influence)
-    wt, = weight_table(ds, strata, odds)
+    wt = compute_weights(ds, strata, odds)
     denom = float(wt.total.sum()) if self_normalize else float(ds.n)
     if denom == 0.0:
         raise PositivityError("no records with all primary variables observed")

@@ -83,9 +83,9 @@ class PairView:
     Each is stored feature-major, as the transpose of a C-contiguous (k, m)
     block, so the products the fits form on it read contiguous memory.
     The fits, estimators and influence functions all read these shared
-    designs.  A unit-frequency view also keeps the odds coefficients that
-    `fit_odds` converged to on it, per keep mask, where the fits on its
-    reweighted views start.
+    designs.  A unit-frequency view also keeps, per keep mask, the odds
+    coefficients that `fit_odds` converged to on it, from which the fits on
+    its reweighted views take their one-step start (see `_start`).
     """
 
     def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair,
@@ -102,7 +102,7 @@ class PairView:
             a.flags.writeable = False
         self._base = base            # (view, row positions) whose designs this view selects from
         self._kept = {}
-        self._alpha = {}             # keep key -> converged odds coefficients
+        self._fits = {}              # keep key -> (alpha,), then (alpha, info inverse or None, y - p)
 
     def reweighted(self, freq: np.ndarray) -> "PairView":
         """The rows of this view drawn by the per-record frequencies `freq`."""
@@ -110,6 +110,14 @@ class PairView:
         pos = np.flatnonzero(w > 0)      # drawn positions: a take by index beats a boolean mask
         rows, nc = self.rows.take(pos), np.searchsorted(pos, self.case.size)
         return PairView(self.ds, rows[:nc], rows[nc:], self.pair, w=w.take(pos), base=(self, pos))
+
+    def drawn_from(self) -> tuple["PairView", np.ndarray]:
+        """The unit-frequency view whose rows this view holds, and the
+        positions of this view's pool rows in that view's pool."""
+        if self._base is None:
+            return self, np.arange(self.pool.size)
+        view, pos = self._base
+        return view, pos[self.case.size:] - view.case.size
 
     def design(self, keep=None) -> KeptDesign:
         """Designs restricted to the non-intercept columns `keep` marks."""
@@ -166,7 +174,11 @@ def _kept(pieces: dict, key, make, functional=None) -> np.ndarray:
 
 
 def complete_values(ds: Dataset, strata: StratumIndex, f: Functional) -> np.ndarray:
-    """f on the complete-primary records of `strata`, zero elsewhere; once per index and functional."""
+    """f on the complete-primary records of `strata`, zero elsewhere; once per
+    index and functional.  A reweighted index shares its parent's: readers
+    weight them by frequency or take the rows they drew."""
+    strata = strata.parent or strata
+
     def make():
         vals, rows = np.zeros(ds.n), np.flatnonzero(strata.complete_mask)
         if rows.size:
@@ -218,6 +230,34 @@ def _score_hessian_at(e, Z, y, n_total, w):
     return score, hess
 
 
+def _start(view: PairView, key, Z, w, n):
+    """Where an odds fit on `view` starts, with its clamped predictor: zero
+    unless a full-data fit of the keep mask ran on the base of `view`, then
+    one Newton step from it, alpha + I^-1 S(alpha), with the full-data
+    information and residuals y - p that the first replicate forms; alpha
+    itself where I is singular or the step's predictor reaches the clamp."""
+    if view._base is None or key not in view._base[0]._fits:
+        alpha = np.zeros(Z.shape[1])
+        return alpha, _clamped_eta(Z, alpha)
+    base, pos = view._base
+    fit = base._fits[key]
+    if len(fit) == 1:
+        Zb = base.design(key).stacked
+        e = np.exp(_clamped_eta(Zb, fit[0]))
+        try:
+            inv = np.linalg.inv(-_score_hessian_at(e, Zb, base.y, n, base.w)[1])
+        except np.linalg.LinAlgError:
+            inv = None
+        fit = base._fits[key] = (fit[0], inv, base.y - e / (1.0 + e))
+    alpha, inv, resid = fit
+    if inv is not None:
+        step = alpha + inv @ (Z.T @ (w * resid.take(pos)) / n)
+        eta = _clamped_eta(Z, step)
+        if np.max(np.abs(eta)) < LINPRED_CLAMP:
+            return step, eta
+    return alpha.copy(), _clamped_eta(Z, alpha)
+
+
 def _inverse(M, what):
     try:
         return np.linalg.inv(M)
@@ -234,10 +274,17 @@ class OddsModel:
     names: tuple[str, ...]
     n_case: int
     n_pool: int
-    info: np.ndarray                 # (1/n) sum of weighted design outer products at alpha
+    fit_state: tuple | None = field(default=None, repr=False)   # (exp(eta), Z, y, n, w) at alpha until `info` is read
     keep: tuple | None = None
     n_iter: int = 0
     pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # per view, see view_values
+
+    @cached_property
+    def info(self) -> np.ndarray:
+        """(1/n) sum of weighted design outer products at alpha, formed on first read."""
+        e, *rest = self.fit_state
+        self.fit_state = None
+        return -_score_hessian_at(e, *rest)[1]
 
     @cached_property
     def info_inv(self) -> np.ndarray:
@@ -286,10 +333,11 @@ def fit_odds(
 ) -> OddsModel:
     """Fit the odds model for one pattern pair by Newton with step halving.
     The line search computes each iterate's linear predictor once.  A fit on
-    a reweighted index (a resample) starts from the full-data fit of its pair
-    and keep mask if one ran, else from zero.  A converged score ends the loop
-    with one polishing step; an unconverged one at the clamp means separation,
-    and after MAX_ITER steps or a failed line search, non-convergence."""
+    a reweighted index (a resample) starts one Newton step from the full-data
+    fit (see `_start`).  A converged score ends the loop with one polishing
+    step; an unconverged one at the clamp means separation, and after
+    MAX_ITER steps or a failed line search, non-convergence.  The model's
+    information matrix is formed when first read."""
     _check_keep(pair, keep)
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
@@ -307,9 +355,7 @@ def fit_odds(
     n = ds.n
 
     key = _keep_key(keep)
-    start = view._base[0]._alpha.get(key) if view._base else None
-    alpha = np.zeros(Z.shape[1]) if start is None else start.copy()
-    eta = _clamped_eta(Z, alpha)
+    alpha, eta = _start(view, key, Z, w, n)
     nll, e = _negloglik_at(eta, wy, w, n)
     for it in range(1, MAX_ITER + 2):
         score, hess = _score_hessian_at(e, Z, y, n, w)
@@ -355,17 +401,9 @@ def fit_odds(
         raise SeparationError(f"{pair}: linear predictor clamped at the solution; treating as separation")
 
     if view._base is None:
-        view._alpha[key] = alpha
-    return OddsModel(
-        pair=pair,
-        alpha=alpha,
-        names=names,
-        n_case=n_case,
-        n_pool=n_pool,
-        info=-_score_hessian_at(e, Z, y, n, w)[1],
-        keep=tuple(keep) if keep is not None else None,
-        n_iter=it,
-    )
+        view._fits[key] = (alpha,)
+    return OddsModel(pair=pair, alpha=alpha, names=names, n_case=n_case, n_pool=n_pool, fit_state=(e, Z, y, n, w),
+                     keep=tuple(keep) if keep is not None else None, n_iter=it)
 
 
 def fit_outcome(
@@ -473,7 +511,7 @@ def odds_correction(model: OddsModel, view: PairView, ro: np.ndarray) -> np.ndar
 def fitted(model) -> bool:
     """True for estimated models, which carry the matrices their influence
     corrections need; known functions contribute no correction."""
-    return getattr(model, "info", None) is not None or getattr(model, "gram", None) is not None
+    return isinstance(model, (OddsModel, OutcomeModel))
 
 
 def score_residuals(model, view: PairView, f: Functional | None = None) -> np.ndarray:

@@ -169,7 +169,8 @@ def bootstrap(
     nuisance refits included.  A resample is `strata` reweighted by record
     frequencies, so the pipeline must sum over records through the package's
     fits and estimators, or honour `strata.freq` itself.  More than
-    `max_failure_rate` of the B replicates failing aborts.
+    `max_failure_rate` of the B replicates failing, or fewer than two
+    fitting, aborts.
     """
     _check_replicates(B)
     critical_value(level)            # reject a bad level before any replicate runs
@@ -187,7 +188,7 @@ def bootstrap(
     results, failures = replicate(lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
                                   resamples())
     n_failed = sum(failures.values())
-    if n_failed > max_failure_rate * B:
+    if n_failed > max_failure_rate * B or n_failed > B - 2:         # a standard error needs two replicates
         raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit: {failures}")
     mat = np.vstack([r for r in results if r is not None])
     if point.shape != mat.shape[1:]:

@@ -3,8 +3,8 @@
 Each fitted odds contribution for a pair (tau, a) is multiplied by
 exp(delta . (l - c)) restricted to the primary coordinates a leaves
 unobserved, and the estimate is recomputed self-normalized.  delta = 0
-recovers the untilted self-normalized IPW estimate exactly.  The odds stay
-fitted under the untilted assumption; only the weights are perturbed.
+recovers the untilted self-normalized IPW estimate, to rounding.  The odds
+stay fitted under the untilted assumption; only the weights are perturbed.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex, check_finite
 from .errors import ConfigError, DegenerateNormalizationError
-from .estimators import weight_table
-from .glm import fit_all_odds
+from .estimators import _require_models
+from .glm import complete_values, fit_all_odds, pair_view, view_values
 from .inference import DEFAULT_LEVEL, _check_replicates, bootstrap
+
+TILT_CLAMP = 30.0
 
 
 @dataclass(frozen=True)
@@ -55,22 +57,39 @@ def tilted_estimate(
     ds: Dataset, strata: StratumIndex, odds: dict, f: Functional, spec: TiltSpec, multiplier: float = 1.0
 ) -> float:
     """Self-normalized IPW estimate under the tilted weights."""
-    return _tilted_grid(ds, strata, odds, f, spec, [multiplier])[0]
+    return _tilted_grid(ds, strata, odds, f, spec, [multiplier], {})[0]
 
 
-def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid) -> list[float]:
-    """`tilted_estimate` at each multiplier of `grid`, evaluating each odds
-    model once and building the weight tables of all grid points together."""
-    deltas = [spec.resolved_delta(ds.d, m) for m in grid]
-    tables = weight_table(ds, strata, odds, deltas, spec.resolved_center(ds.d))
-    fvals = f(ds.L[strata.complete_mask])
-    ests = []
-    for wt in tables:
-        denom = float(wt.total.sum())
-        if denom == 0.0:
-            raise DegenerateNormalizationError("tilted weight sum is zero: no complete-primary records")
-        ests.append(float(fvals @ wt.total / denom))
-    return ests
+def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid, factors: dict) -> list[float]:
+    """`tilted_estimate` at each multiplier of `grid`: sum f w / sum w over
+    the complete records, each pair's part of w a dot of its tilt factors
+    with frequency times odds, one dot per grid point.  `factors` keeps each
+    pair's len(grid) x pool factors, formed on the unit-frequency pool on
+    first use; a reweighted view takes its pool columns by position."""
+    pairs = _require_models(strata, odds, "odds")
+    fmap = complete_values(ds, strata, f)
+    rows = np.flatnonzero(strata.complete_mask)
+    freq = strata.weights(rows)
+    num, den = np.full(len(grid), fmap[rows] @ freq), np.full(len(grid), freq.sum())
+    if not den.all():
+        raise DegenerateNormalizationError("tilted weight sum is zero: no complete-primary records")
+    center, deltas = spec.resolved_center(ds.d), [spec.resolved_delta(ds.d, m) for m in grid]
+    for pr in pairs:
+        view = pair_view(ds, strata, pr)
+        unit, pos = view.drawn_from()
+        if pr.key not in factors:
+            miss = [j for j in range(ds.d) if j not in pr.a.indices]     # the coordinates a leaves unobserved
+            eta = np.zeros((len(grid), unit.pool.size))
+            for j in miss:
+                eta += np.multiply.outer([d[j] for d in deltas], ds.L[unit.pool, j] - center[j])
+            factors[pr.key] = np.exp(np.clip(eta, -TILT_CLAMP, TILT_CLAMP))
+        wo = view.w_pool * view_values(odds[pr.key], view, "pool")
+        fwo = fmap[view.pool] * wo
+        for k, t in enumerate(factors[pr.key]):
+            t = t.take(pos)
+            num[k] += t @ fwo
+            den[k] += t @ wo
+    return (num / den).tolist()
 
 
 @dataclass
@@ -112,23 +131,15 @@ def sweep(
         raise ConfigError("sweep needs a nonempty grid")
     _check_replicates(B, none_ok=True)
     grid = list(spec.grid)
-    ests = _tilted_grid(ds, strata, odds, f, spec, grid)
-    lo = [float("nan")] * len(grid)
-    hi = [float("nan")] * len(grid)
+    factors = {}                     # pair key -> tilt factors, for this sweep only
+    ests = _tilted_grid(ds, strata, odds, f, spec, grid, factors)
+    lo = hi = [float("nan")] * len(grid)
     failures = {}
     if B:
-        boot = bootstrap(ds, strata, lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid),
+        boot = bootstrap(ds, strata,
+                         lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid, factors),
                          ests, B, seed, DEFAULT_LEVEL)
         lo, hi = np.atleast_1d(boot.normal.lower).tolist(), np.atleast_1d(boot.normal.upper).tolist()
         failures = boot.failures
-    return SensitivityCurve(
-        functional=f.describe(),
-        multipliers=grid,
-        estimates=ests,
-        ci_lower=lo,
-        ci_upper=hi,
-        B=B or None,
-        seed=seed if B else None,
-        n_failed=sum(failures.values()),
-        failures=failures,
-    )
+    return SensitivityCurve(functional=f.describe(), multipliers=grid, estimates=ests, ci_lower=lo, ci_upper=hi,
+                            B=B or None, seed=seed if B else None, n_failed=sum(failures.values()), failures=failures)

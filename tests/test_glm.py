@@ -150,9 +150,26 @@ def test_negloglik_monotone_along_fit(single_20k, monkeypatch):
         losses.clear()
         path.clear()
         m = fit_odds(ds, strata, pr)
+        m.info                  # formed on first read, from the last iterate's exp(eta)
         p = np.asarray(path)
         assert p.size == m.n_iter + 1
         assert np.all(np.diff(p) <= 1e-14 * (1.0 + np.abs(p[:-1])))
+
+
+def test_info_formed_on_first_read(multiple_20k):
+    # the information matrix is formed when read, from the fit's last
+    # iterate, with the arithmetic of the Newton loop itself
+    ds, strata = multiple_20k
+    for pr in strata.incomplete_pairs():
+        k = len(pr.r.indices) + len(pr.a.indices)
+        for keep in (None, [j != k - 1 for j in range(k)]):
+            m = fit_odds(ds, strata, pr, keep=keep)
+            assert m.fit_state is not None
+            view = pair_view(ds, strata, pr)
+            Z = view.design(keep).stacked
+            expect = -_score_hessian_at(np.exp(_clamped_eta(Z, m.alpha)), Z, view.y, ds.n, view.w)[1]
+            np.testing.assert_array_equal(m.info, expect)
+            assert m.fit_state is None
 
 
 def test_separation_error():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,28 @@ def test_bootstrap_guards():
 
     with pytest.raises(BootstrapInstabilityError):
         bootstrap(ds, build_strata(ds), flaky, flaky(ds, build_strata(ds)), B=10, seed=0)
+
+
+@pytest.mark.parametrize("survivors", [0, 1])
+def test_bootstrap_needs_two_fitted_replicates(survivors):
+    # even a failure rate of 1 allowed leaves no standard error from fewer
+    # than two replicates: a named error with the counts, not a bare
+    # ValueError (none) or a NaN interval with warnings (one)
+    ds = generate(SimDesign("single", 300, 1))
+    strata = build_strata(ds)
+    calls = {"k": 0}
+
+    def pipeline(d, s):
+        calls["k"] += 1
+        if calls["k"] > survivors:
+            raise FitError("boom")
+        return estimate_complete_case(d, s, F1).theta_hat
+
+    point = estimate_complete_case(ds, strata, F1).theta_hat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BootstrapInstabilityError, match=f"{4 - survivors}/4 .*'FitError': {4 - survivors}"):
+            bootstrap(ds, strata, pipeline, point, B=4, seed=0, max_failure_rate=1.0)
 
 
 def test_bootstrap_skip_count():

@@ -2,10 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import ConfigError, DegenerateNormalizationError
-from accmv.estimators import estimate_ipw, weight_table
+from accmv.estimators import compute_weights, estimate_ipw
 from accmv.glm import fit_all_odds, pair_view, view_values
 from accmv.patterns import Pattern, PatternPair
 from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
@@ -56,33 +58,39 @@ def test_monotone_in_tilt_direction():
 
 def test_tilt_never_applies_to_complete_pattern(single_20k):
     # a model keyed by a pair with all primaries observed is never read:
-    # the weights, tilted or not, are those of the models of incomplete pairs
+    # the weights and every estimate, tilted or not, are those of the models
+    # of incomplete pairs
     ds, strata = single_20k
     odds = fit_all_odds(ds, strata)
     pair = PatternPair(Pattern(0, 2), Pattern(1, 1))    # a = 1_d
     extra = {**odds, (0, 1): OracleModel(pair, lambda x, l: 1.0)}
-    deltas, center = [None, np.ones(1)], np.zeros(1)
-    tables = zip(weight_table(ds, strata, extra, deltas, center), weight_table(ds, strata, odds, deltas, center))
-    for got, expect in tables:
-        np.testing.assert_array_equal(got.rows, expect.rows)
-        np.testing.assert_array_equal(got.total, expect.total)
+    got, expect = compute_weights(ds, strata, extra), compute_weights(ds, strata, odds)
+    np.testing.assert_array_equal(got.rows, expect.rows)
+    np.testing.assert_array_equal(got.total, expect.total)
+    spec = TiltSpec(delta=(1.0,), grid=(-1.0, 0.0, 0.5))
+    assert sweep(ds, strata, extra, F1, spec).estimates == sweep(ds, strata, odds, F1, spec).estimates
+    assert tilted_estimate(ds, strata, extra, F1, spec) == tilted_estimate(ds, strata, odds, F1, spec)
 
 
 def test_tilted_log_odds_contract(single_20k, multiple_20k):
     # a pair's tilted contribution is its fitted pool odds times
     # exp(delta (l - c)) over the coordinates its primary pattern leaves
-    # missing; the multiple design's pairs leave different coordinates missing
+    # missing; the multiple design's pairs leave different coordinates
+    # missing.  The estimate is sum f w / sum w over the complete records.
     for ds, strata in (single_20k, multiple_20k):
         odds = fit_all_odds(ds, strata)
         delta, center = np.array([0.4, -0.3])[:ds.d], np.array([1.5, 0.5])[:ds.d]
-        wt, = weight_table(ds, strata, odds, [delta], center)
-        expected = np.zeros(ds.n)
+        spec = TiltSpec(delta=tuple(delta), center=tuple(center))
+        w = np.ones(ds.n)
         for pr in strata.incomplete_pairs():
             view = pair_view(ds, strata, pr)
             miss = [j for j in range(ds.d) if j not in pr.a.indices]
             tilt = np.exp((ds.L[np.ix_(view.pool, miss)] - center[miss]) @ delta[miss])
-            expected[view.pool] += view_values(odds[pr.key], view, "pool") * tilt
-        np.testing.assert_allclose(wt.total / strata.weights(wt.rows) - 1.0, expected[wt.rows], rtol=1e-12)
+            w[view.pool] += view_values(odds[pr.key], view, "pool") * tilt
+        rows = np.flatnonzero(strata.complete_mask)
+        expect = F1(ds.L[rows]) @ w[rows] / w[rows].sum()
+        got = tilted_estimate(ds, strata, odds, F1, spec)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
 def test_degenerate_normalization():
@@ -144,3 +152,25 @@ def test_tilt_spec_rejects_non_finite(field, bad):
     values = {"delta": (1.0,), field: (0.5, bad)}
     with pytest.raises(ConfigError, match=f"{field} must be finite"):
         TiltSpec(**values)
+
+
+def sweep_estimates(ds, spec):
+    strata = build_strata(ds)
+    return np.array(sweep(ds, strata, fit_all_odds(ds, strata), F1, spec).estimates)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 2**16), st.sampled_from(["single", "multiple"]), st.floats(0.1, 10.0))
+def test_sweep_scale_and_permutation(seed, kind, c):
+    # L -> c L with delta / c and center c: the odds refit absorbs the scale
+    # in the coefficients of l, the tilt exponent is unchanged, and the
+    # estimates of a coordinate scale by c.  Reordering the records changes
+    # no estimate.  The bound, fixed beforehand, is 1e-12 relative.
+    ds = generate(SimDesign(kind, 1000, seed))
+    delta, center = np.array([0.8, -0.4])[:ds.d], np.array([1.0, 0.5])[:ds.d]
+    spec = TiltSpec(delta=tuple(delta), center=tuple(center), grid=(-1.0, -0.5, 0.0, 1.0))
+    base = sweep_estimates(ds, spec)
+    scaled = TiltSpec(delta=tuple(delta / c), center=tuple(center * c), grid=spec.grid)
+    np.testing.assert_allclose(sweep_estimates(Dataset(ds.X, c * ds.L), scaled), c * base, rtol=1e-12, atol=0)
+    perm = np.random.default_rng(seed).permutation(ds.n)
+    np.testing.assert_allclose(sweep_estimates(ds.subset(perm), spec), base, rtol=1e-12, atol=0)
