@@ -23,7 +23,7 @@ from .patterns import Pattern, PatternPair, dominating
 
 MAX_TOTAL_DIM = 12
 DEFAULT_MISSING_TOKENS = ("", "NA")
-_WRITE_BLOCK = 1 << 16        # rows held as Python floats at a time by write_csv
+_WRITE_BLOCK = 1 << 10        # rows held as Python floats at a time by write_csv
 
 
 @dataclass

@@ -201,7 +201,8 @@ def _estimate(ds, method, walk, denom, **extra) -> ThetaEstimate:
     sums, _, phi = walk
     per = {k: float(v / denom) for k, v in sums.items()}
     theta = float(sum(per.values()))
-    iv = InfluenceVector(phi - theta) if phi is not None else None
+    # phi is the walk's own array, so it is centred in place
+    iv = InfluenceVector(np.subtract(phi, theta, out=phi)) if phi is not None else None
     return ThetaEstimate(theta_hat=theta, method=method, per_stratum=per, n=ds.n, influence=iv, **extra)
 
 

@@ -77,7 +77,9 @@ class PairView:
     """Case stratum and pool of one pattern pair with their designs.
 
     `rows` stacks the case rows over the pool rows, `y` labels them 1/0 and
-    `w` holds their frequencies.  The design of each keep mask is built on
+    `w` holds their frequencies.  `y`, and `w` at unit frequencies, are
+    read-only slices of the buffers that the stratum index's views share
+    (see `_DesignCache`).  The design of each keep mask is built on
     first use with `design_matrix` on `rows`, or taken as a row selection of
     the `base` view's design; its case and pool parts are row slices of it.
     Each is stored feature-major, as the transpose of a C-contiguous (k, m)
@@ -89,16 +91,17 @@ class PairView:
     """
 
     def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair,
-                 w=None, base=None):
+                 buffers, w=None, base=None):
         self.ds = ds
         self.pair = pair
         self.case = case
         self.pool = pool
         self.rows = np.concatenate([case, pool])
-        self.y = np.concatenate([np.ones(case.size), np.zeros(pool.size)])
-        self.w = np.ones(self.rows.size) if w is None else w
+        c, labels, self._ones = self._buffers = buffers
+        self.y = labels[c - case.size:c + pool.size]
+        self.w = self._ones[:self.rows.size] if w is None else w
         self.w_case, self.w_pool = self.w[:case.size], self.w[case.size:]
-        for a in (self.rows, self.y, self.w):
+        for a in (self.rows, self.w):
             a.flags.writeable = False
         self._base = base            # (view, row positions) whose designs this view selects from
         self._kept = {}
@@ -109,7 +112,7 @@ class PairView:
         w = freq[self.rows]
         pos = np.flatnonzero(w > 0)      # drawn positions: a take by index beats a boolean mask
         rows, nc = self.rows.take(pos), np.searchsorted(pos, self.case.size)
-        return PairView(self.ds, rows[:nc], rows[nc:], self.pair, w=w.take(pos), base=(self, pos))
+        return PairView(self.ds, rows[:nc], rows[nc:], self.pair, self._buffers, w=w.take(pos), base=(self, pos))
 
     def drawn_from(self) -> tuple["PairView", np.ndarray]:
         """The unit-frequency view whose rows this view holds, and the
@@ -152,15 +155,29 @@ def _check_keep(pair: PatternPair, keep) -> None:
 
 
 class _DesignCache:
-    def __init__(self, ds: Dataset):
+    def __init__(self, ds: Dataset, strata: StratumIndex):
         self.ds = ds
         self.pairs = {}              # (r, a) codes -> PairView
         self.pieces = {}             # "f" -> (functional, `complete_values`)
+        self.buffers = _unit_buffers(strata) if strata.parent is None else None
+
+
+def _unit_buffers(strata: StratumIndex):
+    """(c, labels, ones): c ones then q zeros, and c + q ones, read-only, for
+    the largest stratum c and the q complete records, which hold every pool.
+    Each view of the index, and of its resamples, labels its rows with
+    labels[c - n_case:c + n_pool] and counts unit frequencies with a prefix
+    of ones."""
+    c = max((rows.size for rows in strata.by_pair.values()), default=0)
+    ones = np.ones(c + int(np.count_nonzero(strata.complete_mask)))
+    labels = np.concatenate([ones[:c], np.zeros(ones.size - c)])
+    ones.flags.writeable = labels.flags.writeable = False
+    return c, labels, ones
 
 
 def _designs(ds: Dataset, strata: StratumIndex) -> _DesignCache:
     if strata.designs is None or strata.designs.ds is not ds:
-        strata.designs = _DesignCache(ds)
+        strata.designs = _DesignCache(ds, strata)
     return strata.designs
 
 
@@ -197,7 +214,7 @@ def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
     view = cache.pairs.get(pair.key)
     if view is None:
         if strata.parent is None:
-            view = PairView(ds, strata.stratum(pair), strata.pool(pair.r), pair)
+            view = PairView(ds, strata.stratum(pair), strata.pool(pair.r), pair, cache.buffers)
         else:
             view = pair_view(ds, strata.parent, pair).reweighted(strata.freq)
         cache.pairs[pair.key] = view
@@ -319,7 +336,9 @@ class OutcomeModel:
 
     def scale_values(self, view: "PairView", part: str) -> np.ndarray:
         """Product of the observed target coordinates on the "case" or "pool"
-        rows of `view`, 1 when there are none."""
+        rows of `view`; with none, a slice of the view's shared ones."""
+        if not self.scale_coords:
+            return view._ones[:getattr(view, part).size]
         pos = [self.pair.a.indices.index(c) for c in self.scale_coords]
         return _kept(self.pieces, (view, "scale_" + part), lambda: view.blocks(part)[1][:, pos].prod(axis=1))
 

@@ -153,6 +153,26 @@ def test_write_csv_bytes(tmp_path):
     )
 
 
+def test_write_csv_block_boundaries(tmp_path, monkeypatch):
+    # 45 rows, not a multiple of 7, with a missing cell first, in the middle
+    # or last in three rows of four: every block size writes the same bytes,
+    # and they read back bit-identically
+    n = 45
+    rng = np.random.default_rng(20)
+    cells = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-8, 9, (n, 5))
+    for i in range(n):
+        if i % 4 < 3:
+            cells[i, (0, 2, 4)[i % 4]] = np.nan
+    ds = Dataset(cells[:, :2], cells[:, 2:])
+    written = []
+    for block in (1, 7, data._WRITE_BLOCK):
+        monkeypatch.setattr(data, "_WRITE_BLOCK", block)
+        assert_roundtrip(tmp_path / f"block{block}.csv", ds)
+        written.append((tmp_path / f"block{block}.csv").read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert written[0].count(b"\r\n") == 1 + n
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_from_a_pipe(tmp_path):
     # a pipe cannot be reopened, so it is read record by record

@@ -12,12 +12,14 @@ from accmv.errors import (
     SingularityError,
     SmallStratumError,
 )
+from accmv.estimators import estimate_mr
 from accmv.glm import (
     LINPRED_CLAMP,
     SCORE_TOL,
     _clamped_eta,
     _negloglik_at,
     _score_hessian_at,
+    case_gradient,
     design_matrix,
     fit_all_odds,
     fit_all_outcomes,
@@ -338,6 +340,36 @@ def test_pair_view_designs_equal_design_matrix(kind):
         for rows, (xr, la) in ((case, view.blocks("case")), (pool, view.blocks("pool"))):
             assert np.array_equal(xr, ds.X[rows][:, pr.r.indices])
             assert np.array_equal(la, ds.L[rows][:, pr.a.indices])
+
+
+@pytest.mark.parametrize("fixture, f", [("single_20k", F1), ("multiple_20k", Functional("product", (0, 1)))])
+def test_views_share_one_label_and_one_ones_buffer(request, fixture, f):
+    # every view labels its rows with a slice of one read-only buffer per
+    # index, a unit view counts them with a slice of another, and a
+    # reweighted view keeps its drawn counts in a w of its own
+    ds = request.getfixturevalue(fixture)[0]
+    strata = build_strata(ds)                      # fresh, so the buffers below are this test's
+    rw = strata.reweight(np.bincount(np.random.default_rng(7).integers(0, ds.n, ds.n), minlength=ds.n))
+    unit = [pair_view(ds, strata, pr) for pr in strata.incomplete_pairs()]
+    labels, ones = unit[0].y.base, unit[0].w.base
+    assert not np.shares_memory(labels, ones)
+    for view in unit + [pair_view(ds, rw, pr) for pr in rw.incomplete_pairs()]:
+        nc, npool = view.case.size, view.pool.size
+        assert not view.y.flags.writeable and np.shares_memory(view.y, labels)
+        assert np.array_equal(view.y, np.r_[np.ones(nc), np.zeros(npool)])
+        if view in unit:
+            assert not view.w.flags.writeable and np.shares_memory(view.w, ones)
+            assert np.array_equal(view.w, np.ones(nc + npool))
+        else:
+            assert not np.shares_memory(view.w, ones) and np.array_equal(view.w, rw.freq[view.rows])
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, f, decompose=True)
+    assert estimate_mr(ds, strata, odds, outs, f, influence=True).influence is not None
+    plain = [(pair_view(ds, strata, pr), outs[pr.key]) for pr in strata.incomplete_pairs()
+             if not outs[pr.key].scale_coords]
+    assert plain
+    for view, om in plain:
+        assert not any(str(key[1]).startswith("scale_") for key in om.pieces)
+        assert np.array_equal(case_gradient(om, view), view.design().case.T @ np.ones(view.case.size))
 
 
 def test_design_matrix_input_errors_are_named():
