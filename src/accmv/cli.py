@@ -3,8 +3,10 @@
 Subcommands: fit, regress, sensitivity, simulate, table, verify-oracles.
 A JSON config file (--config) overrides the corresponding flags.  Exit codes:
 0 success, 1 standard output closed before the summary was printed (a
-broken pipe), 2 config error, 3 data error, 4 fit error, 5 inference error,
-6 oracle-verification discrepancy.  The --out and --dump-replicates files
+broken pipe), 2 config error (also a run that asks for more memory than it
+can get, a ResourceError), 3 data error, 4 fit error, 5 inference error,
+6 oracle-verification discrepancy.  `table --workers` is capped at the
+number of CPUs.  The --out and --dump-replicates files
 are written before the summary is printed, so a closed pipe does not lose them.
 """
 
@@ -20,7 +22,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .data import DEFAULT_MISSING_TOKENS, Functional, Schema, build_strata, check_integer, load_csv, write_csv
-from .errors import ConfigError, DataError, FitError, InferenceError
+from .errors import ConfigError, DataError, FitError, InferenceError, ResourceError
 from .estimators import (
     estimate_complete_case,
     estimate_ipw,
@@ -120,7 +122,8 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     SimDesign(kind, n)               # reject a bad design before any replicate runs
     truth = oracle_value(kind).theta_true
     args = [(table, n, child) for child in seed_sequence(seed).spawn(replicates)]
-    results, failures = replicate(table_replicate, args, min(workers or os.cpu_count() or 1, replicates))
+    cpus = os.cpu_count() or 1
+    results, failures = replicate(table_replicate, args, min(workers or cpus, cpus, replicates))
     ok = [r for r in results if r is not None]
     if not ok:
         raise FitError(f"every replicate failed to fit: {_failed_text(replicates, failures)}")
@@ -522,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=0, help="0 uses all cores")
+    p.add_argument("--workers", type=int, default=0, help="0 uses all cores; capped at the number of cores")
     p.add_argument("--out", help="summary CSV path")
     p.add_argument("--dump-replicates", help="optional per-replicate CSV dump")
     p.set_defaults(func=cmd_table, parser=p)
@@ -543,7 +546,10 @@ def main(argv=None) -> int:
         # an overflow or an invalid value stops the run instead of passing
         # inf or NaN on to the estimates
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            code = args.func(args)
+            try:
+                code = args.func(args)
+            except MemoryError:
+                raise ResourceError("out of memory; use a smaller --n, --n-big, grid or input file") from None
         sys.stdout.flush()           # a closed pipe fails here, not at interpreter exit
         return code
     except BrokenPipeError:

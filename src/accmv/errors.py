@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: config errors 2, data errors 3,
-fit errors 4, inference errors 5.
+Exit-code mapping used by the CLI: config errors 2 (a resource error is
+one), data errors 3, fit errors 4, inference errors 5.
 """
 
 
@@ -23,6 +23,11 @@ class CongenialityError(ConfigError):
     marginal model being estimated.  Only the odds-weighted route is
     compatible, so only IPW is offered for marginal parametric models.
     """
+
+
+class ResourceError(ConfigError):
+    """The run asks for more memory than it can get: the CLI's form of a
+    MemoryError, whose remedy is a smaller size option or input."""
 
 
 class DataError(AccmvError):

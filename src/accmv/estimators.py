@@ -119,11 +119,13 @@ class _Walk(NamedTuple):
 
 
 def _pair_terms(view, fmap, f, gm, om, influence):
-    """Stratum term, augmentation and, with `influence`, the (rows, values)
-    added to the influence vector by the pair of `view` under odds `gm` and
-    regression `om`, either of which may be None."""
+    """Stratum term, augmentation and, with `influence`, the one increment
+    over `view.rows` that the pair of `view` adds to the influence vector
+    under odds `gm` and regression `om`, either of which may be None: the
+    regression on the case rows, the odds-weighted residual and the outcome
+    fit's correction on the pool rows, and the odds fit's correction on both."""
     n = view.ds.n
-    term, aug, adds = 0.0, 0.0, []
+    term, aug = 0.0, 0.0
     if om is not None:
         m_case = view_values(om, view, "case")
         term = (m_case * view.w_case).sum()
@@ -135,21 +137,25 @@ def _pair_terms(view, fmap, f, gm, om, influence):
         aug = (resid * view.w_pool) @ o_pool
         term = aug + term
     if not influence:
-        return term, aug, adds
+        return term, aug, None
+    # the case rows lead `view.rows` and the pool rows follow
+    inc = np.zeros(view.rows.size)
+    case, pool = inc[:view.case.size], inc[view.case.size:]
+    if om is not None:
+        case += m_case
     if gm is not None:
         ro = resid * o_pool
-        adds.append((view.pool, ro))
-    if om is not None:
-        adds.append((view.case, m_case))
+        pool += ro
     if fitted(om):
         Zm = view.design(om.keep)
         grad = case_gradient(om, view)
         if gm is not None:
             grad = grad - Zm.pool.T @ (om.scale_values(view, "pool") * o_pool)
-        adds.append((view.pool, score_residuals(om, view, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
+        pool += score_residuals(om, view, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))
     if fitted(gm):
-        adds.append((view.rows, odds_correction(gm, view, ro)))
-    return term, aug, adds
+        inc += odds_correction(gm, view, ro)
+    inc.flags.writeable = False
+    return term, aug, inc
 
 
 def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
@@ -164,8 +170,8 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
     pairs are skipped, leaving the complete-case sums.  Returns the raw sum
     of every stratum, complete strata first, the summed augmentation terms,
     and with `influence` the uncentered influence values (f on complete
-    records, the per-pair terms on their records, and one correction per
-    fitted model).
+    records plus each pair's one increment over its case and pool rows,
+    which holds the pair's terms and one correction per fitted model).
     """
     if influence and strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
@@ -189,11 +195,11 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
         key = (view, om if gm is not None else None, influence)
         if pieces.get(key, (None,))[0] is not f:
             pieces[key] = (f, _pair_terms(view, fmap, f, gm, om, influence))
-        term, aug, adds = pieces[key][1]
+        term, aug, inc = pieces[key][1]
         sums[(str(pr.r), str(pr.a))] = term
         aug_total += aug
-        for rows, vals in adds:
-            phi[rows] += vals
+        if inc is not None:
+            phi[view.rows] += inc         # case and pool rows are distinct
     return _Walk(sums, aug_total, phi)
 
 

@@ -4,7 +4,8 @@ Two families, both on the design (1, x_r, l_a):
 
 * logistic odds models  O(x_r, l_a) = exp(alpha . (1, x_r, l_a)), fitted by
   comparing the case stratum (R = r, A = a) against its pool (R >= r, A all
-  observed) with Newton-Raphson on the exact binary log-likelihood;
+  observed) with Newton-Raphson on the exact binary log-likelihood, started
+  at the intercept-only fit (or, on a resample, next to the full-data fit);
 * linear outcome regressions m(x_r, l_a) = beta . (1, x_r, l_a), fitted by
   least squares on the pool.
 
@@ -19,6 +20,7 @@ a fitted model's values and score pieces once per view, kept on the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -222,7 +224,9 @@ def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
 
 
 def _clamped_eta(Z, coef):
-    return np.clip(Z @ coef, -LINPRED_CLAMP, LINPRED_CLAMP)
+    eta = Z @ coef                   # a fresh array, clamped in place
+    np.minimum(eta, LINPRED_CLAMP, out=eta)
+    return np.maximum(eta, -LINPRED_CLAMP, out=eta)
 
 
 def _negloglik_at(eta, wy, w, n_total):
@@ -240,22 +244,34 @@ def _score_hessian_at(e, Z, y, n_total, w):
     """Exact analytic score and Hessian of the mean log-likelihood, given
     e = exp(eta).  The weight p(1 - p) is e/(1 + e)^2, which keeps its
     relative accuracy where 1 - p would cancel."""
-    q = 1.0 / (1.0 + e)
+    q = np.add(1.0, e)
+    np.divide(1.0, q, out=q)
     p = e * q
-    score = Z.T @ (w * (y - p)) / n_total
-    hess = -(Z.T * (w * (p * q))) @ Z / n_total
+    r = np.subtract(y, p)
+    r *= w
+    score = Z.T @ r / n_total
+    p *= q
+    p *= w
+    hess = -(Z.T * p) @ Z / n_total
     return score, hess
 
 
 def _start(view: PairView, key, Z, w, n):
-    """Where an odds fit on `view` starts, with its clamped predictor: zero
-    unless a full-data fit of the keep mask ran on the base of `view`, then
-    one Newton step from it, alpha + I^-1 S(alpha), with the full-data
-    information and residuals y - p that the first replicate forms; alpha
-    itself where I is singular or the step's predictor reaches the clamp."""
+    """Where an odds fit on `view` starts, with its clamped predictor.
+
+    Unless a full-data fit of the keep mask ran on the base of `view`, the
+    start is the intercept-only MLE, log(case mass / pool mass) with every
+    slope zero, or zero where that log reaches the clamp.  Otherwise it is
+    one Newton step from the full-data alpha, alpha + I^-1 S(alpha), with
+    the full-data information and residuals y - p that the first replicate
+    forms; alpha itself where I is singular or the step's predictor reaches
+    the clamp."""
     if view._base is None or key not in view._base[0]._fits:
         alpha = np.zeros(Z.shape[1])
-        return alpha, _clamped_eta(Z, alpha)
+        case, pool = float(view.w_case.sum()), float(view.w_pool.sum())      # the pool is never empty
+        start = math.log(case / pool) if case > 0.0 else 0.0
+        alpha[0] = start if abs(start) < LINPRED_CLAMP else 0.0
+        return alpha, np.full(Z.shape[0], alpha[0])
     base, pos = view._base
     fit = base._fits[key]
     if len(fit) == 1:
@@ -270,7 +286,7 @@ def _start(view: PairView, key, Z, w, n):
     if inv is not None:
         step = alpha + inv @ (Z.T @ (w * resid.take(pos)) / n)
         eta = _clamped_eta(Z, step)
-        if np.max(np.abs(eta)) < LINPRED_CLAMP:
+        if np.abs(eta).max() < LINPRED_CLAMP:
             return step, eta
     return alpha.copy(), _clamped_eta(Z, alpha)
 
@@ -351,12 +367,13 @@ def fit_odds(
     keep=None,
 ) -> OddsModel:
     """Fit the odds model for one pattern pair by Newton with step halving.
-    The line search computes each iterate's linear predictor once.  A fit on
-    a reweighted index (a resample) starts one Newton step from the full-data
-    fit (see `_start`).  A converged score ends the loop with one polishing
-    step; an unconverged one at the clamp means separation, and after
-    MAX_ITER steps or a failed line search, non-convergence.  The model's
-    information matrix is formed when first read."""
+    The line search computes each iterate's linear predictor once.  A fit
+    starts at the intercept-only MLE, or on a reweighted index (a resample)
+    one Newton step from the full-data fit (see `_start`).  A converged
+    score ends the loop with one polishing step; an unconverged one at the
+    clamp means separation, and after MAX_ITER steps or a failed line
+    search, non-convergence.  The model's information matrix is formed when
+    first read."""
     _check_keep(pair, keep)
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
@@ -381,9 +398,9 @@ def fit_odds(
         # a converged score takes one trial of the full step, a polishing step
         # that leaves the score near machine precision and so keeps downstream
         # influence means tiny; an unconverged one halves the step up to 40 times
-        converged = np.max(np.abs(score)) <= SCORE_TOL
+        converged = np.abs(score).max() <= SCORE_TOL
         if not converged:
-            if np.max(np.abs(eta)) >= LINPRED_CLAMP:
+            if np.abs(eta).max() >= LINPRED_CLAMP:
                 raise SeparationError(
                     f"{pair}: linear predictor reached the clamp {LINPRED_CLAMP} with unconverged "
                     "score; case and pool look separable"
@@ -391,7 +408,7 @@ def fit_odds(
             if it > MAX_ITER:
                 raise NonConvergenceError(
                     f"{pair}: odds fit not converged after {MAX_ITER} Newton steps "
-                    f"(score max {np.max(np.abs(score)):.3e})"
+                    f"(score max {np.abs(score).max():.3e})"
                 )
         try:
             step = np.linalg.solve(-hess, score)
@@ -410,13 +427,13 @@ def fit_odds(
             if not converged:
                 raise NonConvergenceError(
                     f"{pair}: no step along the Newton direction lowers the loss after {it - 1} steps "
-                    f"(score max {np.max(np.abs(score)):.3e})"
+                    f"(score max {np.abs(score).max():.3e})"
                 )
         if converged:
             break
     # eta is clamped, so it reaches the clamp exactly when Z @ alpha does;
     # below it, eta is Z @ alpha itself
-    if np.max(np.abs(eta)) >= LINPRED_CLAMP:
+    if np.abs(eta).max() >= LINPRED_CLAMP:
         raise SeparationError(f"{pair}: linear predictor clamped at the solution; treating as separation")
 
     if view._base is None:

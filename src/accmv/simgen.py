@@ -110,16 +110,19 @@ def _generate_strata(rng, n, d, l_names) -> Dataset:
     X = np.full((n, 2), np.nan)
     L = np.full((n, d), np.nan)
     chols = {k: _chol(k) for k in range(1, 3 + d)}
-    for a in range(1 << d):
-        for r in range(4):
-            rows = np.flatnonzero((cat // 4 == a) & (cat % 4 == r))
-            lidx, xidx = list(Pattern(a, d).indices), list(Pattern(r, 2).indices)
-            dim = len(lidx) + len(xidx)
-            if rows.size == 0 or dim == 0:
-                continue
-            vec = _MU[d, dim] + z[rows, :dim] @ chols[dim].T
-            L[np.ix_(rows, lidx)] = vec[:, :len(lidx)]
-            X[np.ix_(rows, xidx)] = vec[:, len(lidx):]
+    # one stable sort by cell lists each cell's rows in ascending order
+    by_cell = np.argsort(cat, kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(cat, minlength=4 << d))])
+    for cell in range(4 << d):
+        a, r = divmod(cell, 4)
+        rows = by_cell[bounds[cell]:bounds[cell + 1]]
+        lidx, xidx = list(Pattern(a, d).indices), list(Pattern(r, 2).indices)
+        dim = len(lidx) + len(xidx)
+        if rows.size == 0 or dim == 0:
+            continue
+        vec = _MU[d, dim] + z[rows, :dim] @ chols[dim].T
+        L[np.ix_(rows, lidx)] = vec[:, :len(lidx)]
+        X[np.ix_(rows, xidx)] = vec[:, len(lidx):]
     return Dataset(X, L, ("Y1", "Y2"), l_names)
 
 

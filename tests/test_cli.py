@@ -661,3 +661,66 @@ def test_dump_replicates_reads_back_as_raw(table, tmp_path, capsys):
                 for j, (e, s) in enumerate(zip(np.atleast_1d(est).tolist(), np.atleast_1d(se).tolist()))]
     assert back == expected
     assert max(row[2] for row in back) == (1 if table == 3 else 0)
+
+
+class RecordingContext:
+    """A multiprocessing context whose pool records the size it is asked
+    for and runs its work in this process, so no process is started."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, size):
+        self.sizes.append(size)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args, chunksize=1):
+        return [fn(*a) for a in args]
+
+
+@pytest.mark.parametrize("workers,replicates,size", [(5000, 8, 3), (0, 8, 3), (2, 8, 2), (5000, 2, 2)])
+def test_run_table_caps_workers_at_the_cpu_count(workers, replicates, size, monkeypatch):
+    import accmv.inference
+
+    ctx = RecordingContext()
+    monkeypatch.setattr(accmv.inference.mp, "get_context", lambda method: ctx)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pooled = run_table(1, replicates, 300, seed=5, workers=workers)["raw"]
+    assert ctx.sizes == [size]
+    serial = run_table(1, replicates, 300, seed=5, workers=1)["raw"]
+    assert ctx.sizes == [size]                     # one worker runs serially, with no pool
+    assert repr(pooled) == repr(serial)
+
+
+EXHAUSTED = """
+import sys
+import accmv.cli
+
+def exhausted(*args, **kwargs):
+    raise MemoryError
+
+accmv.cli.generate = exhausted
+sys.exit(accmv.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--design", "single", "--n", "200", "--seed", "1", "--out", "never.csv"],
+    ["table", "--table", "1", "--replicates", "2", "--n", "300", "--seed", "1", "--workers", "1"],
+], ids=lambda c: c[0])
+def test_memory_error_exits_2_without_a_traceback(command, tmp_path):
+    # a step that cannot get its memory, in a process of its own so that
+    # stderr is the interpreter's
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", EXHAUSTED, *command], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: out of memory") and "Traceback" not in proc.stderr, proc.stderr
+    assert not (tmp_path / "never.csv").exists()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -395,3 +397,38 @@ def test_pair_view_cached_on_its_strata(single_20k):
     assert pair_view(copy, other, pr) is not fresh         # another dataset gets no stale designs
     with pytest.raises(ConfigError, match="keep mask"):
         view.design((True,))
+
+
+@pytest.mark.parametrize("kind", ["single", "multiple"])
+def test_intercept_only_fit_takes_one_iteration(kind):
+    # a cold fit starts at the intercept-only MLE, log(case mass / pool mass),
+    # so an intercept-only design converges at the start and takes only the
+    # polishing step; at the tables' n = 2000 that step moves the intercept
+    # by rounding only.  Fits on a fresh reweighted index count the masses
+    # by frequency
+    pairs = [((0, 0), None), *misspec_masks(kind, "odds").items()]
+    for seed in range(10):
+        ds = generate(SimDesign(kind, 2000, seed))
+        full = build_strata(ds)
+        prs = {pr.key: pr for pr in full.incomplete_pairs()}
+        for strata in (full, build_strata(ds).reweight(np.random.default_rng([seed, 1]).integers(0, 3, ds.n))):
+            for key, keep in pairs:
+                m = fit_odds(ds, strata, prs[key], keep=keep)
+                view = pair_view(ds, strata, prs[key])
+                mle = np.log(view.w_case.sum() / view.w_pool.sum())
+                assert m.alpha.shape == (1,) and m.n_iter == 1, (seed, key, m)
+                assert abs(m.alpha[0] - mle) <= 1e-15 * max(1.0, abs(mle)), (seed, key, m.alpha[0] - mle)
+
+
+def test_cold_start_is_the_intercept_mle_below_the_clamp(single_20k, monkeypatch):
+    ds, strata = single_20k
+    view = pair_view(ds, strata, pair(3, 0))
+    Z = view.design().stacked
+    mle = math.log(view.case.size / view.pool.size)
+    alpha, eta = glm._start(view, None, Z, view.w, ds.n)
+    np.testing.assert_array_equal(alpha, [mle, 0.0, 0.0])
+    np.testing.assert_array_equal(eta, _clamped_eta(Z, alpha))
+    # where the intercept would reach the clamp the start is zero
+    monkeypatch.setattr(glm, "LINPRED_CLAMP", abs(mle))
+    alpha, eta = glm._start(view, None, Z, view.w, ds.n)
+    assert not alpha.any() and not eta.any()

@@ -7,7 +7,8 @@ index, another index of the same data) must give what a fresh model gives,
 and a keep-masked refit has pieces of its own.  On a table-2 replicate each
 fitted model is multiplied into each set of rows once, each pair of models
 makes its terms once, and f is evaluated once on the complete rows, however
-many estimator rows read them.
+many estimator rows read them.  A pair's terms add to the influence vector
+as one increment over the pair's rows.
 """
 
 import dataclasses
@@ -219,3 +220,46 @@ def test_kept_pieces_form_no_reference_cycles(table):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def separate_increments(view, fmap, f, gm, om):
+    """The influence increments of one pair as separate (rows, values) adds:
+    the odds-weighted residual and the outcome fit's correction on the pool,
+    the regression on the case rows, and the odds fit's correction on both."""
+    n, adds = view.ds.n, []
+    if gm is not None:
+        o_pool = view_values(gm, view, "pool")
+        resid = fmap[view.pool] - (view_values(om, view, "pool") if om is not None else 0.0)
+        adds.append((view.pool, resid * o_pool))
+    if om is not None:
+        adds.append((view.case, view_values(om, view, "case")))
+        Zm = view.design(om.keep)
+        grad = case_gradient(om, view)
+        if gm is not None:
+            grad = grad - Zm.pool.T @ (om.scale_values(view, "pool") * o_pool)
+        adds.append((view.pool, score_residuals(om, view, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
+    if gm is not None:
+        adds.append((view.rows, glm.odds_correction(gm, view, resid * o_pool)))
+    return adds
+
+
+def test_each_pair_term_is_one_increment_over_the_rows(fitted_multiple):
+    """A pair's cached terms hold one read-only increment over its case and
+    pool rows, the sum of the pair's separate influence increments."""
+    ds, strata, _ = fitted_multiple
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
+    fmap = complete_values(ds, strata, F2)
+    for estimate, gms, oms in ((estimate_ipw, odds, None), (estimate_ra, None, outs), (estimate_mr, odds, outs)):
+        est = estimate(ds, strata, *(m for m in (gms, oms) if m is not None), F2, influence=True)
+        ref = fmap.copy()
+        for pr in strata.incomplete_pairs():
+            view = pair_view(ds, strata, pr)
+            gm, om = (models[pr.key] if models is not None else None for models in (gms, oms))
+            cached, (_, _, inc) = (gm or om).pieces[(view, om if gm is not None else None, True)]
+            assert cached is F2 and inc.shape == view.rows.shape and not inc.flags.writeable
+            want = np.zeros(ds.n)
+            for rows, vals in separate_increments(view, fmap, F2, gm, om):
+                want[rows] += vals
+            np.testing.assert_allclose(inc, want[view.rows], rtol=0, atol=1e-15 * np.abs(want).max())
+            ref += want
+        np.testing.assert_allclose(est.influence.values + est.theta_hat, ref, rtol=0, atol=1e-14 * np.abs(ref).max())

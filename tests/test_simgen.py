@@ -3,8 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from accmv import simgen
 from accmv.data import build_strata
 from accmv.errors import ConfigError
+from accmv.patterns import Pattern
 from accmv.simgen import (
     SimDesign,
     equicorr,
@@ -43,6 +45,36 @@ GOLDEN = {
 @pytest.mark.parametrize("kind,n,seed", sorted(GOLDEN))
 def test_golden_digest(kind, n, seed):
     assert hashlib.sha256(bytes_of(generate(SimDesign(kind, n, seed)))).hexdigest() == GOLDEN[kind, n, seed]
+
+
+def mask_loop_strata(rng, n, d):
+    """The stratified generator as it was written first, one mask scan per
+    cell, kept as the reference for the grouped one."""
+    cat = rng.integers(0, 4 << d, n)
+    z = rng.standard_normal((n, 2 + d))
+    X = np.full((n, 2), np.nan)
+    L = np.full((n, d), np.nan)
+    chols = {k: simgen._chol(k) for k in range(1, 3 + d)}
+    for a in range(1 << d):
+        for r in range(4):
+            rows = np.flatnonzero((cat // 4 == a) & (cat % 4 == r))
+            lidx, xidx = list(Pattern(a, d).indices), list(Pattern(r, 2).indices)
+            dim = len(lidx) + len(xidx)
+            if rows.size == 0 or dim == 0:
+                continue
+            vec = simgen._MU[d, dim] + z[rows, :dim] @ chols[dim].T
+            L[np.ix_(rows, lidx)] = vec[:, :len(lidx)]
+            X[np.ix_(rows, xidx)] = vec[:, len(lidx):]
+    return X, L
+
+
+@pytest.mark.parametrize("kind,d", [("single", 1), ("multiple", 2)])
+def test_grouped_cells_match_the_mask_loop(kind, d):
+    for seed in range(20):
+        for n in (1, 9, 2000):
+            X, L = mask_loop_strata(np.random.default_rng(seed), n, d)
+            ds = generate(SimDesign(kind, n, seed))
+            assert bytes_of(ds) == X.tobytes() + L.tobytes(), (seed, n)
 
 
 @pytest.mark.parametrize("kind,cells,prob", [("single", 8, 1 / 8), ("multiple", 16, 1 / 16)])

@@ -4,8 +4,8 @@ A fit on a reweighted stratum index starts its Newton loop one Newton step
 from the full-data fit of the same pair and keep mask on the parent index,
 taken with the full-data information matrix.  The cold start it must match
 is the same replicate drawn from a fresh index that no full-data fit ran
-on, so its fits start from zero.  The bound is the 1e-12 of a speed-only
-change.
+on, so its fits start at the intercept-only MLE.  The bound is the 1e-12 of
+a speed-only change.
 """
 
 import numpy as np
