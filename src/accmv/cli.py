@@ -309,22 +309,16 @@ def cmd_fit(args) -> int:
         return estimate_mr(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), outs, f,
                            influence=influence)
 
-    est = estimate(ds, strata, influence=not args.self_normalize)
-    if est.influence is not None:
-        se = est.influence.se
-    elif method == "cc":
-        se = _complete_case_se(ds, strata, f)
-    else:
-        se = None
+    est = estimate(ds, strata, influence=True)
+    se = est.influence.se if est.influence is not None else _complete_case_se(ds, strata, f)
 
     report = {
         "config": _resolved(args),
         "functional": f.describe(),
         "estimate": est.to_dict(),
+        "influence": normal_ci(est.theta_hat, se, args.level).to_dict(),
         "warnings": warnings,
     }
-    if se is not None:
-        report["influence"] = normal_ci(est.theta_hat, se, args.level).to_dict()
     if args.bootstrap:
         boot = bootstrap(ds, strata, lambda dsx, sx: estimate(dsx, sx).theta_hat, est.theta_hat,
                          B=args.bootstrap, seed=args.seed or 0, level=args.level)
@@ -333,9 +327,8 @@ def cmd_fit(args) -> int:
         _write_json(args.out, report)
 
     print(f"method={method}  estimate={est.theta_hat:.6g}  n={ds.n}")
-    if se is not None:
-        ci = report["influence"]
-        print(f"influence SE={se:.6g}  {int(args.level*100)}% CI=({ci['lower']:.6g}, {ci['upper']:.6g})")
+    ci = report["influence"]
+    print(f"influence SE={se:.6g}  {int(args.level*100)}% CI=({ci['lower']:.6g}, {ci['upper']:.6g})")
     if args.bootstrap:
         bn = report["bootstrap"]["normal"]
         print(f"bootstrap SE={report['bootstrap']['se']:.6g}  normal CI=({bn['lower']:.6g}, {bn['upper']:.6g})"
@@ -397,8 +390,9 @@ def cmd_sensitivity(args) -> int:
     print(f"sensitivity sweep for {curve.functional} over {len(curve.multipliers)} grid points")
     if curve.B:
         print(f"bootstrap: {_failed_text(curve.B, curve.failures)}")
+    kind = "bootstrap" if curve.B else "influence"
     for m, est, lo, hi in zip(curve.multipliers, curve.estimates, curve.ci_lower, curve.ci_upper):
-        print(f"  delta x {m:+.4g}: estimate={est:.6g}  CI=({lo:.6g}, {hi:.6g})")
+        print(f"  delta x {m:+.4g}: estimate={est:.6g}  {kind} CI=({lo:.6g}, {hi:.6g})")
     return 0
 
 

@@ -75,6 +75,32 @@ class InfluenceVector:
         return float(np.sqrt(np.mean((v - v.mean()) ** 2) / v.size))
 
 
+def weighted_score_influence(ds, strata, odds, s, tilt=None, correct=True) -> np.ndarray:
+    """Uncentered influence values, before the inverse Jacobian, of the
+    weighted equation sum over the complete records of (1 + sum O t) s = 0:
+    the score columns `s` (zero off the complete records) plus each pair's
+    pool terms s O t and, with `correct`, its fitted odds model's correction.
+    `tilt` maps a pair key to t on its pool, else t = 1.  Unit frequencies only."""
+    if strata.freq is not None:
+        raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
+    u = s.copy()
+    for pr in _require_models(strata, odds, "odds"):
+        view, model = pair_view(ds, strata, pr), odds[pr.key]
+        ot = view_values(model, view, "pool") * (1.0 if tilt is None else tilt[pr.key])
+        so = (s[view.pool].T * ot).T
+        inc = odds_correction(model, view, so) if correct and fitted(model) else np.zeros((view.rows.size, *s.shape[1:]))
+        inc[view.case.size:] += so
+        u[view.rows] += inc           # case and pool rows are distinct
+    return u
+
+
+def self_normalized_influence(ds, strata, odds, f, theta, total, tilt=None) -> InfluenceVector:
+    """Influence values of theta = sum w f / total, the root of sum w (f - theta) = 0
+    with weights w = 1 + sum O t totalling `total`: the kernel on f - theta, times n / total."""
+    s = np.where(strata.complete_mask, complete_values(ds, strata, f) - theta, 0.0)
+    return InfluenceVector(weighted_score_influence(ds, strata, odds, s, tilt) * (ds.n / total))
+
+
 @dataclass
 class ThetaEstimate:
     """Point estimate with its exact per-stratum decomposition.
@@ -224,16 +250,17 @@ def estimate_ipw(
 
     The default divisor is n; with self_normalize=True the sum of weights is
     used instead, which is the convention the tilted sensitivity estimator
-    mandates.  The influence vector exists for the divisor n only.
+    mandates; its influence values are then `self_normalized_influence`.
     """
-    if self_normalize and influence:
-        raise ConfigError("no influence-function SE for the self-normalized IPW estimate")
-    walk = _walk(ds, strata, f, odds=odds, influence=influence)
+    walk = _walk(ds, strata, f, odds=odds, influence=influence and not self_normalize)
     wt = compute_weights(ds, strata, odds)
     denom = float(wt.total.sum()) if self_normalize else float(ds.n)
     if denom == 0.0:
         raise PositivityError("no records with all primary variables observed")
-    return _estimate(ds, "ipw", walk, denom, self_normalized=self_normalize, diagnostics=wt.diagnostics())
+    est = _estimate(ds, "ipw", walk, denom, self_normalized=self_normalize, diagnostics=wt.diagnostics())
+    if self_normalize and influence:
+        est.influence = self_normalized_influence(ds, strata, odds, f, est.theta_hat, denom)
+    return est
 
 
 def estimate_ra(

@@ -10,7 +10,9 @@ the marginal model (a congeniality conflict), so requesting them raises.
 
 The sandwich covariance follows the asymptotic linear expansion of the
 weighted root, including one correction term per estimated odds model; a
-naive variant drops those corrections for diagnostics.
+naive variant drops those corrections for diagnostics.  Its per-record
+values come from `estimators.weighted_score_influence`, the kernel that the
+self-normalized IPW and the tilting sweep share.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import numpy as np
 
 from .data import Dataset, StratumIndex, check_integer
 from .errors import CongenialityError, ConfigError, NonConvergenceError, SingularityError
-from .estimators import WeightTable, _require_models, compute_weights
-from .glm import fitted, odds_correction, pair_view, view_values
+from .estimators import WeightTable, compute_weights, weighted_score_influence
 from .inference import normal_ci
 
 EE_TOL = 1e-8
@@ -218,35 +219,22 @@ def sandwich_variance(
     """Empirical sandwich covariance of the weighted estimating-equation root
     `est`, which `solve_weighted_ee` fitted with `odds` on these data.
 
-    The combined per-record influence stacks the weighted score with, unless
-    naive=True, a correction for each fitted odds model propagating its
-    coefficient noise through the weights.  Every pair present with
-    incomplete primaries needs an odds model, unless `odds` is None.
-    Defined for unit frequencies.
+    The combined per-record influence is `weighted_score_influence` of the
+    score columns: the weighted score with, unless naive=True, a correction
+    for each fitted odds model propagating its coefficient noise through the
+    weights.  Every pair present with incomplete primaries needs an odds
+    model, unless `odds` is None.  Defined for unit frequencies.
     """
-    if strata.freq is not None:
-        raise ConfigError("the sandwich is defined for unit frequencies only, not on a reweighted index")
-    pairs = _require_models(strata, odds, "odds")
     spec, theta_hat, wt = est.spec, est.theta_hat, est.weights
     if not np.array_equal(wt.rows, np.flatnonzero(strata.complete_mask)):
         raise ConfigError("the estimate was solved on other data: its complete-primary records differ")
-    Lc, w = ds.L[wt.rows], wt.total
-    n = ds.n
-    q = spec.q(ds.d)
-    s = np.zeros((n, q))
+    Lc, n = ds.L[wt.rows], ds.n
+    s = np.zeros((n, spec.q(ds.d)))
     s[wt.rows] = spec.score(theta_hat, Lc)
-    u = np.zeros((n, q))
-    u[wt.rows] = s[wt.rows] * w[:, None]
-    A = spec.jacobian_sum(theta_hat, Lc, w) / n
-    if not naive:
-        for pr in pairs:
-            model = odds[pr.key]
-            if not fitted(model):
-                continue
-            view = pair_view(ds, strata, pr)
-            u[view.rows] += odds_correction(model, view, s[view.pool] * view_values(model, view, "pool")[:, None])
-    ubar = u.mean(axis=0)
-    M = (u - ubar).T @ (u - ubar) / n
+    u = weighted_score_influence(ds, strata, odds, s, correct=not naive)
+    A = spec.jacobian_sum(theta_hat, Lc, wt.total) / n
+    u -= u.mean(axis=0)
+    M = u.T @ u / n
     try:
         Ainv = np.linalg.inv(A)
     except np.linalg.LinAlgError:

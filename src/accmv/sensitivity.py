@@ -5,6 +5,8 @@ exp(delta . (l - c)) restricted to the primary coordinates a leaves
 unobserved, and the estimate is recomputed self-normalized.  delta = 0
 recovers the untilted self-normalized IPW estimate, to rounding.  The odds
 stay fitted under the untilted assumption; only the weights are perturbed.
+Each grid point solves sum w_k (f - theta_k) = 0, so its influence values are
+the self-normalized IPW's under its tilt factors (`self_normalized_influence`).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex, check_finite
 from .errors import ConfigError, DegenerateNormalizationError
-from .estimators import _require_models
+from .estimators import _require_models, self_normalized_influence
 from .glm import complete_values, fit_all_odds, pair_view, view_values
-from .inference import DEFAULT_LEVEL, _check_replicates, bootstrap
+from .inference import DEFAULT_LEVEL, _check_replicates, bootstrap, normal_ci
 
 TILT_CLAMP = 30.0
 
@@ -57,15 +59,15 @@ def tilted_estimate(
     ds: Dataset, strata: StratumIndex, odds: dict, f: Functional, spec: TiltSpec, multiplier: float = 1.0
 ) -> float:
     """Self-normalized IPW estimate under the tilted weights."""
-    return _tilted_grid(ds, strata, odds, f, spec, [multiplier], {})[0]
+    return float(_tilted_grid(ds, strata, odds, f, spec, [multiplier], {})[0][0])
 
 
-def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid, factors: dict) -> list[float]:
-    """`tilted_estimate` at each multiplier of `grid`: sum f w / sum w over
-    the complete records, each pair's part of w a dot of its tilt factors
-    with frequency times odds, one dot per grid point.  `factors` keeps each
-    pair's len(grid) x pool factors, formed on the unit-frequency pool on
-    first use; a reweighted view takes its pool columns by position."""
+def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid, factors: dict) -> tuple[np.ndarray, np.ndarray]:
+    """`tilted_estimate` at each multiplier of `grid`, sum f w / sum w over
+    the complete records, and sum w; each pair's part of w a dot of its tilt
+    factors with frequency times odds, one dot per grid point.  `factors`
+    keeps each pair's len(grid) x pool factors, formed on the unit-frequency
+    pool on first use; a reweighted view takes its pool columns by position."""
     pairs = _require_models(strata, odds, "odds")
     fmap = complete_values(ds, strata, f)
     rows = np.flatnonzero(strata.complete_mask)
@@ -89,7 +91,7 @@ def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid, factors: dict) -> li
             t = t.take(pos)
             num[k] += t @ fwo
             den[k] += t @ wo
-    return (num / den).tolist()
+    return num / den, den
 
 
 @dataclass
@@ -123,23 +125,27 @@ def sweep(
     n_min: int = 10,
 ) -> SensitivityCurve:
     """Tilted estimates over the multiplier grid, sharing the supplied odds
-    fits across grid points.  B = 0 runs no bootstrap.  With B >= 2, a case
-    bootstrap (see `inference.bootstrap`) refits the odds inside every
-    replicate and evaluates the whole grid on it; its normal-based intervals
-    at level `DEFAULT_LEVEL` are attached."""
+    fits across grid points, with normal-based intervals at level
+    `DEFAULT_LEVEL`.  With B >= 2 they come from a case bootstrap (see
+    `inference.bootstrap`) that refits the odds in every replicate; with
+    B = 0, from each point's influence SE, one point at a time, and they are
+    NaN on a reweighted index, where influence values are undefined."""
     if not spec.grid:
         raise ConfigError("sweep needs a nonempty grid")
     _check_replicates(B, none_ok=True)
     grid = list(spec.grid)
     factors = {}                     # pair key -> tilt factors, for this sweep only
-    ests = _tilted_grid(ds, strata, odds, f, spec, grid, factors)
-    lo = hi = [float("nan")] * len(grid)
+    ests, den = _tilted_grid(ds, strata, odds, f, spec, grid, factors)
     failures = {}
     if B:
         boot = bootstrap(ds, strata,
-                         lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid, factors),
+                         lambda d, s: _tilted_grid(d, s, fit_all_odds(d, s, n_min=n_min), f, spec, grid, factors)[0],
                          ests, B, seed, DEFAULT_LEVEL)
-        lo, hi = np.atleast_1d(boot.normal.lower).tolist(), np.atleast_1d(boot.normal.upper).tolist()
-        failures = boot.failures
-    return SensitivityCurve(functional=f.describe(), multipliers=grid, estimates=ests, ci_lower=lo, ci_upper=hi,
+        ci, failures = boot.normal, boot.failures
+    else:
+        tilts = ({key: t[k] for key, t in factors.items()} for k in range(len(grid)))
+        ci = normal_ci(ests, [self_normalized_influence(ds, strata, odds, f, *pt).se for pt in zip(ests, den, tilts)]
+                       if strata.freq is None else float("nan"))
+    lo, hi = np.atleast_1d(ci.lower).tolist(), np.atleast_1d(ci.upper).tolist()
+    return SensitivityCurve(functional=f.describe(), multipliers=grid, estimates=ests.tolist(), ci_lower=lo, ci_upper=hi,
                             B=B or None, seed=seed if B else None, n_failed=sum(failures.values()), failures=failures)

@@ -221,11 +221,33 @@ def test_sensitivity_matches_self_normalized_fit(single_csv, tmp_path, capsys):
                 "--grid", "0", "--out", str(sens_out)])
     assert code == 0
     capsys.readouterr()
-    sn = json.loads(fit_out.read_text())["estimate"]["estimate"]
+    report = json.loads(fit_out.read_text())
+    sn, ci = report["estimate"]["estimate"], report["influence"]
     curve = read_curve(sens_out)
     assert abs(curve[0]["estimate"] - sn) <= 1e-12
-    # reload is lossless (NaN CI fields compare equal under assert_equal)
+    # the default sweep's interval is the fit's influence interval
+    assert abs(curve[0]["ci_lo"] - ci["lower"]) <= 1e-12 and abs(curve[0]["ci_hi"] - ci["upper"]) <= 1e-12
     np.testing.assert_equal(curve, read_curve(sens_out))
+
+
+def test_self_normalized_fit_prints_an_influence_se(single_csv, tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--data", single_csv, *DATA_ARGS, "--method", "ipw", "--self-normalize",
+                "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    ci = json.loads(out.read_text())["influence"]
+    assert ci["method"] == "influence" and ci["lower"] < ci["estimate"] < ci["upper"]
+    assert lines[1] == f"influence SE={ci['se']:.6g}  95% CI=({ci['lower']:.6g}, {ci['upper']:.6g})"
+
+
+@pytest.mark.parametrize("extra,kind", [([], "influence"), (["--bootstrap", "8", "--seed", "1"], "bootstrap")])
+def test_sensitivity_names_the_interval_method(extra, kind, single_csv, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    assert run(["sensitivity", "--data", single_csv, *DATA_ARGS, "--delta", "0.5", "--grid=-1,0,1",
+                "--out", str(out), *extra]) == 0
+    points = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  delta x")]
+    assert len(points) == 3 and all(f"  {kind} CI=(" in line for line in points)
+    assert all(r["ci_lo"] < r["estimate"] < r["ci_hi"] for r in read_curve(out))
 
 
 def test_config_overrides_flags(single_csv, tmp_path, capsys):

@@ -9,11 +9,13 @@ from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import ConfigError, DegenerateNormalizationError
 from accmv.estimators import compute_weights, estimate_ipw
 from accmv.glm import fit_all_odds, pair_view, view_values
+from accmv.inference import DEFAULT_LEVEL, critical_value, normal_ci
 from accmv.patterns import Pattern, PatternPair
 from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
 from accmv.simgen import OracleModel, SimDesign, generate
 
 F1 = Functional("coordinate", (0,))
+F2 = Functional("product", (0, 1))
 
 
 def test_zero_tilt_equals_self_normalized_ipw(single_20k):
@@ -127,9 +129,33 @@ def test_sweep_centers_on_untilted_point(single_20k):
     odds = fit_all_odds(ds, strata)
     sn = estimate_ipw(ds, strata, odds, F1, self_normalize=True).theta_hat
     spec = TiltSpec(delta=(0.8,), grid=(-0.5, 0.0, 0.5))
-    curve = sweep(ds, strata, odds, F1, spec, B=0)       # B = 0: no bootstrap, no interval
+    curve = sweep(ds, strata, odds, F1, spec, B=0)       # B = 0: no bootstrap, influence intervals
     assert abs(curve.estimates[1] - sn) <= 1e-12
-    assert curve.B is None and np.isnan(curve.ci_lower + curve.ci_upper).all()
+    assert curve.B is None and np.isfinite(curve.ci_lower + curve.ci_upper).all()
+    assert all(lo < est < hi for lo, est, hi in zip(curve.ci_lower, curve.estimates, curve.ci_upper))
+
+
+def test_sweep_zero_point_interval_is_the_self_normalized_ipw_interval(single_20k, multiple_20k):
+    # at multiplier 0 the sweep's point and influence values are those of the
+    # self-normalized IPW; the bound, fixed beforehand, is 1e-12 relative
+    for (ds, strata), f in ((single_20k, F1), (multiple_20k, F2)):
+        odds = fit_all_odds(ds, strata)
+        sn = estimate_ipw(ds, strata, odds, f, self_normalize=True, influence=True)
+        spec = TiltSpec(delta=(0.5, -0.3)[:ds.d], center=(1.0,), grid=(-1.0, 0.0, 0.5))
+        curve = sweep(ds, strata, odds, f, spec)
+        ci = normal_ci(sn.theta_hat, sn.influence.se, DEFAULT_LEVEL)
+        se = (curve.ci_upper[1] - curve.ci_lower[1]) / (2 * critical_value(DEFAULT_LEVEL))
+        assert abs(se - sn.influence.se) <= 1e-12 * sn.influence.se
+        for got, expect in ((curve.ci_lower[1], ci.lower), (curve.ci_upper[1], ci.upper)):
+            assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
+def test_sweep_on_a_reweighted_index_has_no_interval(single_20k):
+    # influence values are defined for unit frequencies only
+    ds, strata = single_20k
+    rw = strata.reweight(np.full(ds.n, 2))
+    curve = sweep(ds, rw, fit_all_odds(ds, rw), F1, TiltSpec(delta=(0.8,), grid=(-0.5, 0.0)))
+    assert np.isfinite(curve.estimates).all() and np.isnan(curve.ci_lower + curve.ci_upper).all()
 
 
 def test_sweep_empty_grid_rejected(single_20k):
