@@ -88,7 +88,7 @@ def weighted_score_influence(ds, strata, odds, s, tilt=None, correct=True) -> np
         view, model = pair_view(ds, strata, pr), odds[pr.key]
         ot = view_values(model, view, "pool") * (1.0 if tilt is None else tilt[pr.key])
         so = (s[view.pool].T * ot).T
-        inc = odds_correction(model, view, so) if correct and fitted(model) else np.zeros((view.rows.size, *s.shape[1:]))
+        inc = odds_correction(model, so) if correct and fitted(model) else np.zeros((view.rows.size, *s.shape[1:]))
         inc[view.case.size:] += so
         u[view.rows] += inc           # case and pool rows are distinct
     return u
@@ -174,12 +174,12 @@ def _pair_terms(view, fmap, f, gm, om, influence):
         pool += ro
     if fitted(om):
         Zm = view.design(om.keep)
-        grad = case_gradient(om, view)
+        grad = case_gradient(om)
         if gm is not None:
-            grad = grad - Zm.pool.T @ (om.scale_values(view, "pool") * o_pool)
-        pool += score_residuals(om, view, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))
+            grad = grad - Zm.pool.T @ (om.scale_values("pool") * o_pool)
+        pool += score_residuals(om, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))
     if fitted(gm):
-        inc += odds_correction(gm, view, ro)
+        inc += odds_correction(gm, ro)
     inc.flags.writeable = False
     return term, aug, inc
 
@@ -189,15 +189,15 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
 
     An incomplete pair (r, a) contributes  sum_case m + sum_pool (f - m) O,
     with the odds O taken as zero when `odds` is None (regression adjustment)
-    and the regression m as zero when `outcomes` is None (weighting).  A
-    pair's terms are computed once per view and pair of models and kept on
-    a model, so walks that share models share them, and every sum counts
-    records by their frequency.  With neither family given the incomplete
-    pairs are skipped, leaving the complete-case sums.  Returns the raw sum
-    of every stratum, complete strata first, the summed augmentation terms,
-    and with `influence` the uncentered influence values (f on complete
-    records plus each pair's one increment over its case and pool rows,
-    which holds the pair's terms and one correction per fitted model).
+    and the regression m as zero when `outcomes` is None (weighting).  A pair's
+    terms are computed once per pair of models and kept on a model, which is
+    read only on its own view, so walks that share models share them, and every
+    sum counts records by their frequency.  With neither family given the
+    incomplete pairs are skipped, leaving the complete-case sums.  Returns the
+    raw sum of every stratum, complete strata first, the summed augmentation
+    terms, and with `influence` the uncentered influence values (f on complete
+    records plus each pair's one increment over its case and pool rows, which
+    holds the pair's terms and one correction per fitted model).
     """
     if influence and strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
@@ -217,8 +217,9 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
         om = outcomes[pr.key] if outcomes is not None else None
         # kept by the odds model, else the regression, once per functional;
         # the key holds no model that holds it, so no reference cycle forms
-        pieces = getattr(gm if gm is not None else om, "pieces", {})      # oracles keep nothing
-        key = (view, om if gm is not None else None, influence)
+        owner = gm if gm is not None else om
+        pieces = owner.pieces if fitted(owner, view) else {}          # oracles keep nothing
+        key = (om if gm is not None else None, influence)
         if pieces.get(key, (None,))[0] is not f:
             pieces[key] = (f, _pair_terms(view, fmap, f, gm, om, influence))
         term, aug, inc = pieces[key][1]

@@ -15,7 +15,7 @@ index (one each unless the index was reweighted for a resample).
 Both retain the normalizing matrices needed to evaluate per-record influence
 contributions of the estimated coefficients.  The designs of each pattern
 pair are built once per stratum index and shared through `pair_view`, and
-a fitted model's values and score pieces once per view, kept on the model.
+a fitted model is read only on the view of its fit (see `view_values`).
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class PairView:
     block, so the products the fits form on it read contiguous memory.
     The fits, estimators and influence functions all read these shared
     designs.  A unit-frequency view also keeps, per keep mask, the odds
-    coefficients that `fit_odds` converged to on it, from which the fits on
-    its reweighted views take their one-step start (see `_start`).
+    coefficients and exp(eta) that `fit_odds` converged to on it, from which
+    the fits on its reweighted views take their one-step start (see `_start`).
     """
 
     def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair,
@@ -107,7 +107,7 @@ class PairView:
             a.flags.writeable = False
         self._base = base            # (view, row positions) whose designs this view selects from
         self._kept = {}
-        self._fits = {}              # keep key -> (alpha,), then (alpha, info inverse or None, y - p)
+        self._fits = {}              # keep key -> (alpha, exp(eta)), then (alpha, info inverse or None, y - p)
 
     def reweighted(self, freq: np.ndarray) -> "PairView":
         """The rows of this view drawn by the per-record frequencies `freq`."""
@@ -264,8 +264,8 @@ def _start(view: PairView, key, Z, w, n):
     slope zero, or zero where that log reaches the clamp.  Otherwise it is
     one Newton step from the full-data alpha, alpha + I^-1 S(alpha), with
     the full-data information and residuals y - p that the first replicate
-    forms; alpha itself where I is singular or the step's predictor reaches
-    the clamp."""
+    forms from the full-data exp(eta); alpha itself where I is singular or
+    the step's predictor reaches the clamp."""
     if view._base is None or key not in view._base[0]._fits:
         alpha = np.zeros(Z.shape[1])
         case, pool = float(view.w_case.sum()), float(view.w_pool.sum())      # the pool is never empty
@@ -274,11 +274,10 @@ def _start(view: PairView, key, Z, w, n):
         return alpha, np.full(Z.shape[0], alpha[0])
     base, pos = view._base
     fit = base._fits[key]
-    if len(fit) == 1:
-        Zb = base.design(key).stacked
-        e = np.exp(_clamped_eta(Zb, fit[0]))
+    if len(fit) == 2:
+        e = fit[1]
         try:
-            inv = np.linalg.inv(-_score_hessian_at(e, Zb, base.y, n, base.w)[1])
+            inv = np.linalg.inv(-_score_hessian_at(e, base.design(key).stacked, base.y, n, base.w)[1])
         except np.linalg.LinAlgError:
             inv = None
         fit = base._fits[key] = (fit[0], inv, base.y - e / (1.0 + e))
@@ -300,24 +299,24 @@ def _inverse(M, what):
 
 @dataclass(eq=False)
 class OddsModel:
-    """Fitted logistic odds for one pattern pair."""
+    """Fitted logistic odds for one pattern pair, read only on `view`, the view of its fit."""
 
     pair: PatternPair
     alpha: np.ndarray
     names: tuple[str, ...]
     n_case: int
     n_pool: int
-    fit_state: tuple | None = field(default=None, repr=False)   # (exp(eta), Z, y, n, w) at alpha until `info` is read
+    view: PairView = field(repr=False)
+    e: np.ndarray = field(repr=False)   # the model's values: read-only exp(eta) at alpha on view.rows
     keep: tuple | None = None
     n_iter: int = 0
-    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # per view, see view_values
+    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # see estimators._walk
 
     @cached_property
     def info(self) -> np.ndarray:
         """(1/n) sum of weighted design outer products at alpha, formed on first read."""
-        e, *rest = self.fit_state
-        self.fit_state = None
-        return -_score_hessian_at(e, *rest)[1]
+        v = self.view
+        return -_score_hessian_at(self.e, v.design(self.keep).stacked, v.y, v.ds.n, v.w)[1]
 
     @cached_property
     def info_inv(self) -> np.ndarray:
@@ -327,7 +326,7 @@ class OddsModel:
 
 @dataclass(eq=False)
 class OutcomeModel:
-    """Fitted least-squares outcome regression for one pattern pair.
+    """Fitted least-squares outcome regression for one pattern pair, read only on `view`.
 
     When `scale_coords` is nonempty the fit regressed the product of the
     unobserved target coordinates on the design and prediction multiplies the
@@ -340,23 +339,24 @@ class OutcomeModel:
     names: tuple[str, ...]
     n_pool: int
     gram: np.ndarray                 # (1/n) sum over pool of design outer products
+    view: PairView = field(repr=False)
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
-    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # per view, see view_values
+    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # see view_values
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
         """Inverse of `gram`, shared by every influence correction of this fit."""
         return _inverse(self.gram, f"{self.pair}: outcome Gram matrix")
 
-    def scale_values(self, view: "PairView", part: str) -> np.ndarray:
+    def scale_values(self, part: str) -> np.ndarray:
         """Product of the observed target coordinates on the "case" or "pool"
         rows of `view`; with none, a slice of the view's shared ones."""
         if not self.scale_coords:
-            return view._ones[:getattr(view, part).size]
+            return self.view._ones[:getattr(self.view, part).size]
         pos = [self.pair.a.indices.index(c) for c in self.scale_coords]
-        return _kept(self.pieces, (view, "scale_" + part), lambda: view.blocks(part)[1][:, pos].prod(axis=1))
+        return _kept(self.pieces, "scale_" + part, lambda: self.view.blocks(part)[1][:, pos].prod(axis=1))
 
 
 def fit_odds(
@@ -436,9 +436,10 @@ def fit_odds(
     if np.abs(eta).max() >= LINPRED_CLAMP:
         raise SeparationError(f"{pair}: linear predictor clamped at the solution; treating as separation")
 
+    e.flags.writeable = False        # the model's values, shared by every reader
     if view._base is None:
-        view._fits[key] = (alpha,)
-    return OddsModel(pair=pair, alpha=alpha, names=names, n_case=n_case, n_pool=n_pool, fit_state=(e, Z, y, n, w),
+        view._fits[key] = (alpha, e)
+    return OddsModel(pair=pair, alpha=alpha, names=names, n_case=n_case, n_pool=n_pool, view=view, e=e,
                      keep=tuple(keep) if keep is not None else None, n_iter=it)
 
 
@@ -484,16 +485,9 @@ def fit_outcome(
     beta, _, rank, _ = np.linalg.lstsq(Z, rho, rcond=None)
     if rank < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
-    return OutcomeModel(
-        pair=pair,
-        beta=beta,
-        names=names,
-        n_pool=n_pool,
-        gram=Z.T @ Z / ds.n,
-        keep=tuple(keep) if keep is not None else None,
-        resp_coord=resp_coord,
-        scale_coords=scale_coords,
-    )
+    return OutcomeModel(pair=pair, beta=beta, names=names, n_pool=n_pool, gram=Z.T @ Z / ds.n, view=view,
+                        keep=tuple(keep) if keep is not None else None, resp_coord=resp_coord,
+                        scale_coords=scale_coords)
 
 
 def fit_all_odds(ds, strata, n_min: int = DEFAULT_N_MIN) -> dict:
@@ -512,54 +506,58 @@ def fit_all_outcomes(ds, strata, f, n_min: int = DEFAULT_N_MIN, decompose: bool 
 def view_values(model, view: PairView, part: str) -> np.ndarray:
     """Values of `model` on the "case" or "pool" rows of `view`.
 
-    Fitted models multiply their coefficients into the shared design of their
-    keep mask once per view; any other model (an oracle) goes through its `predict`.
+    A fitted model is read only on the view of its fit (see `fitted`); an
+    odds model's values are slices of its `e`.  An oracle goes through its `predict`.
     """
+    if not fitted(model, view):
+        return model.predict(*view.blocks(part))
     if isinstance(model, OddsModel):
-        return _kept(model.pieces, (view, part),
-                     lambda: np.exp(_clamped_eta(getattr(view.design(model.keep), part), model.alpha)))
-    if isinstance(model, OutcomeModel):
-        vals = _linear(model, view, part)
-        if model.scale_coords:
-            vals = _kept(model.pieces, (view, part), lambda: vals * model.scale_values(view, part))
-        return vals
-    return model.predict(*view.blocks(part))
+        return model.e[:view.case.size] if part == "case" else model.e[view.case.size:]
+    vals = _linear(model, part)
+    if model.scale_coords:
+        vals = _kept(model.pieces, part, lambda: vals * model.scale_values(part))
+    return vals
 
 
-def _linear(model: OutcomeModel, view: PairView, part: str) -> np.ndarray:
-    return _kept(model.pieces, (view, "linear_" + part), lambda: getattr(view.design(model.keep), part) @ model.beta)
+def _linear(model: OutcomeModel, part: str) -> np.ndarray:
+    return _kept(model.pieces, "linear_" + part, lambda: getattr(model.view.design(model.keep), part) @ model.beta)
 
 
-def case_gradient(model: OutcomeModel, view: PairView) -> np.ndarray:
-    """Gradient in the coefficients of the summed case-row predictions of `model` on `view`."""
-    return _kept(model.pieces, (view, "grad"), lambda: view.design(model.keep).case.T @ model.scale_values(view, "case"))
+def case_gradient(model: OutcomeModel) -> np.ndarray:
+    """Gradient in the coefficients of the summed case-row predictions of `model`."""
+    return _kept(model.pieces, "grad", lambda: model.view.design(model.keep).case.T @ model.scale_values("case"))
 
 
-def odds_correction(model: OddsModel, view: PairView, ro: np.ndarray) -> np.ndarray:
+def odds_correction(model: OddsModel, ro: np.ndarray) -> np.ndarray:
     """Influence correction of the odds fit `model` on the stacked rows of
-    `view` for the pool terms `ro` (odds times a residual), one per pool row
-    or one column per estimating-function coordinate, as the result is."""
-    Z = view.design(model.keep)
-    M = Z.stacked @ (model.info_inv @ (Z.pool.T @ ro / view.ds.n))
-    return (score_residuals(model, view) * M.T).T
+    its view for the pool terms `ro` (odds times a residual), one per pool
+    row or one column per estimating-function coordinate, as the result is."""
+    Z = model.view.design(model.keep)
+    M = Z.stacked @ (model.info_inv @ (Z.pool.T @ ro / model.view.ds.n))
+    return (score_residuals(model) * M.T).T
 
 
-def fitted(model) -> bool:
+def fitted(model, view: PairView | None = None) -> bool:
     """True for estimated models, which carry the matrices their influence
-    corrections need; known functions contribute no correction."""
-    return isinstance(model, (OddsModel, OutcomeModel))
+    corrections need; known functions contribute no correction.  Such a
+    model read on `view` must have been fitted on it, else ConfigError."""
+    if not isinstance(model, (OddsModel, OutcomeModel)):
+        return False
+    if view is not None and view is not model.view:
+        raise ConfigError(f"{model.pair}: a fitted model is read only on the stratum index it was fitted on")
+    return True
 
 
-def score_residuals(model, view: PairView, f: Functional | None = None) -> np.ndarray:
-    """Residuals of a fit on `view`, y - p on the stacked rows of an odds fit
-    and f(L) (or the regressed coordinate) minus m on the pool of an outcome
-    fit; times its design row, each record's coefficient score."""
+def score_residuals(model, f: Functional | None = None) -> np.ndarray:
+    """Residuals of a fit on its view, y - p on the stacked rows of an odds fit (formed
+    from `e` on each call) and f(L) (or the regressed coordinate) minus m on the
+    pool of an outcome fit; times its design row, each record's coefficient score."""
+    view = model.view
     if isinstance(model, OddsModel):
-        return _kept(model.pieces, (view, "score"),
-                     lambda: view.y - 1.0 / (1.0 + np.exp(-_clamped_eta(view.design(model.keep).stacked, model.alpha))))
+        return view.y - model.e / (1.0 + model.e)
 
     def make():
         L = view.ds.L
         rho = L[view.pool, model.resp_coord] if model.resp_coord is not None else f(L[view.pool])
-        return rho - _linear(model, view, "pool")
-    return _kept(model.pieces, (view, "score"), make, f)
+        return rho - _linear(model, "pool")
+    return _kept(model.pieces, "score", make, f)

@@ -32,6 +32,7 @@ from .estimators import InfluenceVector, _walk
 
 DEFAULT_B = 500
 DEFAULT_LEVEL = 0.95
+MAX_FAILURE_RATE = 0.2
 
 
 def _plain(v):
@@ -160,7 +161,6 @@ def bootstrap(
     B: int = DEFAULT_B,
     seed: int = 0,
     level: float = DEFAULT_LEVEL,
-    max_failure_rate: float = 0.2,
 ) -> BootstrapReport:
     """Case bootstrap of a full estimation pipeline around its point estimate.
 
@@ -169,14 +169,12 @@ def bootstrap(
     nuisance refits included.  A resample is `strata` reweighted by record
     frequencies, so the pipeline must sum over records through the package's
     fits and estimators, or honour `strata.freq` itself.  More than
-    `max_failure_rate` of the B replicates failing, or fewer than two
-    fitting, aborts.
+    `MAX_FAILURE_RATE` of the B replicates failing aborts; for B >= 2 that
+    leaves at least two for the standard error.
     """
     _check_replicates(B)
     critical_value(level)            # reject a bad level before any replicate runs
     check_finite("the bootstrap's point estimate", np.atleast_1d(estimate))
-    if not (isinstance(max_failure_rate, numbers.Real) and 0.0 <= max_failure_rate <= 1.0):
-        raise ConfigError(f"max_failure_rate must be a number in [0, 1], got {max_failure_rate!r}")
     point = np.atleast_1d(np.asarray(estimate, dtype=float))
 
     def resamples():
@@ -188,7 +186,7 @@ def bootstrap(
     results, failures = replicate(lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
                                   resamples())
     n_failed = sum(failures.values())
-    if n_failed > max_failure_rate * B or n_failed > B - 2:         # a standard error needs two replicates
+    if n_failed > MAX_FAILURE_RATE * B:
         raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit: {failures}")
     mat = np.vstack([r for r in results if r is not None])
     if point.shape != mat.shape[1:]:

@@ -150,7 +150,6 @@ def no_replicate(ds, strata):
     lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, float("nan"), B=4),
     lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, "0.0x", B=4),
     lambda ds, s: bootstrap(ds, s, lambda d, x: [0.0, 1.0], 0.0, B=4),
-    lambda ds, s: bootstrap(ds, s, no_replicate, 0.0, B=4, max_failure_rate="x"),
     lambda ds, s: bootstrap(ds, s.reweight(np.ones(ds.n)), no_replicate, 0.0, B=4),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=3.0),
@@ -160,7 +159,7 @@ def no_replicate(ds, strata):
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=-3),
 ], ids=["odds-keep-length", "outcome-keep-length", "bootstrap-B-float", "bootstrap-B-text",
         "bootstrap-estimate-nan", "bootstrap-estimate-text", "bootstrap-estimate-shape",
-        "bootstrap-failure-rate-text", "bootstrap-reweighted-index", "sweep-B-float",
+        "bootstrap-reweighted-index", "sweep-B-float",
         "sweep-B-one", "sweep-B-negative"])
 def test_named_bad_estimation_inputs(two_primaries, call):
     ds, strata = two_primaries

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -257,28 +256,6 @@ def test_bootstrap_guards():
         bootstrap(ds, build_strata(ds), flaky, flaky(ds, build_strata(ds)), B=10, seed=0)
 
 
-@pytest.mark.parametrize("survivors", [0, 1])
-def test_bootstrap_needs_two_fitted_replicates(survivors):
-    # even a failure rate of 1 allowed leaves no standard error from fewer
-    # than two replicates: a named error with the counts, not a bare
-    # ValueError (none) or a NaN interval with warnings (one)
-    ds = generate(SimDesign("single", 300, 1))
-    strata = build_strata(ds)
-    calls = {"k": 0}
-
-    def pipeline(d, s):
-        calls["k"] += 1
-        if calls["k"] > survivors:
-            raise FitError("boom")
-        return estimate_complete_case(d, s, F1).theta_hat
-
-    point = estimate_complete_case(ds, strata, F1).theta_hat
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(BootstrapInstabilityError, match=f"{4 - survivors}/4 .*'FitError': {4 - survivors}"):
-            bootstrap(ds, strata, pipeline, point, B=4, seed=0, max_failure_rate=1.0)
-
-
 def test_bootstrap_skip_count():
     ds = Dataset(np.ones((10, 1)), np.arange(10, dtype=float).reshape(-1, 1))
     calls = {"k": 0}
@@ -451,6 +428,28 @@ def test_self_normalized_ipw_interval_coverage_on_multiple():
         ci = normal_ci(est.theta_hat, est.influence.se)
         covered.append(ci.lower <= truth.theta_true <= ci.upper)
     assert 0.90 <= np.mean(covered) <= 0.99, np.mean(covered)
+
+
+def test_self_normalized_ipw_influence_se_matches_the_bootstrap_se():
+    # five seeded datasets of the multiple design at n = 2000, the product of
+    # both primaries, B = 200 replicates that refit the odds.  The bands, fixed
+    # before the first run: each seed's influence / bootstrap SE ratio within
+    # [0.85, 1.15] and their mean within [0.90, 1.05].  The first run read
+    # 0.926-1.066, mean 0.977.
+    f = default_functional("multiple")
+
+    def pipeline(d, s):
+        return estimate_ipw(d, s, fit_all_odds(d, s), f, self_normalize=True).theta_hat
+
+    ratios = []
+    for seed in range(5):
+        ds = generate(SimDesign("multiple", 2000, seed))
+        strata = build_strata(ds)
+        est = estimate_ipw(ds, strata, fit_all_odds(ds, strata), f, self_normalize=True, influence=True)
+        boot = bootstrap(ds, strata, pipeline, est.theta_hat, B=200, seed=seed)
+        ratios.append(est.influence.se / boot.se)
+    assert all(0.85 <= r <= 1.15 for r in ratios), ratios
+    assert 0.90 <= np.mean(ratios) <= 1.05, ratios
 
 
 @pytest.mark.parametrize("kind", ["single", "multiple"])

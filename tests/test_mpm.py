@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accmv.data import Dataset, build_strata
 from accmv.errors import CongenialityError, ConfigError
@@ -107,6 +109,38 @@ def test_weight_scale_invariance(mpm_2k):
     Lc = ds.L[rows]
     w = compute_weights(ds, strata, odds).total
     np.testing.assert_allclose(LIN.init(Lc, w), LIN.init(Lc, 2.0 * w), atol=1e-12)
+
+
+def regress(ds, spec):
+    """The `regress` pipeline: IPW root and sandwich SEs under refitted odds."""
+    strata = build_strata(ds)
+    odds = fit_all_odds(ds, strata)
+    est = solve_weighted_ee(ds, strata, odds, spec)
+    return est.theta_hat, np.sqrt(np.diag(sandwich_variance(ds, strata, odds, est)))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2**16), st.floats(0.1, 10.0))
+def test_regress_under_scaled_primaries(seed, c):
+    # L -> c L: the odds refit absorbs the scale in the coefficients of l, so
+    # the weights do not move.  Linear score: the intercept and its SE scale
+    # by c, the slope and its SE do not change.  Gaussian score: mu, the
+    # off-diagonal factor parameters and their SEs scale by c; each
+    # log-diagonal parameter moves by log c and its SE does not change.  The
+    # bound, fixed beforehand, is 1e-12 relative; a moved log-diagonal is
+    # measured against the size of its two terms.
+    ds = generate(SimDesign("mpm", 2000, seed))
+    i, j = np.tril_indices(ds.d)
+    log_diagonal = np.r_[np.zeros(ds.d, bool), i == j]       # mu, then the factor row by row
+    for spec in (LIN, ScoreSpec("gaussian")):
+        (theta, se), (theta_c, se_c) = regress(ds, spec), regress(Dataset(ds.X, c * ds.L), spec)
+        if spec.kind == "linear":                            # intercept, slope
+            factor, shift = np.array([c, 1.0]), np.zeros(2)
+        else:
+            factor, shift = np.where(log_diagonal, 1.0, c), np.where(log_diagonal, np.log(c), 0.0)
+        gap = np.abs(theta_c - (factor * theta + shift))
+        assert np.all(gap <= 1e-12 * (np.abs(factor * theta) + np.abs(shift))), (spec.kind, gap)
+        np.testing.assert_allclose(se_c, factor * se, rtol=1e-12, atol=0)
 
 
 def test_sandwich_complete_data_equals_hc0():

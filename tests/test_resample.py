@@ -191,17 +191,17 @@ def test_failures_are_tallied_by_error_class():
 
     def sometimes(d, s):
         calls["k"] += 1
-        if calls["k"] % 5 == 0:
+        if calls["k"] % 9 == 0:
             raise SmallStratumError("small")
-        if calls["k"] % 7 == 0:
+        if calls["k"] % 10 == 0:
             raise FitError("boom")
         return estimate_complete_case(d, s, F1).theta_hat
 
-    rep = bootstrap(ds, build_strata(ds), sometimes, sometimes(ds, build_strata(ds)), B=20, seed=3,
-                    max_failure_rate=0.5)
-    # the point estimate is call 1; replicates are calls 2-21
-    assert rep.failures == {"FitError": 3, "SmallStratumError": 4}
-    assert rep.n_failed == 7
+    rep = bootstrap(ds, build_strata(ds), sometimes, sometimes(ds, build_strata(ds)), B=25, seed=3)
+    # the point estimate is call 1; replicates are calls 2-26, 4 of which fail,
+    # under the MAX_FAILURE_RATE of 0.2
+    assert rep.failures == {"FitError": 2, "SmallStratumError": 2}
+    assert rep.n_failed == 4
     assert rep.to_dict()["failures"] == rep.failures
 
 

@@ -1,14 +1,16 @@
-"""Per-view pieces of fitted models: never stale, and shared by the table rows.
+"""Pieces of fitted models: read on their own view only, and shared by the table rows.
 
-A fitted model keeps its values, score residuals and gradient pieces per
-`PairView` it was evaluated on, and a view keeps the estimator terms of each
-pair of models read on it.  Evaluating a model on another view (a reweighted
-index, another index of the same data) must give what a fresh model gives,
-and a keep-masked refit has pieces of its own.  On a table-2 replicate each
-fitted model is multiplied into each set of rows once, each pair of models
-makes its terms once, and f is evaluated once on the complete rows, however
-many estimator rows read them.  A pair's terms add to the influence vector
-as one increment over the pair's rows.
+A fitted model holds the `PairView` it was fitted on.  An odds model's values
+are the exp(eta) of its fit; an outcome model keeps its values, score
+residuals and gradient pieces; and the odds model (else the regression) keeps
+the estimator terms of each pair of models.  Reading a fitted model on
+another view (a reweighted index, another index of the same data) raises
+`ConfigError`, and a keep-masked refit has pieces of its own.  On a table-2
+replicate no odds model is evaluated after its fit, each outcome model is
+multiplied into each set of rows once, each pair of models makes its terms
+once, and f is evaluated once on the complete rows, however many estimator
+rows read them.  A pair's terms add to the influence vector as one increment
+over the pair's rows.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import pytest
 
 from accmv import cli, estimators, glm
 from accmv.data import Functional, build_strata
+from accmv.errors import ConfigError
 from accmv.estimators import estimate_ipw, estimate_mr, estimate_ra
 from accmv.glm import (
     case_gradient,
@@ -40,12 +43,12 @@ F2 = Functional("product", (0, 1))
 
 
 def pieces(model, view, f):
-    """Every per-view piece of `model`, evaluated now."""
+    """Every piece of `model` on `view`, evaluated now."""
     out = {part: view_values(model, view, part) for part in ("case", "pool")}
-    out["score"] = score_residuals(model, view, f)
+    out["score"] = score_residuals(model, f)
     if isinstance(model, glm.OutcomeModel):
-        out["grad"] = case_gradient(model, view)
-        out["scale_pool"] = model.scale_values(view, "pool")
+        out["grad"] = case_gradient(model)
+        out["scale_pool"] = model.scale_values("pool")
     return out
 
 
@@ -91,18 +94,31 @@ def fitted_multiple():
 
 
 def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
+    """On the view a model was fitted on, its pieces are a direct evaluation;
+    on a reweighted index and on another index of the same data, reading
+    the model raises, also where the estimators hold its terms already."""
     ds, strata, models = fitted_multiple
-    indexes = [strata,                                                      # the one it was fitted on
-               strata.reweight(np.random.default_rng(3).integers(0, 3, ds.n)),
-               build_strata(ds)]                                             # another index of the same data
+    others = [strata.reweight(np.random.default_rng(3).integers(0, 3, ds.n)),
+              build_strata(ds)]                                              # another index of the same data
     for model, _ in models:
-        views = [pair_view(ds, s, model.pair) for s in indexes]
-        for view in views:
-            got = pieces(model, view, F2)
-            assert_same(got, pieces(dataclasses.replace(model), view, F2))
-            assert_same(got, direct(model, view, F2), exact=False)
-            assert all(not v.flags.writeable for v in got.values())
-        assert {key[0] for key in model.pieces} >= set(views) and len(set(views)) == 3
+        view = pair_view(ds, strata, model.pair)
+        assert model.view is view
+        got = pieces(model, view, F2)
+        assert_same(got, pieces(dataclasses.replace(model), view, F2))
+        assert_same(got, direct(model, view, F2), exact=False)
+        kept = got if isinstance(model, glm.OutcomeModel) else {k: got[k] for k in ("case", "pool")}
+        assert all(not v.flags.writeable for v in kept.values())
+        for s in others:
+            for part in ("case", "pool"):
+                with pytest.raises(ConfigError, match="fitted on"):
+                    view_values(model, pair_view(ds, s, model.pair), part)
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
+    for estimate, fits in ((estimate_ipw, (odds,)), (estimate_ra, (outs,)), (estimate_mr, (odds, outs))):
+        for influence in (False, True):
+            estimate(ds, strata, *fits, F2, influence=influence)    # the walk keeps the pair terms
+        for s in others:
+            with pytest.raises(ConfigError, match="fitted on"):
+                estimate(ds, s, *fits, F2, influence=s.freq is None)
 
 
 def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):
@@ -129,14 +145,17 @@ def test_complete_values_follow_the_functional(fitted_multiple):
 
 
 def test_estimates_follow_the_functional(fitted_multiple):
-    """Estimates on an index whose views hold terms of another functional
-    equal those on a fresh index."""
+    """Estimates from models that hold terms of another functional equal
+    those of the same models refitted on a fresh index."""
     ds, strata, _ = fitted_multiple
     odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
     for f in (F2, Functional("coordinate", (1,)), F2):
+        s = build_strata(ds)
+        refits = {estimate_ipw: (fit_all_odds(ds, s),), estimate_ra: (fit_all_outcomes(ds, s, F2, decompose=True),)}
+        refits[estimate_mr] = refits[estimate_ipw] + refits[estimate_ra]
         for estimate, models in ((estimate_ipw, (odds,)), (estimate_ra, (outs,)), (estimate_mr, (odds, outs))):
             got = estimate(ds, strata, *models, f, influence=True)
-            fresh = estimate(ds, build_strata(ds), *models, f, influence=True)
+            fresh = estimate(ds, s, *refits[estimate], f, influence=True)
             assert got.per_stratum == fresh.per_stratum
             np.testing.assert_array_equal(got.influence.values, fresh.influence.values)
 
@@ -155,9 +174,10 @@ class Coefficients(np.ndarray):
 
 
 def test_table_rows_evaluate_each_model_once(monkeypatch):
-    """One seeded table-2 replicate: every fitted model is evaluated once per
-    set of rows, each pair of models makes its pair's terms once, and f runs
-    once on the complete rows."""
+    """One seeded table-2 replicate: no odds model is evaluated after its fit
+    (its values are its fit's exp(eta)), every outcome model is evaluated
+    once per set of rows, each pair of models makes its pair's terms once,
+    and f runs once on the complete rows."""
     log, fits, outcomes = Counter(), itertools.count(), []
 
     def counted(fit, name):
@@ -196,7 +216,9 @@ def test_table_rows_evaluate_each_model_once(monkeypatch):
 
     assert set(rows) >= {"ipw", "ipw_wrong", "ra", "ra_wrong", "mr", "mr_ipw_wrong", "mr_ra_wrong", "mr_both_wrong"}
     assert max(log.values()) == 1, [k for k, v in log.items() if v > 1]
-    assert len({key[0] for key in log}) == next(fits) > 20         # every fitted model was evaluated
+    # every outcome model was evaluated, and no odds model
+    assert {key[0] for key in log} == {m.beta.tag for m in outcomes} and len(outcomes) > 10
+    assert next(fits) - len(outcomes) > 10
     # f runs once per outcome fit on f(L), once per score residual of such a
     # fit, and once on the complete rows for every estimator row together
     on_f = sum(m.resp_coord is None for m in outcomes)
@@ -210,9 +232,10 @@ def test_table_rows_evaluate_each_model_once(monkeypatch):
 
 @pytest.mark.parametrize("table", [1, 2, 3])
 def test_kept_pieces_form_no_reference_cycles(table):
-    """Models key their pieces by view and views hold no model, so a
-    replicate's models, views and pieces are freed by reference counting
-    when it returns, not left for the cyclic collector."""
+    """Models hold their view and views hold no model (a view keeps the
+    coefficients and exp(eta) of its fits, not the models), so a replicate's
+    models, views and pieces are freed by reference counting when it
+    returns, not left for the cyclic collector."""
     gc.collect()
     gc.disable()
     try:
@@ -234,12 +257,12 @@ def separate_increments(view, fmap, f, gm, om):
     if om is not None:
         adds.append((view.case, view_values(om, view, "case")))
         Zm = view.design(om.keep)
-        grad = case_gradient(om, view)
+        grad = case_gradient(om)
         if gm is not None:
-            grad = grad - Zm.pool.T @ (om.scale_values(view, "pool") * o_pool)
-        adds.append((view.pool, score_residuals(om, view, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
+            grad = grad - Zm.pool.T @ (om.scale_values("pool") * o_pool)
+        adds.append((view.pool, score_residuals(om, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
     if gm is not None:
-        adds.append((view.rows, glm.odds_correction(gm, view, resid * o_pool)))
+        adds.append((view.rows, glm.odds_correction(gm, resid * o_pool)))
     return adds
 
 
@@ -255,7 +278,7 @@ def test_each_pair_term_is_one_increment_over_the_rows(fitted_multiple):
         for pr in strata.incomplete_pairs():
             view = pair_view(ds, strata, pr)
             gm, om = (models[pr.key] if models is not None else None for models in (gms, oms))
-            cached, (_, _, inc) = (gm or om).pieces[(view, om if gm is not None else None, True)]
+            cached, (_, _, inc) = (gm or om).pieces[(om if gm is not None else None, True)]
             assert cached is F2 and inc.shape == view.rows.shape and not inc.flags.writeable
             want = np.zeros(ds.n)
             for rows, vals in separate_increments(view, fmap, F2, gm, om):

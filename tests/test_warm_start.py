@@ -111,8 +111,9 @@ def test_sweep_failures_match_cold_start():
     ds = generate(SimDesign("single", 200, 0))
     strata = build_strata(ds)
     odds = fit_all_odds(ds, strata)
+    fresh = build_strata(ds)         # an odds model is read only on the index it was fitted on
     warm = sweep(ds, strata, odds, F1, SPEC, B=20, seed=1)
-    cold = sweep(ds, build_strata(ds), odds, F1, SPEC, B=20, seed=1)
+    cold = sweep(ds, fresh, fit_all_odds(ds, fresh), F1, SPEC, B=20, seed=1)
     assert warm.failures == cold.failures == {"SeparationError": 3, "SmallStratumError": 1}
     assert warm.n_failed == cold.n_failed == 4
     assert warm.estimates == cold.estimates
@@ -139,9 +140,9 @@ def loop_weights(ds, s, odds, delta, center):
 def test_grid_equals_per_point_weights(kind, f):
     ds = generate(SimDesign(kind, 600, 41))
     full = build_strata(ds)
-    odds = fit_all_odds(ds, full)
     center = SPEC.resolved_center(ds.d)
     for s in (full, full.reweight(counts(ds, 2))):
+        odds = fit_all_odds(ds, s)               # read only on the index it was fitted on
         grid = sweep(ds, s, odds, f, SPEC).estimates
         fvals = f(ds.L[s.complete_mask])
         for m, est in zip(SPEC.grid, grid):
