@@ -72,14 +72,14 @@ def _mean_table_rows(ds, strata, kind, f):
 
     rows = {}
     for name, est in (
-        ("ipw", estimate_ipw(ds, strata, odds_ok, f, influence=True)),
-        ("ipw_wrong", estimate_ipw(ds, strata, odds_bad, f, influence=True)),
-        ("ra", estimate_ra(ds, strata, outs_ok, f, influence=True)),
-        ("ra_wrong", estimate_ra(ds, strata, outs_bad, f, influence=True)),
-        ("mr", estimate_mr(ds, strata, odds_ok, outs_ok, f, influence=True)),
-        ("mr_ipw_wrong", estimate_mr(ds, strata, odds_bad, outs_ok, f, influence=True)),
-        ("mr_ra_wrong", estimate_mr(ds, strata, odds_ok, outs_bad, f, influence=True)),
-        ("mr_both_wrong", estimate_mr(ds, strata, odds_bad, outs_bad, f, influence=True)),
+        ("ipw", estimate_ipw(ds, strata, odds_ok, f)),
+        ("ipw_wrong", estimate_ipw(ds, strata, odds_bad, f)),
+        ("ra", estimate_ra(ds, strata, outs_ok, f)),
+        ("ra_wrong", estimate_ra(ds, strata, outs_bad, f)),
+        ("mr", estimate_mr(ds, strata, odds_ok, outs_ok, f)),
+        ("mr_ipw_wrong", estimate_mr(ds, strata, odds_bad, outs_ok, f)),
+        ("mr_ra_wrong", estimate_mr(ds, strata, odds_ok, outs_bad, f)),
+        ("mr_both_wrong", estimate_mr(ds, strata, odds_bad, outs_bad, f)),
     ):
         rows[name] = (est.theta_hat, est.influence.se)
 
@@ -297,19 +297,17 @@ def cmd_fit(args) -> int:
         if n_case < 2 * args.n_min or n_pool < 2 * args.n_min:
             warnings.append(f"small stratum {pr}: case {n_case}, pool {n_pool}")
 
-    def estimate(dsx, sx, influence=False):
+    def estimate(dsx, sx):
         if method == "cc":
             return estimate_complete_case(dsx, sx, f)
         if method == "ipw":
-            return estimate_ipw(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), f,
-                                self_normalize=args.self_normalize, influence=influence)
+            return estimate_ipw(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), f, self_normalize=args.self_normalize)
         outs = fit_all_outcomes(dsx, sx, f, n_min=args.n_min, decompose=args.decompose_product)
         if method == "ra":
-            return estimate_ra(dsx, sx, outs, f, influence=influence)
-        return estimate_mr(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), outs, f,
-                           influence=influence)
+            return estimate_ra(dsx, sx, outs, f)
+        return estimate_mr(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), outs, f)
 
-    est = estimate(ds, strata, influence=True)
+    est = estimate(ds, strata)
     se = est.influence.se if est.influence is not None else _complete_case_se(ds, strata, f)
 
     report = {
@@ -328,7 +326,7 @@ def cmd_fit(args) -> int:
 
     print(f"method={method}  estimate={est.theta_hat:.6g}  n={ds.n}")
     ci = report["influence"]
-    print(f"influence SE={se:.6g}  {int(args.level*100)}% CI=({ci['lower']:.6g}, {ci['upper']:.6g})")
+    print(f"influence SE={se:.6g}  {100 * args.level:g}% CI=({ci['lower']:.6g}, {ci['upper']:.6g})")
     if args.bootstrap:
         bn = report["bootstrap"]["normal"]
         print(f"bootstrap SE={report['bootstrap']['se']:.6g}  normal CI=({bn['lower']:.6g}, {bn['upper']:.6g})"

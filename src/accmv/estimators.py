@@ -8,12 +8,12 @@ odds-weighted regression residual over its pool (MR).  IPW is that formula
 with the regression set to zero, RA with the odds set to zero, and the
 complete-case mean with no model in any pair, divided by the number of
 complete records instead of n.  One pass over the pairs gives the estimate
-and, on request, its influence vector.  Strata absent from the data
-contribute no term and require no model.  Which complete records lie in the
-pool of a pattern is decided by `StratumIndex.pool` alone; the kernel and
-the weight tables read it through each pair's view.  Every sum over records
-counts each record by its frequency in the stratum index, so the same code
-serves the data and its frequency-weighted resamples.
+and, on a unit-frequency index, its influence vector.  Strata absent from
+the data contribute no term and require no model.  Which complete records
+lie in the pool of a pattern is decided by `StratumIndex.pool` alone; the
+kernel and the weight tables read it through each pair's view.  Every sum
+over records counts each record by its frequency in the stratum index, so
+the same code serves the data and its frequency-weighted resamples.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def self_normalized_influence(ds, strata, odds, f, theta, total, tilt=None) -> I
 class ThetaEstimate:
     """Point estimate with its exact per-stratum decomposition.
 
-    `influence` holds the per-record influence values when the estimate was
-    asked for them; it stays out of serialized reports.
+    `influence` holds the per-record influence values of an IPW, RA or MR
+    estimate on a unit-frequency index; it stays out of serialized reports.
     """
 
     theta_hat: float
@@ -144,7 +144,7 @@ class _Walk(NamedTuple):
     influence: np.ndarray | None
 
 
-def _pair_terms(view, fmap, f, gm, om, influence):
+def _pair_terms(view, fmap, gm, om, influence):
     """Stratum term, augmentation and, with `influence`, the one increment
     over `view.rows` that the pair of `view` adds to the influence vector
     under odds `gm` and regression `om`, either of which may be None: the
@@ -177,7 +177,7 @@ def _pair_terms(view, fmap, f, gm, om, influence):
         grad = case_gradient(om)
         if gm is not None:
             grad = grad - Zm.pool.T @ (om.scale_values("pool") * o_pool)
-        pool += score_residuals(om, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))
+        pool += score_residuals(om) * (Zm.pool @ (om.gram_inv @ (grad / n)))
     if fitted(gm):
         inc += odds_correction(gm, ro)
     inc.flags.writeable = False
@@ -192,12 +192,14 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
     and the regression m as zero when `outcomes` is None (weighting).  A pair's
     terms are computed once per pair of models and kept on a model, which is
     read only on its own view, so walks that share models share them, and every
-    sum counts records by their frequency.  With neither family given the
-    incomplete pairs are skipped, leaving the complete-case sums.  Returns the
-    raw sum of every stratum, complete strata first, the summed augmentation
-    terms, and with `influence` the uncentered influence values (f on complete
-    records plus each pair's one increment over its case and pool rows, which
-    holds the pair's terms and one correction per fitted model).
+    sum counts records by their frequency.  A fitted outcome model serves only
+    the functional it was fitted for, else ConfigError; odds models serve any.
+    With neither family given the incomplete pairs are skipped, leaving the
+    complete-case sums.  Returns the raw sum of every stratum, complete strata
+    first, the summed augmentation terms, and with `influence` the uncentered
+    influence values (f on complete records plus each pair's one increment
+    over its case and pool rows, which holds the pair's terms and one
+    correction per fitted model).
     """
     if influence and strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
@@ -221,7 +223,9 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
         pieces = owner.pieces if fitted(owner, view) else {}          # oracles keep nothing
         key = (om if gm is not None else None, influence)
         if pieces.get(key, (None,))[0] is not f:
-            pieces[key] = (f, _pair_terms(view, fmap, f, gm, om, influence))
+            if fitted(om) and om.f != f:
+                raise ConfigError(f"{pr}: the outcome model was fitted for {om.f.describe()}, not {f.describe()}")
+            pieces[key] = (f, _pair_terms(view, fmap, gm, om, influence))
         term, aug, inc = pieces[key][1]
         sums[(str(pr.r), str(pr.a))] = term
         aug_total += aug
@@ -245,7 +249,6 @@ def estimate_ipw(
     odds: dict,
     f: Functional,
     self_normalize: bool = False,
-    influence: bool = False,
 ) -> ThetaEstimate:
     """Weight the complete-primary records by 1 + Q and average f.
 
@@ -253,33 +256,28 @@ def estimate_ipw(
     used instead, which is the convention the tilted sensitivity estimator
     mandates; its influence values are then `self_normalized_influence`.
     """
-    walk = _walk(ds, strata, f, odds=odds, influence=influence and not self_normalize)
+    walk = _walk(ds, strata, f, odds=odds, influence=strata.freq is None and not self_normalize)
     wt = compute_weights(ds, strata, odds)
     denom = float(wt.total.sum()) if self_normalize else float(ds.n)
     if denom == 0.0:
         raise PositivityError("no records with all primary variables observed")
     est = _estimate(ds, "ipw", walk, denom, self_normalized=self_normalize, diagnostics=wt.diagnostics())
-    if self_normalize and influence:
+    if self_normalize and strata.freq is None:
         est.influence = self_normalized_influence(ds, strata, odds, f, est.theta_hat, denom)
     return est
 
 
-def estimate_ra(
-    ds: Dataset, strata: StratumIndex, outcomes: dict, f: Functional, influence: bool = False
-) -> ThetaEstimate:
+def estimate_ra(ds: Dataset, strata: StratumIndex, outcomes: dict, f: Functional) -> ThetaEstimate:
     """Average f over complete-primary records and the fitted regression
     prediction over every other record."""
-    return _estimate(ds, "ra", _walk(ds, strata, f, outcomes=outcomes, influence=influence), ds.n)
+    return _estimate(ds, "ra", _walk(ds, strata, f, outcomes=outcomes, influence=strata.freq is None), ds.n)
 
 
-def estimate_mr(
-    ds: Dataset, strata: StratumIndex, odds: dict, outcomes: dict, f: Functional,
-    influence: bool = False,
-) -> ThetaEstimate:
+def estimate_mr(ds: Dataset, strata: StratumIndex, odds: dict, outcomes: dict, f: Functional) -> ThetaEstimate:
     """Augmented estimator: per stratum, the regression plug-in plus the
     odds-weighted residual of the regression over the pool.  Consistent when,
     pattern by pattern, either nuisance model is correct."""
-    return _estimate(ds, "mr", _walk(ds, strata, f, odds=odds, outcomes=outcomes, influence=influence), ds.n)
+    return _estimate(ds, "mr", _walk(ds, strata, f, odds=odds, outcomes=outcomes, influence=strata.freq is None), ds.n)
 
 
 def estimate_complete_case(ds: Dataset, strata: StratumIndex, f: Functional) -> ThetaEstimate:

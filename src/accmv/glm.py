@@ -326,7 +326,7 @@ class OddsModel:
 
 @dataclass(eq=False)
 class OutcomeModel:
-    """Fitted least-squares outcome regression for one pattern pair, read only on `view`.
+    """Fitted least-squares outcome regression of `f` for one pattern pair, read only on `view`.
 
     When `scale_coords` is nonempty the fit regressed the product of the
     unobserved target coordinates on the design and prediction multiplies the
@@ -340,6 +340,7 @@ class OutcomeModel:
     n_pool: int
     gram: np.ndarray                 # (1/n) sum over pool of design outer products
     view: PairView = field(repr=False)
+    f: Functional
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
@@ -486,7 +487,7 @@ def fit_outcome(
     if rank < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
     return OutcomeModel(pair=pair, beta=beta, names=names, n_pool=n_pool, gram=Z.T @ Z / ds.n, view=view,
-                        keep=tuple(keep) if keep is not None else None, resp_coord=resp_coord,
+                        f=f, keep=tuple(keep) if keep is not None else None, resp_coord=resp_coord,
                         scale_coords=scale_coords)
 
 
@@ -548,7 +549,7 @@ def fitted(model, view: PairView | None = None) -> bool:
     return True
 
 
-def score_residuals(model, f: Functional | None = None) -> np.ndarray:
+def score_residuals(model) -> np.ndarray:
     """Residuals of a fit on its view, y - p on the stacked rows of an odds fit (formed
     from `e` on each call) and f(L) (or the regressed coordinate) minus m on the
     pool of an outcome fit; times its design row, each record's coefficient score."""
@@ -558,6 +559,6 @@ def score_residuals(model, f: Functional | None = None) -> np.ndarray:
 
     def make():
         L = view.ds.L
-        rho = L[view.pool, model.resp_coord] if model.resp_coord is not None else f(L[view.pool])
+        rho = L[view.pool, model.resp_coord] if model.resp_coord is not None else model.f(L[view.pool])
         return rho - _linear(model, "pool")
-    return _kept(model.pieces, "score", make, f)
+    return _kept(model.pieces, "score", make)

@@ -5,7 +5,7 @@ the relevant derivative means into the asymptotic linear expansion of each
 estimator, adding one correction term per estimated nuisance model.  Models
 supplied as known functions (anything without fitted metadata) contribute no
 correction.  The influence values come from the estimators' own pass over
-the pattern pairs, which `estimate_*(..., influence=True)` also attaches.
+the pattern pairs, as do those that `estimate_ipw/ra/mr` attach.
 The nonparametric bootstrap takes the caller's point estimate, resamples
 whole records and reruns the entire pipeline on each resample, nuisance
 refits included.  A resample is drawn as per-record frequencies: the

@@ -215,15 +215,15 @@ def test_estimation_api_raises_only_accmv_errors(ds, n_min, kind):
     odds, outcomes = got.get("odds"), got.get("outcomes")
     if odds is not None:
         spec = ScoreSpec("linear", response=1, predictors=(0,)) if ds.d == 2 else ScoreSpec("gaussian")
-        attempt("ipw", lambda: estimate_ipw(ds, strata, odds, f, influence=True))
+        attempt("ipw", lambda: estimate_ipw(ds, strata, odds, f))
         attempt("sweep", lambda: sweep(ds, strata, odds, f, TiltSpec(delta=(0.5,), grid=(-1.0, 0.0, 1.0))))
         attempt("mpm", lambda: solve_weighted_ee(ds, strata, odds, spec))
         if "mpm" in got:
             attempt("sandwich", lambda: sandwich_variance(ds, strata, odds, got["mpm"]))
     if outcomes is not None:
-        attempt("ra", lambda: estimate_ra(ds, strata, outcomes, f, influence=True))
+        attempt("ra", lambda: estimate_ra(ds, strata, outcomes, f))
         if odds is not None:
-            attempt("mr", lambda: estimate_mr(ds, strata, odds, outcomes, f, influence=True))
+            attempt("mr", lambda: estimate_mr(ds, strata, odds, outcomes, f))
     for name in ("odds", "outcomes"):
         for model in got.get(name, {}).values():
             assert finite_numbers(vars(model)), (name, model)

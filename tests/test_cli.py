@@ -356,6 +356,13 @@ def test_level_outside_unit_interval_exits_2(single_csv, mpm_csv, level, capsys)
         assert "confidence level must be in (0, 1)" in err
 
 
+@pytest.mark.parametrize("level,label", [("0.58", "58%"), ("0.975", "97.5%"), ("0.95", "95%")])
+def test_fit_labels_the_interval_with_its_level(level, label, single_csv, capsys):
+    assert run(["fit", "--data", single_csv, *DATA_ARGS, "--method", "ra", f"--level={level}"]) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.startswith("influence SE=") and f"  {label} CI=(" in line
+
+
 def test_sensitivity_has_no_level_option(single_csv, tmp_path, capsys):
     argv = ["sensitivity", "--data", single_csv, *DATA_ARGS, "--grid=0,1"]
     with pytest.raises(SystemExit) as exc:          # argparse rejects the unknown flag

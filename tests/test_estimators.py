@@ -12,6 +12,7 @@ from accmv.estimators import (
     estimate_ra,
 )
 from accmv.glm import fit_all_odds, fit_all_outcomes
+from accmv.inference import if_variance_ra
 from accmv.simgen import SimDesign, generate, oracle_value
 
 from toy import toy_single_primary, toy_two_primaries
@@ -61,6 +62,25 @@ def test_missing_model_is_config_error(single_20k):
     partial = {k: v for k, v in odds.items() if k != (3, 0)}
     with pytest.raises(ConfigError, match="11"):
         estimate_ipw(ds, strata, partial, F1)
+
+
+def test_outcome_models_serve_only_their_functional():
+    # without the check, RA of L1 from the outcome models fitted for L1*L2
+    # read 1.2443 on this data, against 0.9265 from models fitted for L1
+    ds = generate(SimDesign("multiple", 4000, 1))
+    strata = build_strata(ds)
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
+    mr = estimate_mr(ds, strata, odds, outs, F2)          # the models keep the pair terms of F2
+    for call in (lambda: estimate_ra(ds, strata, outs, F1), lambda: estimate_mr(ds, strata, odds, outs, F1),
+                 lambda: if_variance_ra(ds, strata, outs, F1, 0.0),
+                 lambda: augmentation_mean(ds, strata, odds, outs, F1)):
+        with pytest.raises(ConfigError, match=r"fitted for prod\(L\[1,2\]\), not L1"):
+            call()
+    # an equal functional built anew is the same functional, and odds models serve any
+    assert estimate_mr(ds, strata, odds, outs, Functional("product", (0, 1))).theta_hat == mr.theta_hat
+    own = fit_all_outcomes(ds, strata, F1)
+    assert abs(estimate_ra(ds, strata, own, F1).theta_hat - 0.9265) <= 5e-5
+    assert estimate_mr(ds, strata, odds, own, F1).influence is not None
 
 
 def test_weights_at_least_one_and_mass(multiple_20k):

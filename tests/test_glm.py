@@ -262,10 +262,10 @@ def psi_odds(model, ds, strata):
     return out
 
 
-def psi_outcome(model, ds, strata, f):
+def psi_outcome(model, ds, strata):
     """Per-record influence contributions to the regression coefficients, (n, k)."""
     view = pair_view(ds, strata, model.pair)
-    Z, resid = view.design(model.keep).pool, score_residuals(model, f)
+    Z, resid = view.design(model.keep).pool, score_residuals(model)
     out = np.zeros((ds.n, model.beta.size))
     out[view.pool] = np.linalg.solve(model.gram, (Z * resid[:, None]).T).T
     return out
@@ -288,7 +288,7 @@ def test_psi_odds_mean_zero_and_cov(single_20k):
 def test_psi_outcome_zero_outside_pool(single_20k):
     ds, strata = single_20k
     m = fit_outcome(ds, strata, pair(3, 0), F1)
-    psi = psi_outcome(m, ds, strata, F1)
+    psi = psi_outcome(m, ds, strata)
     outside = np.setdiff1d(np.arange(ds.n), strata.pool(Pattern(3, 2)))
     assert np.all(psi[outside] == 0.0)
     assert np.max(np.abs(psi.mean(axis=0))) <= 1e-8
@@ -363,7 +363,7 @@ def test_views_share_one_label_and_one_ones_buffer(request, fixture, f):
         else:
             assert not np.shares_memory(view.w, ones) and np.array_equal(view.w, rw.freq[view.rows])
     odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, f, decompose=True)
-    assert estimate_mr(ds, strata, odds, outs, f, influence=True).influence is not None
+    assert estimate_mr(ds, strata, odds, outs, f).influence is not None
     plain = [(pair_view(ds, strata, pr), outs[pr.key]) for pr in strata.incomplete_pairs()
              if not outs[pr.key].scale_coords]
     assert plain

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import BootstrapInstabilityError, ConfigError, FitError
-from accmv.estimators import estimate_complete_case, estimate_ipw, estimate_mr, estimate_ra, self_normalized_influence
+from accmv.estimators import (
+    _walk,
+    estimate_complete_case,
+    estimate_ipw,
+    estimate_mr,
+    estimate_ra,
+    self_normalized_influence,
+)
 from accmv.glm import design_matrix, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
 from accmv.inference import (
     attempt,
@@ -168,17 +175,17 @@ def mean_pipeline(kind, method, models):
         return {pr.key: fit_outcome(ds, s, pr, f, keep=masks["outcome"].get(pr.key), decompose=models == "decomposed")
                 for pr in s.incomplete_pairs()}
 
-    def estimate(ds, s, influence=False):
+    def estimate(ds, s):
         if method == "ipw":
-            return estimate_ipw(ds, s, odds(ds, s), f, influence=influence)
+            return estimate_ipw(ds, s, odds(ds, s), f)
         if method == "ipw_sn":
-            return estimate_ipw(ds, s, odds(ds, s), f, self_normalize=True, influence=influence)
+            return estimate_ipw(ds, s, odds(ds, s), f, self_normalize=True)
         if method.startswith("tilt"):
             spec = TiltSpec(delta=TILT_DELTA[kind], center=(0.3,), grid=(float(method[4:]),))
-            return tilted_point(ds, s, odds(ds, s), f, spec, influence)
+            return tilted_point(ds, s, odds(ds, s), f, spec, s.freq is None)
         if method == "ra":
-            return estimate_ra(ds, s, outcomes(ds, s), f, influence=influence)
-        return estimate_mr(ds, s, odds(ds, s), outcomes(ds, s), f, influence=influence)
+            return estimate_ra(ds, s, outcomes(ds, s), f)
+        return estimate_mr(ds, s, odds(ds, s), outcomes(ds, s), f)
     return estimate
 
 
@@ -200,7 +207,7 @@ def test_influence_values_are_the_pipeline_derivatives(kind, method, models):
     estimate = mean_pipeline(kind, method, models)
     ds = generate(SimDesign(kind, 600, 3))
     strata = build_strata(ds)
-    values = estimate(ds, strata, influence=True).influence.values
+    values = estimate(ds, strata).influence.values
     records = np.random.default_rng(0).choice(ds.n, 25, replace=False)
     eps = 1e-6
     D = np.empty(records.size)
@@ -345,25 +352,25 @@ def test_ipw_underestimates_se_on_heavy_tails(single_20k):
     assert se < 0.2  # sampling SE of this design sits near 0.21 at n=2000
 
 def test_estimate_influence_is_the_if_variance_se(single_20k, multiple_20k):
+    # on a unit-frequency index each estimate carries the influence values of
+    # `if_variance_*`, and its stratum sums are those of the point-only pass;
+    # on a reweighted index it carries none
     for (ds, strata), f, dec in [(single_20k, F1, False), (multiple_20k, F2, True)]:
-        odds = fit_all_odds(ds, strata)
-        outs = fit_all_outcomes(ds, strata, f, decompose=dec)
-        cases = [
-            (lambda **kw: estimate_ipw(ds, strata, odds, f, **kw),
-             lambda th: if_variance_ipw(ds, strata, odds, f, th)),
-            (lambda **kw: estimate_ra(ds, strata, outs, f, **kw),
-             lambda th: if_variance_ra(ds, strata, outs, f, th)),
-            (lambda **kw: estimate_mr(ds, strata, odds, outs, f, **kw),
-             lambda th: if_variance_mr(ds, strata, odds, outs, f, th)),
-        ]
-        for estimate, if_variance in cases:
-            point = estimate()
-            assert point.influence is None
-            est = estimate(influence=True)
-            assert est.theta_hat == point.theta_hat and est.per_stratum == point.per_stratum
-            se, iv = if_variance(est.theta_hat)
-            assert est.influence.se == se
-            np.testing.assert_array_equal(est.influence.values, iv.values)
+        for s in (strata, strata.reweight(np.random.default_rng(5).integers(0, 3, ds.n))):
+            odds, outs = fit_all_odds(ds, s), fit_all_outcomes(ds, s, f, decompose=dec)
+            for est, if_variance, models in (
+                (estimate_ipw(ds, s, odds, f), if_variance_ipw, {"odds": odds}),
+                (estimate_ra(ds, s, outs, f), if_variance_ra, {"outcomes": outs}),
+                (estimate_mr(ds, s, odds, outs, f), if_variance_mr, {"odds": odds, "outcomes": outs}),
+            ):
+                if s.freq is not None:
+                    assert est.influence is None
+                    continue
+                point = _walk(ds, s, f, **models).sums
+                assert est.per_stratum == {k: float(v / ds.n) for k, v in point.items()}
+                se, iv = if_variance(ds, s, *models.values(), f, est.theta_hat)
+                assert est.influence.se == se
+                np.testing.assert_array_equal(est.influence.values, iv.values)
 
 
 def test_self_normalized_ipw_se_is_the_gaussian_sandwich_mean_se():
@@ -377,7 +384,7 @@ def test_self_normalized_ipw_se_is_the_gaussian_sandwich_mean_se():
         est = solve_weighted_ee(ds, strata, odds, ScoreSpec("gaussian"))
         se = np.sqrt(np.diag(sandwich_variance(ds, strata, odds, est)))
         for j in range(ds.d):
-            sn = estimate_ipw(ds, strata, odds, Functional("coordinate", (j,)), self_normalize=True, influence=True)
+            sn = estimate_ipw(ds, strata, odds, Functional("coordinate", (j,)), self_normalize=True)
             assert abs(sn.theta_hat - est.theta_hat[j]) <= 1e-12 * abs(est.theta_hat[j])
             assert abs(sn.influence.se - se[j]) <= 1e-12 * se[j]
 
@@ -385,13 +392,12 @@ def test_self_normalized_ipw_se_is_the_gaussian_sandwich_mean_se():
 def test_self_normalized_ipw_influence_needs_unit_frequencies(single_20k):
     ds, strata = single_20k
     rw = strata.reweight(np.full(ds.n, 2))
-    with pytest.raises(ConfigError, match="unit frequencies"):
-        estimate_ipw(ds, rw, fit_all_odds(ds, rw), F1, self_normalize=True, influence=True)
+    assert estimate_ipw(ds, rw, fit_all_odds(ds, rw), F1, self_normalize=True).influence is None
 
 
 def sn_fit(ds):
     strata = build_strata(ds)
-    return estimate_ipw(ds, strata, fit_all_odds(ds, strata), F1, self_normalize=True, influence=True)
+    return estimate_ipw(ds, strata, fit_all_odds(ds, strata), F1, self_normalize=True)
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -414,6 +420,40 @@ def test_self_normalized_ipw_invariances(seed, kind, transform):
     assert abs(got.influence.se - se_factor * base.influence.se) <= 1e-12 * base.influence.se
 
 
+def ipw_ra_mr(ds, kind):
+    """The IPW, RA and MR estimates of the design's functional from models
+    fitted on `ds`; on `multiple` the outcome fits decompose the product."""
+    strata, f = build_strata(ds), default_functional(kind)
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, f, decompose=kind == "multiple")
+    return estimate_ipw(ds, strata, odds, f), estimate_ra(ds, strata, outs, f), estimate_mr(ds, strata, odds, outs, f)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(st.integers(0, 2**16), st.sampled_from(["single", "multiple"]),
+       st.sampled_from(["affine X", "reversed X", "scaled L", "every record twice"]))
+def test_ipw_ra_mr_invariances(seed, kind, transform):
+    # every nuisance design is affine in (x_r, l_a) with an intercept, and the
+    # estimates and their influence values are functionals of the empirical
+    # distribution; f is L1 on `single` and L1 L2 on `multiple`, so scaling L
+    # scales both by 1000 to the number of its coordinates.  Bounds fixed
+    # beforehand at 1e-12 relative.
+    ds = generate(SimDesign(kind, 1500, seed))
+    theta_factor = se_factor = 1.0
+    if transform == "affine X":
+        other = Dataset(3.0 * ds.X - 7.0, ds.L)
+    elif transform == "reversed X":
+        other = Dataset(ds.X[:, ::-1], ds.L)
+    elif transform == "scaled L":
+        other = Dataset(ds.X, 1000.0 * ds.L)
+        theta_factor = se_factor = 1000.0 ** len(default_functional(kind).coords)
+    else:
+        other, se_factor = Dataset(np.vstack([ds.X, ds.X]), np.vstack([ds.L, ds.L])), 1.0 / np.sqrt(2.0)
+    for base, got in zip(ipw_ra_mr(ds, kind), ipw_ra_mr(other, kind)):
+        theta, se = theta_factor * base.theta_hat, se_factor * base.influence.se
+        assert abs(got.theta_hat - theta) <= 1e-12 * abs(theta), base.method
+        assert abs(got.influence.se - se) <= 1e-12 * se, base.method
+
+
 def test_self_normalized_ipw_interval_coverage_on_multiple():
     # 200 seeded datasets of the multiple design at n = 2000 with the
     # product of both primaries, truth 175/128; the band was fixed before
@@ -424,7 +464,7 @@ def test_self_normalized_ipw_interval_coverage_on_multiple():
     for seed in range(200):
         ds = generate(SimDesign("multiple", 2000, seed))
         strata = build_strata(ds)
-        est = estimate_ipw(ds, strata, fit_all_odds(ds, strata), f, self_normalize=True, influence=True)
+        est = estimate_ipw(ds, strata, fit_all_odds(ds, strata), f, self_normalize=True)
         ci = normal_ci(est.theta_hat, est.influence.se)
         covered.append(ci.lower <= truth.theta_true <= ci.upper)
     assert 0.90 <= np.mean(covered) <= 0.99, np.mean(covered)
@@ -445,7 +485,7 @@ def test_self_normalized_ipw_influence_se_matches_the_bootstrap_se():
     for seed in range(5):
         ds = generate(SimDesign("multiple", 2000, seed))
         strata = build_strata(ds)
-        est = estimate_ipw(ds, strata, fit_all_odds(ds, strata), f, self_normalize=True, influence=True)
+        est = estimate_ipw(ds, strata, fit_all_odds(ds, strata), f, self_normalize=True)
         boot = bootstrap(ds, strata, pipeline, est.theta_hat, B=200, seed=seed)
         ratios.append(est.influence.se / boot.se)
     assert all(0.85 <= r <= 1.15 for r in ratios), ratios
@@ -461,9 +501,9 @@ def test_oracle_models_run_through_every_estimator(kind):
     strata = build_strata(ds)
     f = truth.functional
     for est in (
-        estimate_ipw(ds, strata, truth.odds, f, influence=True),
-        estimate_ra(ds, strata, truth.outcomes, f, influence=True),
-        estimate_mr(ds, strata, truth.odds, truth.outcomes, f, influence=True),
+        estimate_ipw(ds, strata, truth.odds, f),
+        estimate_ra(ds, strata, truth.outcomes, f),
+        estimate_mr(ds, strata, truth.odds, truth.outcomes, f),
     ):
         assert abs(est.influence.values.mean()) <= 1e-12
         assert abs(est.theta_hat - truth.theta_true) <= 5 * est.influence.se

@@ -20,7 +20,7 @@ from accmv.estimators import (
     estimate_ra,
 )
 from accmv.glm import fit_all_odds, fit_all_outcomes, pair_view
-from accmv.inference import bootstrap, if_variance_mr
+from accmv.inference import bootstrap, if_variance_ipw, if_variance_mr, if_variance_ra
 from accmv.mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from accmv.patterns import Pattern, PatternPair
 from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
@@ -170,13 +170,14 @@ def test_small_stratum_counts_frequencies():
 
 
 def test_influence_and_sandwich_need_unit_frequencies(single_20k, mpm_2k):
+    # a resample's estimates carry no influence values, and asking for them raises
     ds, strata = single_20k
     rw = strata.reweight(np.bincount(draw(ds, 3), minlength=ds.n))
     odds, outs = fit_all_odds(ds, rw), fit_all_outcomes(ds, rw, F1)
-    with pytest.raises(ConfigError):
-        estimate_mr(ds, rw, odds, outs, F1, influence=True)
-    with pytest.raises(ConfigError):
-        if_variance_mr(ds, rw, odds, outs, F1, 0.0)
+    assert estimate_mr(ds, rw, odds, outs, F1).influence is None
+    for if_variance, models in ((if_variance_ipw, (odds,)), (if_variance_ra, (outs,)), (if_variance_mr, (odds, outs))):
+        with pytest.raises(ConfigError, match="unit frequencies"):
+            if_variance(ds, rw, *models, F1, 0.0)
     ds, strata = mpm_2k
     rw = strata.reweight(np.bincount(draw(ds, 3), minlength=ds.n))
     odds = fit_all_odds(ds, rw)

@@ -140,7 +140,7 @@ def test_sweep_zero_point_interval_is_the_self_normalized_ipw_interval(single_20
     # self-normalized IPW; the bound, fixed beforehand, is 1e-12 relative
     for (ds, strata), f in ((single_20k, F1), (multiple_20k, F2)):
         odds = fit_all_odds(ds, strata)
-        sn = estimate_ipw(ds, strata, odds, f, self_normalize=True, influence=True)
+        sn = estimate_ipw(ds, strata, odds, f, self_normalize=True)
         spec = TiltSpec(delta=(0.5, -0.3)[:ds.d], center=(1.0,), grid=(-1.0, 0.0, 0.5))
         curve = sweep(ds, strata, odds, f, spec)
         ci = normal_ci(sn.theta_hat, sn.influence.se, DEFAULT_LEVEL)

@@ -42,10 +42,10 @@ from accmv.simgen import SimDesign, generate, misspec_masks
 F2 = Functional("product", (0, 1))
 
 
-def pieces(model, view, f):
+def pieces(model, view):
     """Every piece of `model` on `view`, evaluated now."""
     out = {part: view_values(model, view, part) for part in ("case", "pool")}
-    out["score"] = score_residuals(model, f)
+    out["score"] = score_residuals(model)
     if isinstance(model, glm.OutcomeModel):
         out["grad"] = case_gradient(model)
         out["scale_pool"] = model.scale_values("pool")
@@ -103,8 +103,8 @@ def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
     for model, _ in models:
         view = pair_view(ds, strata, model.pair)
         assert model.view is view
-        got = pieces(model, view, F2)
-        assert_same(got, pieces(dataclasses.replace(model), view, F2))
+        got = pieces(model, view)
+        assert_same(got, pieces(dataclasses.replace(model), view))
         assert_same(got, direct(model, view, F2), exact=False)
         kept = got if isinstance(model, glm.OutcomeModel) else {k: got[k] for k in ("case", "pool")}
         assert all(not v.flags.writeable for v in kept.values())
@@ -114,11 +114,10 @@ def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
                     view_values(model, pair_view(ds, s, model.pair), part)
     odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
     for estimate, fits in ((estimate_ipw, (odds,)), (estimate_ra, (outs,)), (estimate_mr, (odds, outs))):
-        for influence in (False, True):
-            estimate(ds, strata, *fits, F2, influence=influence)    # the walk keeps the pair terms
+        estimate(ds, strata, *fits, F2)    # the walk keeps the pair terms
         for s in others:
             with pytest.raises(ConfigError, match="fitted on"):
-                estimate(ds, s, *fits, F2, influence=s.freq is None)
+                estimate(ds, s, *fits, F2)
 
 
 def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):
@@ -127,9 +126,9 @@ def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):
         if bad is None:
             continue
         view = pair_view(ds, strata, good.pair)
-        good_pieces = pieces(good, view, F2)
-        bad_pieces = pieces(bad, view, F2)
-        assert_same(bad_pieces, pieces(dataclasses.replace(bad), view, F2))
+        good_pieces = pieces(good, view)
+        bad_pieces = pieces(bad, view)
+        assert_same(bad_pieces, pieces(dataclasses.replace(bad), view))
         assert_same(bad_pieces, direct(bad, view, F2), exact=False)
         assert not np.array_equal(bad_pieces["pool"], good_pieces["pool"])
         assert not any(v is good.pieces[k] for k, v in bad.pieces.items() if k in good.pieces)
@@ -146,7 +145,8 @@ def test_complete_values_follow_the_functional(fitted_multiple):
 
 def test_estimates_follow_the_functional(fitted_multiple):
     """Estimates from models that hold terms of another functional equal
-    those of the same models refitted on a fresh index."""
+    those of the same models refitted on a fresh index; outcome models
+    fitted for F2 refuse any other functional."""
     ds, strata, _ = fitted_multiple
     odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
     for f in (F2, Functional("coordinate", (1,)), F2):
@@ -154,8 +154,12 @@ def test_estimates_follow_the_functional(fitted_multiple):
         refits = {estimate_ipw: (fit_all_odds(ds, s),), estimate_ra: (fit_all_outcomes(ds, s, F2, decompose=True),)}
         refits[estimate_mr] = refits[estimate_ipw] + refits[estimate_ra]
         for estimate, models in ((estimate_ipw, (odds,)), (estimate_ra, (outs,)), (estimate_mr, (odds, outs))):
-            got = estimate(ds, strata, *models, f, influence=True)
-            fresh = estimate(ds, s, *refits[estimate], f, influence=True)
+            if estimate is not estimate_ipw and f is not F2:
+                with pytest.raises(ConfigError, match="fitted for"):
+                    estimate(ds, strata, *models, f)
+                continue
+            got = estimate(ds, strata, *models, f)
+            fresh = estimate(ds, s, *refits[estimate], f)
             assert got.per_stratum == fresh.per_stratum
             np.testing.assert_array_equal(got.influence.values, fresh.influence.values)
 
@@ -206,9 +210,9 @@ def test_table_rows_evaluate_each_model_once(monkeypatch):
     terms = Counter()
     pair_terms = estimators._pair_terms
 
-    def counted_terms(view, fmap, f, gm, om, influence):
+    def counted_terms(view, fmap, gm, om, influence):
         terms[(view, gm, om)] += 1
-        return pair_terms(view, fmap, f, gm, om, influence)
+        return pair_terms(view, fmap, gm, om, influence)
 
     monkeypatch.setattr(estimators, "_pair_terms", counted_terms)
     seed = seed_sequence(20261018).spawn(1)[0]
@@ -245,7 +249,7 @@ def test_kept_pieces_form_no_reference_cycles(table):
         gc.enable()
 
 
-def separate_increments(view, fmap, f, gm, om):
+def separate_increments(view, fmap, gm, om):
     """The influence increments of one pair as separate (rows, values) adds:
     the odds-weighted residual and the outcome fit's correction on the pool,
     the regression on the case rows, and the odds fit's correction on both."""
@@ -260,7 +264,7 @@ def separate_increments(view, fmap, f, gm, om):
         grad = case_gradient(om)
         if gm is not None:
             grad = grad - Zm.pool.T @ (om.scale_values("pool") * o_pool)
-        adds.append((view.pool, score_residuals(om, f) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
+        adds.append((view.pool, score_residuals(om) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
     if gm is not None:
         adds.append((view.rows, glm.odds_correction(gm, resid * o_pool)))
     return adds
@@ -273,7 +277,7 @@ def test_each_pair_term_is_one_increment_over_the_rows(fitted_multiple):
     odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
     fmap = complete_values(ds, strata, F2)
     for estimate, gms, oms in ((estimate_ipw, odds, None), (estimate_ra, None, outs), (estimate_mr, odds, outs)):
-        est = estimate(ds, strata, *(m for m in (gms, oms) if m is not None), F2, influence=True)
+        est = estimate(ds, strata, *(m for m in (gms, oms) if m is not None), F2)
         ref = fmap.copy()
         for pr in strata.incomplete_pairs():
             view = pair_view(ds, strata, pr)
@@ -281,7 +285,7 @@ def test_each_pair_term_is_one_increment_over_the_rows(fitted_multiple):
             cached, (_, _, inc) = (gm or om).pieces[(om if gm is not None else None, True)]
             assert cached is F2 and inc.shape == view.rows.shape and not inc.flags.writeable
             want = np.zeros(ds.n)
-            for rows, vals in separate_increments(view, fmap, F2, gm, om):
+            for rows, vals in separate_increments(view, fmap, gm, om):
                 want[rows] += vals
             np.testing.assert_allclose(inc, want[view.rows], rtol=0, atol=1e-15 * np.abs(want).max())
             ref += want
