@@ -29,7 +29,7 @@ from .estimators import (
     estimate_mr,
     estimate_ra,
 )
-from .glm import complete_values, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
+from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
 from .inference import bootstrap, critical_value, normal_ci, replicate, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
@@ -41,14 +41,6 @@ from .simgen import SimDesign, default_functional, generate, misspec_masks, orac
 # ---------------------------------------------------------------------------
 
 _TABLE_DESIGNS = {1: "single", 2: "multiple", 3: "mpm"}
-
-
-def _complete_case_se(ds, strata, f) -> float:
-    """Standard error of the complete-case mean of f."""
-    fv = complete_values(ds, strata, f)[strata.complete_mask]
-    if fv.size < 2:
-        raise InferenceError(f"the complete-case SE needs at least 2 complete records, got {fv.size}")
-    return float(fv.std(ddof=1) / np.sqrt(fv.size))
 
 
 def _refit(models, masks, fit):
@@ -80,10 +72,9 @@ def _mean_table_rows(ds, strata, kind, f):
         ("mr_ipw_wrong", estimate_mr(ds, strata, odds_bad, outs_ok, f)),
         ("mr_ra_wrong", estimate_mr(ds, strata, odds_ok, outs_bad, f)),
         ("mr_both_wrong", estimate_mr(ds, strata, odds_bad, outs_bad, f)),
+        ("complete_case", estimate_complete_case(ds, strata, f)),
     ):
         rows[name] = (est.theta_hat, est.influence.se)
-
-    rows["complete_case"] = (estimate_complete_case(ds, strata, f).theta_hat, _complete_case_se(ds, strata, f))
     return rows
 
 
@@ -308,13 +299,11 @@ def cmd_fit(args) -> int:
         return estimate_mr(dsx, sx, fit_all_odds(dsx, sx, n_min=args.n_min), outs, f)
 
     est = estimate(ds, strata)
-    se = est.influence.se if est.influence is not None else _complete_case_se(ds, strata, f)
-
     report = {
         "config": _resolved(args),
         "functional": f.describe(),
         "estimate": est.to_dict(),
-        "influence": normal_ci(est.theta_hat, se, args.level).to_dict(),
+        "influence": normal_ci(est.theta_hat, est.influence.se, args.level).to_dict(),
         "warnings": warnings,
     }
     if args.bootstrap:
@@ -326,7 +315,7 @@ def cmd_fit(args) -> int:
 
     print(f"method={method}  estimate={est.theta_hat:.6g}  n={ds.n}")
     ci = report["influence"]
-    print(f"influence SE={se:.6g}  {100 * args.level:g}% CI=({ci['lower']:.6g}, {ci['upper']:.6g})")
+    print(f"influence SE={ci['se']:.6g}  {100 * args.level:g}% CI=({ci['lower']:.6g}, {ci['upper']:.6g})")
     if args.bootstrap:
         bn = report["bootstrap"]["normal"]
         print(f"bootstrap SE={report['bootstrap']['se']:.6g}  normal CI=({bn['lower']:.6g}, {bn['upper']:.6g})"
@@ -535,6 +524,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args = _apply_config(args)
+        if "n_min" in vars(args):
+            check_integer("--n-min", args.n_min)
         # an overflow or an invalid value stops the run instead of passing
         # inf or NaN on to the estimates
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -91,9 +91,10 @@ class Dataset:
 
 
 def _mask_codes(mask: np.ndarray) -> np.ndarray:
+    """Pattern code of each row; p + d <= MAX_TOTAL_DIM keeps a code within 11 bits."""
     k = mask.shape[1]
-    weights = 1 << np.arange(k - 1, -1, -1)
-    return (mask.astype(np.int64) * weights).sum(axis=1)
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.uint16)
+    return (mask * weights).sum(axis=1, dtype=np.uint16)
 
 
 def load_csv(path, schema: Schema) -> Dataset:

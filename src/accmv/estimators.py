@@ -6,10 +6,10 @@ Strata with all primaries observed contribute their empirical mean directly;
 every other stratum contributes its regression plug-in plus the
 odds-weighted regression residual over its pool (MR).  IPW is that formula
 with the regression set to zero, RA with the odds set to zero, and the
-complete-case mean with no model in any pair, divided by the number of
-complete records instead of n.  One pass over the pairs gives the estimate
-and, on a unit-frequency index, its influence vector.  Strata absent from
-the data contribute no term and require no model.  Which complete records
+complete-case mean is the IPW with no odds model, divided by its own weight
+total.  One pass over the pairs gives the estimate and, on a unit-frequency
+index, its influence vector.  Strata absent from the data contribute no term
+and require no model.  Which complete records
 lie in the pool of a pattern is decided by `StratumIndex.pool` alone; the
 kernel and the weight tables read it through each pair's view.  Every sum
 over records counts each record by its frequency in the stratum index, so
@@ -18,13 +18,13 @@ the same code serves the data and its frequency-weighted resamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
-from .errors import ConfigError, PositivityError
+from .errors import ConfigError, InferenceError, PositivityError
 from .glm import case_gradient, complete_values, fitted, odds_correction, pair_view, score_residuals, view_values
 from .patterns import PatternPair
 
@@ -97,6 +97,9 @@ def weighted_score_influence(ds, strata, odds, s, tilt=None, correct=True) -> np
 def self_normalized_influence(ds, strata, odds, f, theta, total, tilt=None) -> InfluenceVector:
     """Influence values of theta = sum w f / total, the root of sum w (f - theta) = 0
     with weights w = 1 + sum O t totalling `total`: the kernel on f - theta, times n / total."""
+    n_complete = np.count_nonzero(strata.complete_mask)
+    if n_complete < 2:                # with one, every value is 0
+        raise InferenceError(f"self-normalized influence values need at least 2 complete records, got {n_complete}")
     s = np.where(strata.complete_mask, complete_values(ds, strata, f) - theta, 0.0)
     return InfluenceVector(weighted_score_influence(ds, strata, odds, s, tilt) * (ds.n / total))
 
@@ -105,8 +108,8 @@ def self_normalized_influence(ds, strata, odds, f, theta, total, tilt=None) -> I
 class ThetaEstimate:
     """Point estimate with its exact per-stratum decomposition.
 
-    `influence` holds the per-record influence values of an IPW, RA or MR
-    estimate on a unit-frequency index; it stays out of serialized reports.
+    `influence` holds the per-record influence values of an estimate on a
+    unit-frequency index; it stays out of serialized reports.
     """
 
     theta_hat: float
@@ -246,7 +249,7 @@ def _estimate(ds, method, walk, denom, **extra) -> ThetaEstimate:
 def estimate_ipw(
     ds: Dataset,
     strata: StratumIndex,
-    odds: dict,
+    odds: dict | None,
     f: Functional,
     self_normalize: bool = False,
 ) -> ThetaEstimate:
@@ -282,11 +285,10 @@ def estimate_mr(ds: Dataset, strata: StratumIndex, odds: dict, outcomes: dict, f
 
 def estimate_complete_case(ds: Dataset, strata: StratumIndex, f: Functional) -> ThetaEstimate:
     """Mean of f over records with all primary variables observed: the
-    kernel with no model in any pair, divided by the count of such records."""
+    self-normalized IPW with no odds model, reported as its own method."""
+    est = estimate_ipw(ds, strata, None, f, self_normalize=True)
     n_complete = strata.count(np.flatnonzero(strata.complete_mask))
-    if n_complete == 0:
-        raise PositivityError("no records with all primary variables observed")
-    return _estimate(ds, "complete_case", _walk(ds, strata, f), n_complete, diagnostics={"n_complete": n_complete})
+    return replace(est, method="complete_case", self_normalized=False, diagnostics={"n_complete": n_complete})
 
 
 def augmentation_mean(ds, strata, odds, outcomes, f) -> float:

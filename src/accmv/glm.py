@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, Functional, StratumIndex
+from .data import Dataset, Functional, StratumIndex, check_integer
 from .errors import (
     ConfigError,
     DataError,
@@ -375,6 +375,7 @@ def fit_odds(
     clamp means separation, and after MAX_ITER steps or a failed line
     search, non-convergence.  The model's information matrix is formed when
     first read."""
+    check_integer("n_min", n_min)
     _check_keep(pair, keep)
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
@@ -460,6 +461,7 @@ def fit_outcome(
     one observed in the stratum, the remaining factor is regressed on the
     design and predictions multiply back the observed factors.
     """
+    check_integer("n_min", n_min)
     _check_keep(pair, keep)
     pool = strata.pool(pair.r)
     if pool.size == 0:

@@ -60,7 +60,8 @@ def test_fit_complete_data_any_method(tmp_path, capsys):
     rows = ["x,l"] + [f"{rng.standard_normal():.6f},{v:.6f}" for v in rng.standard_normal(200)]
     path.write_text("\n".join(rows) + "\n")
     mean = np.mean([float(r.split(",")[1]) for r in rows[1:]])
-    sd = np.std([float(r.split(",")[1]) for r in rows[1:]], ddof=1) / np.sqrt(200)
+    # with no incomplete record every method is the sample mean, with its influence SE
+    se = np.std([float(r.split(",")[1]) for r in rows[1:]]) / np.sqrt(200)
     for method in ("ipw", "ra", "mr", "cc"):
         out = tmp_path / f"{method}.json"
         code = run(["fit", "--data", str(path), "--x-cols", "x", "--l-cols", "l",
@@ -68,8 +69,7 @@ def test_fit_complete_data_any_method(tmp_path, capsys):
         assert code == 0
         report = json.loads(out.read_text())
         assert abs(report["estimate"]["estimate"] - mean) <= 1e-10
-        if method == "cc":
-            assert abs(report["influence"]["se"] - sd) <= 1e-10
+        assert abs(report["influence"]["se"] - se) <= 1e-10
     capsys.readouterr()
 
 
@@ -87,17 +87,36 @@ def test_fit_small_stratum_exits_4(tmp_path, capsys):
     assert "r=1" in err and "a=0" in err
 
 
+def run_cli(*argv):
+    """`accmv` in a fresh interpreter, so that warnings and tracebacks reach stderr."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "accmv.cli", *argv], capture_output=True, text=True, env=env)
+
+
+ONE_COMPLETE = "inference error: self-normalized influence values need at least 2 complete records, got 1"
+
+
 def test_complete_case_se_of_one_record_exits_5(tmp_path):
-    # the sample SD of one value is undefined: a named inference error, not a
+    # the SE of a mean of one value is undefined: a named inference error, not a
     # numpy warning followed by a floating-point fit error
     path = tmp_path / "one.csv"
     path.write_text("x,l\n1.0,2.0\n0.5,\n0.7,\n")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "accmv.cli", "fit", "--data", str(path), "--x-cols", "x",
-                           "--l-cols", "l", "--method", "cc"], capture_output=True, text=True, env=env)
+    proc = run_cli("fit", "--data", str(path), "--x-cols", "x", "--l-cols", "l", "--method", "cc")
     assert proc.returncode == 5
-    assert "inference error: the complete-case SE needs at least 2 complete records, got 1" in proc.stderr
+    assert ONE_COMPLETE in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("command", [["fit", "--method", "ipw", "--self-normalize"], ["sensitivity"]])
+def test_self_normalized_interval_of_one_complete_record_exits_5(command, tmp_path):
+    # the odds fit succeeds, but every influence value of a self-normalized mean
+    # over one complete record is 0: an error, not an interval of zero width
+    path = tmp_path / "one_big.csv"
+    path.write_text("x,l\n0.05,1.5\n" + "".join(f"{(i * 37) % 61 - 30}.5,\n" for i in range(1, 61)))
+    proc = run_cli(*command, "--data", str(path), "--x-cols", "x", "--l-cols", "l", "--n-min", "1")
+    assert proc.returncode == 5, proc.stdout
+    assert ONE_COMPLETE in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
@@ -302,7 +321,8 @@ def test_table_bad_n_exits_2(capsys):
 
 
 # One seeded replicate per table at n = 2000: (estimate, SE) of every row, as
-# computed when each pair's designs were still rebuilt at every call site.
+# computed when each pair's designs were still rebuilt at every call site; the
+# complete-case SEs of tables 1 and 2 are the self-normalized influence SEs.
 GOLDEN_REPLICATES = {
     1: {
         "ipw": (0.9352541098259984, 0.1942018698192057),
@@ -313,7 +333,7 @@ GOLDEN_REPLICATES = {
         "mr_ipw_wrong": (0.9583846007325867, 0.08918628941385283),
         "mr_ra_wrong": (0.9720420005890674, 0.08919167626182169),
         "mr_both_wrong": (1.0019757982080577, 0.08885609648504032),
-        "complete_case": (0.729277816715434, 0.03396608540111472),
+        "complete_case": (0.729277816715434, 0.03394951253581919),
     },
     2: {
         "ipw": (1.3613835113859463, 0.07020369045629955),
@@ -324,7 +344,7 @@ GOLDEN_REPLICATES = {
         "mr_ipw_wrong": (1.369757600350471, 0.06249460930417329),
         "mr_ra_wrong": (1.3742109902002873, 0.0651121456858293),
         "mr_both_wrong": (1.3813048377827504, 0.06431494926236529),
-        "complete_case": (1.5374829222925606, 0.08937372348132723),
+        "complete_case": (1.5374829222925606, 0.08928115616132465),
     },
     3: {
         "ipw": ([-0.9871162968229462, 0.5614309268339748], [0.04053401878049083, 0.05045767682005974]),
@@ -451,6 +471,15 @@ def test_trailing_blank_lines_are_not_records(single_csv, tmp_path, capsys):
         estimates.append(json.loads(out.read_text())["estimate"])
     capsys.readouterr()
     assert estimates[0] == estimates[1]
+
+
+@pytest.mark.parametrize("flags,entries", [(["--n-min", "-5"], {}), (["--method", "cc"], {"n-min": -1})])
+def test_negative_n_min_exits_2(flags, entries, single_csv, tmp_path, capsys):
+    # a config entry is checked too, also for a method that fits no model
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    assert run(["fit", "--data", single_csv, *DATA_ARGS, *flags, "--config", str(cfg)]) == 2
+    assert "config error: --n-min must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_config_strings_go_through_option_converters(single_csv, tmp_path, capsys):

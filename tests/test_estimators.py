@@ -183,9 +183,27 @@ def test_complete_case_on_reweighted_index_is_frequency_weighted_mean():
         expect[(format(rv, f"0{ds.p}b"), "1" * ds.d)] = (counts[sel] * ds.L[sel, 0]).sum() / n_complete
     assert len(expect) > 1
     assert est.diagnostics == {"n_complete": n_complete}
+    assert est.influence is None
     assert list(est.per_stratum) == list(expect)
     np.testing.assert_allclose(list(est.per_stratum.values()), list(expect.values()), rtol=1e-12, atol=0)
     assert est.theta_hat == pytest.approx(sum(expect.values()), rel=1e-12, abs=0)
+
+
+def test_complete_case_influence_is_the_self_normalized_ipw_with_no_odds():
+    # (n / n_c)(f - theta) on the complete records and 0 elsewhere, so the SE is
+    # the SD (ddof 0) of f over the complete records over sqrt(n_c)
+    ds = generate(SimDesign("multiple", 2000, 8))
+    strata = build_strata(ds)
+    est = estimate_complete_case(ds, strata, F1)
+    sn = estimate_ipw(ds, strata, None, F1, self_normalize=True)
+    complete = ds.complete_mask
+    fc, n_c = ds.L[complete, 0], complete.sum()
+    assert (est.method, est.self_normalized, est.diagnostics) == ("complete_case", False, {"n_complete": n_c})
+    assert (est.theta_hat, est.per_stratum) == (sn.theta_hat, sn.per_stratum)
+    assert est.theta_hat == pytest.approx(fc.mean(), rel=1e-12, abs=0)
+    want = np.where(complete, ds.L[:, 0] - est.theta_hat, 0.0) * ds.n / n_c
+    np.testing.assert_allclose(est.influence.values, want, rtol=0, atol=1e-12)
+    assert est.influence.se == pytest.approx(fc.std() / np.sqrt(n_c), rel=1e-12, abs=0)
 
 
 def test_complete_case_errors_without_complete_records():

@@ -209,6 +209,15 @@ def test_small_stratum_and_empty_pool():
         fit_outcome(ds, strata, pair(0, 0), F1, n_min=10)
 
 
+@pytest.mark.parametrize("n_min", [-1, 2.5, True])
+def test_n_min_is_a_non_negative_integer(n_min, single_20k):
+    ds, strata = single_20k
+    with pytest.raises(ConfigError, match="n_min must be an integer >= 0"):
+        fit_odds(ds, strata, pair(3, 0), n_min=n_min)
+    with pytest.raises(ConfigError, match="n_min must be an integer >= 0"):
+        fit_outcome(ds, strata, pair(3, 0), F1, n_min=n_min)
+
+
 def test_fit_outcome_limits(single_20k):
     ds, strata = single_20k
     m = fit_outcome(ds, strata, pair(3, 0), F1)

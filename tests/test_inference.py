@@ -19,7 +19,17 @@ from accmv.estimators import (
     estimate_ra,
     self_normalized_influence,
 )
-from accmv.glm import design_matrix, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
+from accmv.cli import _refit
+from accmv.glm import (
+    case_gradient,
+    design_matrix,
+    fit_all_odds,
+    fit_all_outcomes,
+    fit_odds,
+    fit_outcome,
+    pair_view,
+    view_values,
+)
 from accmv.inference import (
     attempt,
     bootstrap,
@@ -507,3 +517,34 @@ def test_oracle_models_run_through_every_estimator(kind):
     ):
         assert abs(est.influence.values.mean()) <= 1e-12
         assert abs(est.theta_hat - truth.theta_true) <= 5 * est.influence.se
+
+
+def test_outcome_correction_vanishes_only_under_correct_odds():
+    # multiple robustness through the influence values: the gradient behind MR's
+    # outcome-fit correction, (sum_case dm - sum_pool dm O) / n, tends to zero at
+    # the root-n rate when the odds model is correct, whatever the outcome model,
+    # and stays away from zero under the table-2 odds masks.  Seeds and bands
+    # were fixed before the first run.
+    f = default_functional("multiple")
+
+    def largest_gradient(ds, strata, odds, outs):
+        norms = []
+        for pr in strata.incomplete_pairs():
+            view, om = pair_view(ds, strata, pr), outs[pr.key]
+            o = view_values(odds[pr.key], view, "pool")
+            grad = case_gradient(om) - view.design(om.keep).pool.T @ (om.scale_values("pool") * o)
+            norms.append(np.abs(grad / ds.n).max())
+        return max(norms)
+
+    for seed in (1, 2):
+        fitted, masked = [], []
+        for n in (20_000, 200_000):
+            ds = generate(SimDesign("multiple", n, seed))
+            strata = build_strata(ds)
+            odds = fit_all_odds(ds, strata)
+            bad = _refit(odds, misspec_masks("multiple", "odds"), lambda pr, keep: fit_odds(ds, strata, pr, keep=keep))
+            outs = fit_all_outcomes(ds, strata, f, decompose=True)
+            fitted.append(largest_gradient(ds, strata, odds, outs))
+            masked.append(largest_gradient(ds, strata, bad, outs))
+        assert fitted[1] <= 5e-3 and fitted[1] * 1.5 <= fitted[0], (seed, fitted)
+        assert masked[1] >= 3e-2 and masked[1] >= 0.8 * masked[0], (seed, masked)
