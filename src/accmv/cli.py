@@ -30,7 +30,7 @@ from .estimators import (
     estimate_ra,
 )
 from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
-from .inference import bootstrap, critical_value, normal_ci, replicate, seed_sequence
+from .inference import bootstrap, critical_value, failed_text, normal_ci, replicate, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
 from .simgen import SimDesign, default_functional, generate, misspec_masks, oracle_value, verify_oracles
@@ -117,7 +117,7 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     results, failures = replicate(table_replicate, args, min(workers or cpus, cpus, replicates))
     ok = [r for r in results if r is not None]
     if not ok:
-        raise FitError(f"every replicate failed to fit: {_failed_text(replicates, failures)}")
+        raise FitError(f"every replicate failed to fit: {failed_text(replicates, failures)}")
 
     truth_vec = np.atleast_1d(np.asarray(truth, dtype=float))
     z = critical_value(0.95)
@@ -257,12 +257,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _failed_text(B, failures) -> str:
-    """How many of B replicates failed, and why."""
-    why = ", ".join(f"{name} {k}" for name, k in failures.items())
-    return f"{sum(failures.values())} of {B} replicates failed" + (f" ({why})" if why else "")
-
-
 def _resolved(args) -> dict:
     skip = {"func", "parser"}
     return {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(args).items() if k not in skip}
@@ -283,7 +277,7 @@ def cmd_fit(args) -> int:
     method = args.method
 
     warnings = []
-    for pr in strata.incomplete_pairs():
+    for pr in strata.incomplete_pairs() if method != "cc" else ():      # the complete-case mean fits no model
         n_case, n_pool = strata.stratum(pr).size, strata.pool(pr.r).size
         if n_case < 2 * args.n_min or n_pool < 2 * args.n_min:
             warnings.append(f"small stratum {pr}: case {n_case}, pool {n_pool}")
@@ -319,7 +313,7 @@ def cmd_fit(args) -> int:
     if args.bootstrap:
         bn = report["bootstrap"]["normal"]
         print(f"bootstrap SE={report['bootstrap']['se']:.6g}  normal CI=({bn['lower']:.6g}, {bn['upper']:.6g})"
-              f"  {_failed_text(boot.B, boot.failures)}")
+              f"  {failed_text(boot.B, boot.failures)}")
     for (key, v) in sorted(report["estimate"]["per_stratum"].items()):
         print(f"  stratum {key}: {v:.6g}")
     for w in warnings:
@@ -376,7 +370,7 @@ def cmd_sensitivity(args) -> int:
             curve.to_csv(args.out)
     print(f"sensitivity sweep for {curve.functional} over {len(curve.multipliers)} grid points")
     if curve.B:
-        print(f"bootstrap: {_failed_text(curve.B, curve.failures)}")
+        print(f"bootstrap: {failed_text(curve.B, curve.failures)}")
     kind = "bootstrap" if curve.B else "influence"
     for m, est, lo, hi in zip(curve.multipliers, curve.estimates, curve.ci_lower, curve.ci_upper):
         print(f"  delta x {m:+.4g}: estimate={est:.6g}  {kind} CI=({lo:.6g}, {hi:.6g})")
@@ -410,7 +404,7 @@ def cmd_table(args) -> int:
                     for j, (e, s) in enumerate(zip(np.atleast_1d(est), np.atleast_1d(se))):
                         w.writerow([i, name, j, repr(float(e)), repr(float(s))])
     print(f"table {args.table}: {args.replicates} replicates at n={args.n}, "
-          f"{_failed_text(args.replicates, result['failures'])}, truth={result['truth']}")
+          f"{failed_text(args.replicates, result['failures'])}, truth={result['truth']}")
     hdr = f"{'method':<16}{'coef':>6}{'bias':>10}{'sample_se':>11}{'theor_se':>10}{'coverage':>10}"
     print(hdr)
     for row in result["rows"]:

@@ -158,11 +158,13 @@ def _pair_terms(view, fmap, gm, om, influence):
     if om is not None:
         m_case = view_values(om, view, "case")
         term = (m_case * view.w_case).sum()
+    # a fitted regression's pool design times beta, formed once for its values and its residuals
+    lin_pool = view.design(om.keep).pool @ om.beta if fitted(om) and gm is not None else None
     if gm is not None:
         o_pool = view_values(gm, view, "pool")
         resid = fmap[view.pool]
         if om is not None:
-            resid = resid - view_values(om, view, "pool")
+            resid = resid - view_values(om, view, "pool", lin_pool)
         aug = (resid * view.w_pool) @ o_pool
         term = aug + term
     if not influence:
@@ -180,7 +182,7 @@ def _pair_terms(view, fmap, gm, om, influence):
         grad = case_gradient(om)
         if gm is not None:
             grad = grad - Zm.pool.T @ (om.scale_values("pool") * o_pool)
-        pool += score_residuals(om) * (Zm.pool @ (om.gram_inv @ (grad / n)))
+        pool += score_residuals(om, lin_pool) * (Zm.pool @ (om.gram_inv @ (grad / n)))
     if fitted(gm):
         inc += odds_correction(gm, ro)
     inc.flags.writeable = False

@@ -16,6 +16,8 @@ Both retain the normalizing matrices needed to evaluate per-record influence
 contributions of the estimated coefficients.  The designs of each pattern
 pair are built once per stratum index and shared through `pair_view`, and
 a fitted model is read only on the view of its fit (see `view_values`).
+An outcome model's values, residuals and gradient are formed on each call;
+a model keeps only the estimators' pair terms (see `estimators._walk`).
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ class _DesignCache:
     def __init__(self, ds: Dataset, strata: StratumIndex):
         self.ds = ds
         self.pairs = {}              # (r, a) codes -> PairView
-        self.pieces = {}             # "f" -> (functional, `complete_values`)
+        self.complete = (None, None)   # (functional, its `complete_values`)
         self.buffers = _unit_buffers(strata) if strata.parent is None else None
 
 
@@ -183,27 +185,19 @@ def _designs(ds: Dataset, strata: StratumIndex) -> _DesignCache:
     return strata.designs
 
 
-def _kept(pieces: dict, key, make, functional=None) -> np.ndarray:
-    """`make()` once per `key` and `functional` (by identity), kept read-only."""
-    got = pieces.get(key)
-    if got is None or got[0] is not functional:
-        got = pieces[key] = (functional, make())
-        got[1].flags.writeable = False
-    return got[1]
-
-
 def complete_values(ds: Dataset, strata: StratumIndex, f: Functional) -> np.ndarray:
     """f on the complete-primary records of `strata`, zero elsewhere; once per
     index and functional.  A reweighted index shares its parent's: readers
-    weight them by frequency or take the rows they drew."""
+    weight them by frequency or take the rows they drew.  Read-only."""
     strata = strata.parent or strata
-
-    def make():
+    cache = _designs(ds, strata)
+    if cache.complete[0] is not f:
         vals, rows = np.zeros(ds.n), np.flatnonzero(strata.complete_mask)
         if rows.size:
             vals[rows] = f(ds.L[rows])
-        return vals
-    return _kept(_designs(ds, strata).pieces, "f", make, f)
+        vals.flags.writeable = False
+        cache.complete = (f, vals)
+    return cache.complete[1]
 
 
 def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
@@ -344,7 +338,7 @@ class OutcomeModel:
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
-    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # see view_values
+    pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # see estimators._walk
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
@@ -357,7 +351,7 @@ class OutcomeModel:
         if not self.scale_coords:
             return self.view._ones[:getattr(self.view, part).size]
         pos = [self.pair.a.indices.index(c) for c in self.scale_coords]
-        return _kept(self.pieces, "scale_" + part, lambda: self.view.blocks(part)[1][:, pos].prod(axis=1))
+        return self.view.blocks(part)[1][:, pos].prod(axis=1)
 
 
 def fit_odds(
@@ -480,7 +474,7 @@ def fit_outcome(
             resp_coord = missing[0]
             scale_coords = present
 
-    rho = ds.L[pool, resp_coord] if resp_coord is not None else f(ds.L[pool])
+    rho = _response(ds, pool, f, resp_coord)
     view = pair_view(ds, strata, pair)
     _, _, Z, names = view.design(keep)
     sw = np.sqrt(view.w_pool)
@@ -506,29 +500,27 @@ def fit_all_outcomes(ds, strata, f, n_min: int = DEFAULT_N_MIN, decompose: bool 
     }
 
 
-def view_values(model, view: PairView, part: str) -> np.ndarray:
+def view_values(model, view: PairView, part: str, linear=None) -> np.ndarray:
     """Values of `model` on the "case" or "pool" rows of `view`.
 
     A fitted model is read only on the view of its fit (see `fitted`); an
-    odds model's values are slices of its `e`.  An oracle goes through its `predict`.
+    odds model's values are slices of its `e`, and an outcome model's are
+    its design on those rows times beta (`linear`, where the caller formed
+    that product), times the observed factors of a decomposed product.  An
+    oracle goes through its `predict`.
     """
     if not fitted(model, view):
         return model.predict(*view.blocks(part))
     if isinstance(model, OddsModel):
         return model.e[:view.case.size] if part == "case" else model.e[view.case.size:]
-    vals = _linear(model, part)
-    if model.scale_coords:
-        vals = _kept(model.pieces, part, lambda: vals * model.scale_values(part))
-    return vals
-
-
-def _linear(model: OutcomeModel, part: str) -> np.ndarray:
-    return _kept(model.pieces, "linear_" + part, lambda: getattr(model.view.design(model.keep), part) @ model.beta)
+    if linear is None:
+        linear = getattr(view.design(model.keep), part) @ model.beta
+    return linear * model.scale_values(part) if model.scale_coords else linear
 
 
 def case_gradient(model: OutcomeModel) -> np.ndarray:
     """Gradient in the coefficients of the summed case-row predictions of `model`."""
-    return _kept(model.pieces, "grad", lambda: model.view.design(model.keep).case.T @ model.scale_values("case"))
+    return model.view.design(model.keep).case.T @ model.scale_values("case")
 
 
 def odds_correction(model: OddsModel, ro: np.ndarray) -> np.ndarray:
@@ -551,16 +543,19 @@ def fitted(model, view: PairView | None = None) -> bool:
     return True
 
 
-def score_residuals(model) -> np.ndarray:
-    """Residuals of a fit on its view, y - p on the stacked rows of an odds fit (formed
-    from `e` on each call) and f(L) (or the regressed coordinate) minus m on the
-    pool of an outcome fit; times its design row, each record's coefficient score."""
+def _response(ds: Dataset, pool: np.ndarray, f: Functional, resp_coord) -> np.ndarray:
+    """What an outcome fit regresses on the `pool` rows: f(L), or the L coordinate `resp_coord`."""
+    return ds.L[pool, resp_coord] if resp_coord is not None else f(ds.L[pool])
+
+
+def score_residuals(model, linear=None) -> np.ndarray:
+    """Residuals of a fit on its view, formed on each call: y - p on the stacked
+    rows of an odds fit, from `e`, and on the pool of an outcome fit its
+    response minus its design times beta (`linear`, where the caller formed
+    that product); times its design row, each record's coefficient score."""
     view = model.view
     if isinstance(model, OddsModel):
         return view.y - model.e / (1.0 + model.e)
-
-    def make():
-        L = view.ds.L
-        rho = L[view.pool, model.resp_coord] if model.resp_coord is not None else model.f(L[view.pool])
-        return rho - _linear(model, "pool")
-    return _kept(model.pieces, "score", make)
+    if linear is None:
+        linear = view.design(model.keep).pool @ model.beta
+    return _response(view.ds, view.pool, model.f, model.resp_coord) - linear

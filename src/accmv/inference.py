@@ -120,6 +120,12 @@ def failures_of(results) -> dict:
     return dict(sorted(Counter(r for r in results if isinstance(r, str)).items()))
 
 
+def failed_text(B, failures) -> str:
+    """How many of B replicates failed, and why, from their `failures_of` tally."""
+    why = ", ".join(f"{name} {k}" for name, k in failures.items())
+    return f"{sum(failures.values())} of {B} replicates failed" + (f" ({why})" if why else "")
+
+
 def replicate(fn, args, workers: int = 1) -> tuple[list, dict]:
     """`attempt(fn, *a)` for each tuple `a` of `args` in order, None for a
     failed one (so `fn` returns neither None nor a str), and the failures
@@ -187,7 +193,7 @@ def bootstrap(
                                   resamples())
     n_failed = sum(failures.values())
     if n_failed > MAX_FAILURE_RATE * B:
-        raise BootstrapInstabilityError(f"{n_failed}/{B} bootstrap replicates failed to fit: {failures}")
+        raise BootstrapInstabilityError(f"bootstrap: {failed_text(B, failures)}, over the {MAX_FAILURE_RATE:.0%} allowed")
     mat = np.vstack([r for r in results if r is not None])
     if point.shape != mat.shape[1:]:
         raise ConfigError(f"the point estimate has shape {point.shape} but each replicate {mat.shape[1:]}")

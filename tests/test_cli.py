@@ -120,6 +120,32 @@ def test_self_normalized_interval_of_one_complete_record_exits_5(command, tmp_pa
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
+def test_one_complete_record_bootstrap_names_its_failures(tmp_path, capsys):
+    # a resample without the complete record has an empty pool in every
+    # pair; the message counts such replicates as the summaries do
+    path = tmp_path / "one_big.csv"
+    path.write_text("x,l\n0.05,1.5\n" + "".join(f"{(i * 37) % 61 - 30}.5,\n" for i in range(1, 61)))
+    assert run(["sensitivity", "--data", str(path), "--x-cols", "x", "--l-cols", "l", "--n-min", "1",
+                "--bootstrap", "4", "--seed", "1"]) == 5
+    assert capsys.readouterr().err == (
+        "inference error: bootstrap: 1 of 4 replicates failed (PositivityError 1), over the 20% allowed\n")
+
+
+def test_complete_case_fit_has_no_small_stratum_warning(tmp_path, capsys):
+    # the complete-case mean fits no model, so no stratum size limits it;
+    # a method that fits one on the same strata is warned
+    path = tmp_path / "few_complete.csv"
+    path.write_text("x,l\n" + "".join(f"{i / 7:.3f},{i}.5\n" for i in range(3))
+                    + "".join(f"{(i * 37) % 61 - 30}.5,\n" for i in range(1, 61)))
+    argv = ["fit", "--data", str(path), "--x-cols", "x", "--l-cols", "l"]
+    for method, warned in ((["cc"], False), (["ra", "--n-min", "2"], True)):
+        out = tmp_path / "report.json"
+        assert run([*argv, "--method", *method, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert ("warning: small stratum (r=1, a=0): case 60, pool 3" in stdout) is warned, stdout
+        assert bool(json.loads(out.read_text())["warnings"]) is warned
+
+
 def test_fit_missing_file_exits_3(capsys):
     assert run(["fit", "--data", "/no/such/file.csv", *DATA_ARGS]) == 3
     assert "data error" in capsys.readouterr().err
@@ -700,7 +726,9 @@ def test_too_many_failed_replicates_exit_5(command, thin_stratum_csv, capsys):
     assert run([*command, "--data", thin_stratum_csv, "--x-cols", "X1", "--l-cols", "L1",
                 "--bootstrap", "20", "--seed", "1"]) == 5
     captured = capsys.readouterr()
-    assert "inference error: 5/20 bootstrap replicates failed to fit: {'SmallStratumError': 5}" in captured.err
+    # the summaries' wording, not a dict
+    assert ("inference error: bootstrap: 5 of 20 replicates failed (SmallStratumError 5), over the 20% allowed\n"
+            == captured.err)
     assert captured.out == ""
 
 

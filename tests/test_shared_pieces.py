@@ -1,16 +1,17 @@
 """Pieces of fitted models: read on their own view only, and shared by the table rows.
 
 A fitted model holds the `PairView` it was fitted on.  An odds model's values
-are the exp(eta) of its fit; an outcome model keeps its values, score
-residuals and gradient pieces; and the odds model (else the regression) keeps
-the estimator terms of each pair of models.  Reading a fitted model on
-another view (a reweighted index, another index of the same data) raises
-`ConfigError`, and a keep-masked refit has pieces of its own.  On a table-2
-replicate no odds model is evaluated after its fit, each outcome model is
-multiplied into each set of rows once, each pair of models makes its terms
-once, and f is evaluated once on the complete rows, however many estimator
-rows read them.  A pair's terms add to the influence vector as one increment
-over the pair's rows.
+are the exp(eta) of its fit; an outcome model's values, score residuals and
+gradient are formed from its design and coefficients where they are read;
+and the odds model (else the regression) keeps the estimator terms of each
+pair of models, the only estimator work a model keeps.  Reading a fitted
+model on another view (a reweighted index, another index of the same data)
+raises `ConfigError`, and a keep-masked refit keeps pair terms of its own.
+On a table-2 replicate no odds model is evaluated after its fit, each pair
+of models makes its terms once, each outcome model is multiplied into each
+set of rows at most once per pair-term computation, and f is evaluated once
+on the complete rows however many estimator rows read them.  A pair's terms
+add to the influence vector as one increment over the pair's rows.
 """
 
 import dataclasses
@@ -94,7 +95,8 @@ def fitted_multiple():
 
 
 def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
-    """On the view a model was fitted on, its pieces are a direct evaluation;
+    """On the view a model was fitted on, its pieces are a direct evaluation,
+    and an odds model's values are read-only slices of its fit's exp(eta);
     on a reweighted index and on another index of the same data, reading
     the model raises, also where the estimators hold its terms already."""
     ds, strata, models = fitted_multiple
@@ -106,8 +108,8 @@ def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
         got = pieces(model, view)
         assert_same(got, pieces(dataclasses.replace(model), view))
         assert_same(got, direct(model, view, F2), exact=False)
-        kept = got if isinstance(model, glm.OutcomeModel) else {k: got[k] for k in ("case", "pool")}
-        assert all(not v.flags.writeable for v in kept.values())
+        if isinstance(model, glm.OddsModel):
+            assert all(not got[k].flags.writeable and np.shares_memory(got[k], model.e) for k in ("case", "pool"))
         for s in others:
             for part in ("case", "pool"):
                 with pytest.raises(ConfigError, match="fitted on"):
@@ -121,7 +123,12 @@ def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
 
 
 def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):
+    """A keep-masked refit evaluates its own coefficients, and the pair terms
+    that an estimate keeps on it are its own: those of the refit, not of the
+    well-specified fit of its pair."""
     ds, strata, models = fitted_multiple
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
+    fmap = complete_values(ds, strata, F2)
     for good, bad in models:
         if bad is None:
             continue
@@ -131,7 +138,34 @@ def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):
         assert_same(bad_pieces, pieces(dataclasses.replace(bad), view))
         assert_same(bad_pieces, direct(bad, view, F2), exact=False)
         assert not np.array_equal(bad_pieces["pool"], good_pieces["pool"])
-        assert not any(v is good.pieces[k] for k, v in bad.pieces.items() if k in good.pieces)
+        is_odds = isinstance(good, glm.OddsModel)
+        fits, estimate = (odds, estimate_ipw) if is_odds else (outs, estimate_ra)
+        terms = []
+        for model in (good, bad):
+            estimate(ds, strata, {**fits, good.pair.key: model}, F2)
+            cached, got = model.pieces[(None, True)]
+            want = estimators._pair_terms(view, fmap, *((model, None) if is_odds else (None, model)), True)
+            assert cached is F2 and got[:2] == want[:2]
+            np.testing.assert_array_equal(got[2], want[2])
+            terms.append(got)
+        (good_term, _, good_inc), (bad_term, _, bad_inc) = terms
+        assert bad_term != good_term and not np.shares_memory(bad_inc, good_inc)
+        assert not np.array_equal(bad_inc, good_inc)
+
+
+def test_outcome_models_keep_only_pair_terms(fitted_multiple):
+    """After RA and MR estimates an outcome model holds no array of its own:
+    its one kept entry is the pair terms of the RA walk, which it owns."""
+    ds, strata, _ = fitted_multiple
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
+    estimate_ra(ds, strata, outs, F2)
+    estimate_mr(ds, strata, odds, outs, F2)
+    for om in outs.values():
+        assert list(om.pieces) == [(None, True)]
+        cached, (_, aug, inc) = om.pieces[(None, True)]
+        assert cached is F2 and aug == 0.0 and inc.shape == om.view.rows.shape
+    for gm in odds.values():
+        assert list(gm.pieces) == [(outs[gm.pair.key], True)]
 
 
 def test_complete_values_follow_the_functional(fitted_multiple):
@@ -179,9 +213,9 @@ class Coefficients(np.ndarray):
 
 def test_table_rows_evaluate_each_model_once(monkeypatch):
     """One seeded table-2 replicate: no odds model is evaluated after its fit
-    (its values are its fit's exp(eta)), every outcome model is evaluated
-    once per set of rows, each pair of models makes its pair's terms once,
-    and f runs once on the complete rows."""
+    (its values are its fit's exp(eta)), each pair of models makes its
+    pair's terms once, every outcome model is evaluated only there and at
+    most once per set of rows in each, and f runs once on the complete rows."""
     log, fits, outcomes = Counter(), itertools.count(), []
 
     def counted(fit, name):
@@ -207,26 +241,34 @@ def test_table_rows_evaluate_each_model_once(monkeypatch):
         return call(self, L)
 
     monkeypatch.setattr(Functional, "__call__", counted_call)
-    terms = Counter()
+    terms, per_call = Counter(), []
     pair_terms = estimators._pair_terms
 
     def counted_terms(view, fmap, gm, om, influence):
         terms[(view, gm, om)] += 1
-        return pair_terms(view, fmap, gm, om, influence)
+        before = log.copy()
+        out = pair_terms(view, fmap, gm, om, influence)
+        per_call.append(log - before)
+        return out
 
     monkeypatch.setattr(estimators, "_pair_terms", counted_terms)
     seed = seed_sequence(20261018).spawn(1)[0]
     rows = cli.table_replicate(2, 2000, seed)
 
     assert set(rows) >= {"ipw", "ipw_wrong", "ra", "ra_wrong", "mr", "mr_ipw_wrong", "mr_ra_wrong", "mr_both_wrong"}
-    assert max(log.values()) == 1, [k for k, v in log.items() if v > 1]
+    # outcome models are multiplied into rows only by the pair terms, each
+    # set of rows at most once per computation
+    assert sum(per_call, Counter()) == log
+    assert all(v == 1 for c in per_call for v in c.values()), [c for c in per_call if c and max(c.values()) > 1]
     # every outcome model was evaluated, and no odds model
     assert {key[0] for key in log} == {m.beta.tag for m in outcomes} and len(outcomes) > 10
     assert next(fits) - len(outcomes) > 10
-    # f runs once per outcome fit on f(L), once per score residual of such a
-    # fit, and once on the complete rows for every estimator row together
+    # f runs once per outcome fit on f(L), once per pair-term computation that
+    # reads such a fit (for its score residuals), and once on the complete rows
+    # for every estimator row together
     on_f = sum(m.resp_coord is None for m in outcomes)
-    assert len(f_calls) == 2 * on_f + 1
+    reads = sum(om is not None and om.resp_coord is None for _, _, om in terms)
+    assert (on_f, reads, len(f_calls)) == (4, 8, 13)
     # the eight rows read, per pair, the odds alone (IPW), the regression alone
     # (RA) and both (MR); the misspecified pairs have two fits of each
     pairs = len(build_strata(generate(SimDesign("multiple", 2000, seed))).incomplete_pairs())
