@@ -279,6 +279,8 @@ class StratumIndex:
         freq = np.asarray(counts, dtype=float)
         if freq.shape != (self.n,):
             raise ConfigError(f"need one frequency per record ({self.n}), got shape {freq.shape}")
+        if not (np.isfinite(freq) & (freq >= 0)).all():
+            raise ConfigError("frequencies must be finite and non-negative")
         drawn = freq > 0
         by_pair = {}
         for key, rows in self.by_pair.items():
@@ -359,7 +361,12 @@ class Functional:
             raise ConfigError("custom functional needs fn")
 
     def __call__(self, L) -> np.ndarray:
-        """Evaluate on fully observed rows of L, shape (m, d) -> (m,)."""
+        """Evaluate on fully observed rows of L, shape (m, d) -> (m,).
+
+        f acts row by row: each value depends on its own row of L only, so
+        f on a subset of rows is the same subset of f on all of them.  A
+        custom `fn` must keep to that and return one finite value per row.
+        """
         L = np.atleast_2d(np.asarray(L, dtype=float))
         if np.isnan(L).any():
             raise DataError("functional evaluated at a row with missing primary coordinates")
@@ -377,6 +384,8 @@ class Functional:
         else:
             out = np.asarray(self.fn(L), dtype=float)
         out = np.asarray(out, dtype=float)
+        if out.shape != L.shape[:1]:
+            raise DataError(f"functional returned shape {out.shape} for {L.shape[0]} rows, need one value per row")
         if not np.isfinite(out).all():
             raise DataError("functional produced a non-finite value")
         return out

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, InferenceError, PositivityError
-from .glm import case_gradient, complete_values, fitted, odds_correction, pair_view, score_residuals, view_values
+from .glm import complete_values, fitted, odds_correction, pair_view, read_outcome, view_values
 from .patterns import PatternPair
 
 @dataclass
@@ -156,15 +156,13 @@ def _pair_terms(view, fmap, gm, om, influence):
     n = view.ds.n
     term, aug = 0.0, 0.0
     if om is not None:
-        m_case = view_values(om, view, "case")
-        term = (m_case * view.w_case).sum()
-    # a fitted regression's pool design times beta, formed once for its values and its residuals
-    lin_pool = view.design(om.keep).pool @ om.beta if fitted(om) and gm is not None else None
+        m = read_outcome(om, view, fmap, pool=gm is not None or (influence and fitted(om)))
+        term = (m.case * view.w_case).sum()
     if gm is not None:
         o_pool = view_values(gm, view, "pool")
         resid = fmap[view.pool]
         if om is not None:
-            resid = resid - view_values(om, view, "pool", lin_pool)
+            resid = resid - m.pool
         aug = (resid * view.w_pool) @ o_pool
         term = aug + term
     if not influence:
@@ -173,16 +171,17 @@ def _pair_terms(view, fmap, gm, om, influence):
     inc = np.zeros(view.rows.size)
     case, pool = inc[:view.case.size], inc[view.case.size:]
     if om is not None:
-        case += m_case
+        case += m.case
     if gm is not None:
         ro = resid * o_pool
         pool += ro
     if fitted(om):
+        # the gradient in beta of the case-row sum of m, less the odds-weighted pool sum
         Zm = view.design(om.keep)
-        grad = case_gradient(om)
+        grad = Zm.case.T @ m.factor_case
         if gm is not None:
-            grad = grad - Zm.pool.T @ (om.scale_values("pool") * o_pool)
-        pool += score_residuals(om, lin_pool) * (Zm.pool @ (om.gram_inv @ (grad / n)))
+            grad = grad - Zm.pool.T @ (m.factor_pool * o_pool)
+        pool += m.score * (Zm.pool @ (om.gram_inv @ (grad / n)))
     if fitted(gm):
         inc += odds_correction(gm, ro)
     inc.flags.writeable = False

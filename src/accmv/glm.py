@@ -15,8 +15,8 @@ index (one each unless the index was reweighted for a resample).
 Both retain the normalizing matrices needed to evaluate per-record influence
 contributions of the estimated coefficients.  The designs of each pattern
 pair are built once per stratum index and shared through `pair_view`, and
-a fitted model is read only on the view of its fit (see `view_values`).
-An outcome model's values, residuals and gradient are formed on each call;
+a fitted model is read only on the view of its fit (see `fitted`).  Only
+`complete_values` evaluates f and only `read_outcome` reads an outcome model;
 a model keeps only the estimators' pair terms (see `estimators._walk`).
 """
 
@@ -52,9 +52,9 @@ def design_matrix(ds: Dataset, rows, pair: PatternPair, keep=None):
     as the transpose of a C-contiguous block that holds each column in a row.
 
     `keep` optionally masks non-intercept columns; the intercept always stays.
-    A wrong-length `keep` raises ConfigError, an unobserved covariate DataError.
+    A pattern or `keep` of the wrong length raises ConfigError, an unobserved covariate DataError.
     """
-    _check_keep(pair, keep)
+    _check_pair(ds, pair, keep)
     rows = np.asarray(rows, dtype=int)
     cols = [(ds.X, j, ds.x_names[j]) for j in pair.r.indices] + [(ds.L, j, ds.l_names[j]) for j in pair.a.indices]
     if keep is not None:
@@ -151,8 +151,12 @@ def _keep_key(keep):
     return None if keep is None else tuple(bool(k) for k in keep)
 
 
-def _check_keep(pair: PatternPair, keep) -> None:
-    """Raise ConfigError unless `keep` is None or marks each covariate of `pair` once."""
+def _check_pair(ds: Dataset, pair: PatternPair, keep) -> None:
+    """Raise ConfigError unless `pair` has one bit per auxiliary and per
+    primary of `ds` and `keep` is None or marks each covariate of `pair` once."""
+    if (pair.r.length, pair.a.length) != (ds.p, ds.d):
+        raise ConfigError(f"{pair}: patterns need lengths ({ds.p}, {ds.d}) for these data, "
+                          f"got ({pair.r.length}, {pair.a.length})")
     k = len(pair.r.indices) + len(pair.a.indices)
     if keep is not None and np.shape(keep) != (k,):
         raise ConfigError(f"{pair}: the keep mask needs one entry per covariate ({k}), got {keep!r}")
@@ -345,14 +349,6 @@ class OutcomeModel:
         """Inverse of `gram`, shared by every influence correction of this fit."""
         return _inverse(self.gram, f"{self.pair}: outcome Gram matrix")
 
-    def scale_values(self, part: str) -> np.ndarray:
-        """Product of the observed target coordinates on the "case" or "pool"
-        rows of `view`; with none, a slice of the view's shared ones."""
-        if not self.scale_coords:
-            return self.view._ones[:getattr(self.view, part).size]
-        pos = [self.pair.a.indices.index(c) for c in self.scale_coords]
-        return self.view.blocks(part)[1][:, pos].prod(axis=1)
-
 
 def fit_odds(
     ds: Dataset,
@@ -370,7 +366,7 @@ def fit_odds(
     search, non-convergence.  The model's information matrix is formed when
     first read."""
     check_integer("n_min", n_min)
-    _check_keep(pair, keep)
+    _check_pair(ds, pair, keep)
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
     if pool.size == 0:
@@ -456,7 +452,7 @@ def fit_outcome(
     design and predictions multiply back the observed factors.
     """
     check_integer("n_min", n_min)
-    _check_keep(pair, keep)
+    _check_pair(ds, pair, keep)
     pool = strata.pool(pair.r)
     if pool.size == 0:
         raise PositivityError(f"empty pool for {pair}")
@@ -474,8 +470,8 @@ def fit_outcome(
             resp_coord = missing[0]
             scale_coords = present
 
-    rho = _response(ds, pool, f, resp_coord)
     view = pair_view(ds, strata, pair)
+    rho = complete_values(ds, strata, f)[view.pool] if resp_coord is None else ds.L[view.pool, resp_coord]
     _, _, Z, names = view.design(keep)
     sw = np.sqrt(view.w_pool)
     Z, rho = Z * sw[:, None], rho * sw
@@ -500,27 +496,46 @@ def fit_all_outcomes(ds, strata, f, n_min: int = DEFAULT_N_MIN, decompose: bool 
     }
 
 
-def view_values(model, view: PairView, part: str, linear=None) -> np.ndarray:
-    """Values of `model` on the "case" or "pool" rows of `view`.
+def view_values(model, view: PairView, part: str) -> np.ndarray:
+    """Values of an odds model or an oracle on the "case" or "pool" rows of `view`.
 
-    A fitted model is read only on the view of its fit (see `fitted`); an
-    odds model's values are slices of its `e`, and an outcome model's are
-    its design on those rows times beta (`linear`, where the caller formed
-    that product), times the observed factors of a decomposed product.  An
-    oracle goes through its `predict`.
+    A fitted odds model is read only on the view of its fit (see `fitted`),
+    and its values are slices of its `e`; an oracle goes through its `predict`.
     """
     if not fitted(model, view):
         return model.predict(*view.blocks(part))
-    if isinstance(model, OddsModel):
-        return model.e[:view.case.size] if part == "case" else model.e[view.case.size:]
-    if linear is None:
-        linear = getattr(view.design(model.keep), part) @ model.beta
-    return linear * model.scale_values(part) if model.scale_coords else linear
+    return model.e[:view.case.size] if part == "case" else model.e[view.case.size:]
 
 
-def case_gradient(model: OutcomeModel) -> np.ndarray:
-    """Gradient in the coefficients of the summed case-row predictions of `model`."""
-    return model.view.design(model.keep).case.T @ model.scale_values("case")
+class OutcomeRead(NamedTuple):
+    """An outcome model read on a view by `read_outcome`; None where not formed."""
+
+    case: np.ndarray                        # values on the case rows
+    pool: np.ndarray | None = None          # values on the pool rows
+    score: np.ndarray | None = None         # a fit's response minus design times beta on the pool
+    factor_case: np.ndarray | None = None   # a fit's observed-factor products on the case rows
+    factor_pool: np.ndarray | None = None   # and on the pool rows
+
+
+def read_outcome(model, view: PairView, fmap: np.ndarray, pool: bool) -> OutcomeRead:
+    """An outcome model or oracle on the case rows of `view` and, with `pool`,
+    on its pool rows, each product formed once.  A fitted model is read only
+    on the view of its fit (see `fitted`): its values are design times beta
+    times the observed factors of a decomposed product (the view's shared ones
+    where there are none), and its score residuals its response, `fmap` (f on
+    the complete records) or the L column `resp_coord`, minus design times beta."""
+    parts = ("case", "pool") if pool else ("case",)
+    if not fitted(model, view):
+        return OutcomeRead(*(view_values(model, view, p) for p in parts))
+    Z, coords = view.design(model.keep), model.scale_coords
+    pos = [model.pair.a.indices.index(c) for c in coords]
+    factors = [view.blocks(p)[1][:, pos].prod(axis=1) if coords else view._ones[:getattr(view, p).size] for p in parts]
+    linear = [getattr(Z, p) @ model.beta for p in parts]
+    values = [lin * s for lin, s in zip(linear, factors)] if coords else linear
+    if not pool:
+        return OutcomeRead(values[0], factor_case=factors[0])
+    rho = fmap[view.pool] if model.resp_coord is None else view.ds.L[view.pool, model.resp_coord]
+    return OutcomeRead(*values, rho - linear[1], *factors)
 
 
 def odds_correction(model: OddsModel, ro: np.ndarray) -> np.ndarray:
@@ -543,19 +558,7 @@ def fitted(model, view: PairView | None = None) -> bool:
     return True
 
 
-def _response(ds: Dataset, pool: np.ndarray, f: Functional, resp_coord) -> np.ndarray:
-    """What an outcome fit regresses on the `pool` rows: f(L), or the L coordinate `resp_coord`."""
-    return ds.L[pool, resp_coord] if resp_coord is not None else f(ds.L[pool])
-
-
-def score_residuals(model, linear=None) -> np.ndarray:
-    """Residuals of a fit on its view, formed on each call: y - p on the stacked
-    rows of an odds fit, from `e`, and on the pool of an outcome fit its
-    response minus its design times beta (`linear`, where the caller formed
-    that product); times its design row, each record's coefficient score."""
-    view = model.view
-    if isinstance(model, OddsModel):
-        return view.y - model.e / (1.0 + model.e)
-    if linear is None:
-        linear = view.design(model.keep).pool @ model.beta
-    return _response(view.ds, view.pool, model.f, model.resp_coord) - linear
+def score_residuals(model: OddsModel) -> np.ndarray:
+    """y - p on the stacked rows of an odds fit's view, formed from `e` on each
+    call; times its design row, each record's coefficient score."""
+    return model.view.y - model.e / (1.0 + model.e)

@@ -9,7 +9,10 @@ construction everywhere else.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+
+from .errors import ConfigError
 
 MAX_LENGTH = 16
 
@@ -22,10 +25,13 @@ class Pattern:
     length: int
 
     def __post_init__(self):
+        for name, v in (("length", self.length), ("value", self.value)):
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ConfigError(f"pattern {name} must be an integer, got {v!r}")
         if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(f"pattern length must be in [1, {MAX_LENGTH}], got {self.length}")
+            raise ConfigError(f"pattern length must be in [1, {MAX_LENGTH}], got {self.length}")
         if not 0 <= self.value < (1 << self.length):
-            raise ValueError(f"pattern value {self.value} out of range for length {self.length}")
+            raise ConfigError(f"pattern value {self.value} out of range for length {self.length}")
         # derived once: patterns are immutable and these are read on every design lookup
         bits = tuple((self.value >> (self.length - 1 - j)) & 1 for j in range(self.length))
         object.__setattr__(self, "_bits", bits)

@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, Functional, build_strata, check_integer
 from .errors import ConfigError
 from .estimators import compute_weights
-from .glm import pair_view
+from .glm import complete_values, pair_view
 from .patterns import Pattern, PatternPair
 
 KINDS = ("single", "multiple", "mpm")
@@ -324,7 +324,7 @@ def verify_oracles(design: SimDesign) -> OracleReport:
             _mean_check(rows, f"odds {pr} moment[{nm}]", vals, n, 0.0)
 
     # regression orthogonality: E[(f - m) g I(pool)] = 0
-    f = truth.functional
+    fmap = complete_values(ds, strata, truth.functional) if truth.functional is not None else None
     for key in sorted(truth.outcomes):
         model = truth.outcomes[key]
         pr = model.pair
@@ -332,7 +332,7 @@ def verify_oracles(design: SimDesign) -> OracleReport:
             continue
         view = pair_view(ds, strata, pr)
         _, _, Zp, names = view.design()
-        resid = f(ds.L[view.pool]) - model.predict(*view.blocks("pool"))
+        resid = fmap[view.pool] - model.predict(*view.blocks("pool"))
         for j, nm in enumerate(names):
             _mean_check(rows, f"regression {pr} orth[{nm}]", resid * Zp[:, j], n, 0.0)
 
@@ -341,7 +341,7 @@ def verify_oracles(design: SimDesign) -> OracleReport:
         view = pair_view(ds, strata, _pair("multiple", 3, 0))
         model = truth.outcomes[(3, 0)]
         xp, lp = view.blocks("pool")
-        resid = f(ds.L[view.pool]) - model.predict(xp, lp)
+        resid = fmap[view.pool] - model.predict(xp, lp)
         for c in (0.5, 1.0, 1.5):
             g = ((np.abs(xp[:, 0] - c) <= 0.25) & (np.abs(xp[:, 1] - c) <= 0.25)).astype(float)
             _mean_check(rows, f"regression {view.pair} window@{c}", resid * g, n, 0.0)
@@ -350,12 +350,10 @@ def verify_oracles(design: SimDesign) -> OracleReport:
         # target through the weighting identity with oracle odds
         wt = compute_weights(ds, strata, truth.odds)
         v = np.zeros(n)
-        v[wt.rows] = f(ds.L[wt.rows]) * wt.total
+        v[wt.rows] = fmap[wt.rows] * wt.total
         _mean_check(rows, "theta via oracle weights", v, n, truth.theta_true)
         # target through the regression identity with oracle outcomes
-        v = np.zeros(n)
-        complete = np.flatnonzero(ds.complete_mask)
-        v[complete] = f(ds.L[complete])
+        v = fmap.copy()
         for pr in strata.incomplete_pairs():
             view = pair_view(ds, strata, pr)
             v[view.case] = truth.outcomes[pr.key].predict(*view.blocks("case"))

@@ -2,8 +2,10 @@
 passes to `TiltSpec` or `Functional`, the only error that escapes is an
 `AccmvError` (a `ConfigError`), never a bare numpy `TypeError`, `ValueError`
 or `IndexError`.  A functional whose coordinates reach past the primaries of
-the data it is fitted on fails as a `DataError`.  Named bad arguments to the
-fits and the resampling loops are a `ConfigError` too, raised before any
+the data it is fitted on fails as a `DataError`, and so does a custom one
+that does not return one value per row.  Named bad arguments to `Pattern`,
+the fits (a pattern pair of the wrong lengths is refused before anything is
+cached) and the resampling loops are a `ConfigError` too, raised before any
 replicate runs.  On small datasets of any scale, with missing cells, constant
 columns and tiny strata, the fits, estimators, sweep and marginal model raise
 only `AccmvError`s and return finite numbers."""
@@ -103,10 +105,17 @@ def test_functional_raises_only_config_errors(kind, coords, thresholds, fn):
     lambda: generate(SimDesign("single", 10, 2.5)),
     lambda: generate(SimDesign("single", 10, "x")),
     lambda: generate(SimDesign("single", 10, -1.0)),
+    lambda: Pattern(1.5, 2),
+    lambda: Pattern("1", 2),
+    lambda: Pattern(True, 1),
+    lambda: Pattern(1, 2.0),
+    lambda: Pattern(1, True),
 ], ids=["delta-text", "grid-none", "delta-scalar", "threshold-text", "coord-negative", "coord-text",
         "coord-float", "coords-scalar", "coord-bool", "table-bool", "table-float", "table-replicates-float",
         "table-replicates-bool", "table-n-float", "table-workers-float", "table-workers-text", "table-workers-negative",
-        "design-n-float", "design-seed-float", "design-seed-text", "design-seed-negative-float"])
+        "design-n-float", "design-seed-float", "design-seed-text", "design-seed-negative-float",
+        "pattern-value-float", "pattern-value-text", "pattern-value-bool", "pattern-length-float",
+        "pattern-length-bool"])
 def test_named_bad_inputs(build):
     with pytest.raises(ConfigError):
         build()
@@ -145,6 +154,8 @@ def no_replicate(ds, strata):
 @pytest.mark.parametrize("call", [
     lambda ds, s: fit_odds(ds, s, s.incomplete_pairs()[0], keep=(True,) * 9),
     lambda ds, s: fit_outcome(ds, s, s.incomplete_pairs()[0], Functional("coordinate", (0,)), keep=(False,)),
+    lambda ds, s: fit_odds(ds, s, PatternPair(Pattern(1, 1), Pattern(1, 2))),
+    lambda ds, s: fit_outcome(ds, s, PatternPair(Pattern(1, 2), Pattern(1, 3)), Functional("coordinate", (0,))),
     lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, 0.0, B=2.5),
     lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, 0.0, B="4"),
     lambda ds, s: bootstrap(ds, s, lambda d, x: 0.0, float("nan"), B=4),
@@ -157,7 +168,8 @@ def no_replicate(ds, strata):
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=1),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=-3),
-], ids=["odds-keep-length", "outcome-keep-length", "bootstrap-B-float", "bootstrap-B-text",
+], ids=["odds-keep-length", "outcome-keep-length", "odds-pattern-length", "outcome-pattern-length",
+        "bootstrap-B-float", "bootstrap-B-text",
         "bootstrap-estimate-nan", "bootstrap-estimate-text", "bootstrap-estimate-shape",
         "bootstrap-reweighted-index", "sweep-B-float",
         "sweep-B-one", "sweep-B-negative"])
@@ -165,6 +177,33 @@ def test_named_bad_estimation_inputs(two_primaries, call):
     ds, strata = two_primaries
     with pytest.raises(ConfigError):
         call(ds, strata)
+
+
+def test_pattern_lengths_are_checked_before_any_cache():
+    # (r=1, a=01) shares its key (1, 1) with the pair (r=01, a=01) of these data;
+    # refused before its view is built, it leaves the index's fits as they were
+    ds = generate(SimDesign("multiple", 400, 3))
+    strata = build_strata(ds)
+    for pair in (PatternPair(Pattern(1, 1), Pattern(1, 2)), PatternPair(Pattern(1, 3), Pattern(1, 2))):
+        with pytest.raises(ConfigError, match="lengths"):
+            fit_odds(ds, strata, pair)
+        with pytest.raises(ConfigError, match="lengths"):
+            fit_outcome(ds, strata, pair, Functional("coordinate", (0,)))
+    got, want = fit_all_odds(ds, strata), fit_all_odds(ds, build_strata(ds))
+    assert got.keys() == want.keys()
+    for key, model in got.items():
+        np.testing.assert_array_equal(model.alpha, want[key].alpha)
+        np.testing.assert_array_equal(model.e, want[key].e)
+
+
+def test_functional_needs_one_value_per_row():
+    L = np.arange(6.0).reshape(3, 2)
+    for fn in (lambda L: np.ones(4), lambda L: 1.0, lambda L: np.ones((3, 1)), lambda L: L):
+        with pytest.raises(DataError, match="one value per row"):
+            Functional("custom", fn=fn)(L)
+    ds = generate(SimDesign("multiple", 400, 3))
+    with pytest.raises(DataError, match="one value per row"):
+        estimate_complete_case(ds, build_strata(ds), Functional("custom", fn=lambda L: np.ones(3)))
 
 
 @st.composite

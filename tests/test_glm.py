@@ -21,13 +21,14 @@ from accmv.glm import (
     _clamped_eta,
     _negloglik_at,
     _score_hessian_at,
-    case_gradient,
+    complete_values,
     design_matrix,
     fit_all_odds,
     fit_all_outcomes,
     fit_odds,
     fit_outcome,
     pair_view,
+    read_outcome,
     score_residuals,
 )
 from accmv.patterns import Pattern, PatternPair
@@ -274,7 +275,8 @@ def psi_odds(model, ds, strata):
 def psi_outcome(model, ds, strata):
     """Per-record influence contributions to the regression coefficients, (n, k)."""
     view = pair_view(ds, strata, model.pair)
-    Z, resid = view.design(model.keep).pool, score_residuals(model)
+    resid = read_outcome(model, view, complete_values(ds, strata, model.f), pool=True).score
+    Z = view.design(model.keep).pool
     out = np.zeros((ds.n, model.beta.size))
     out[view.pool] = np.linalg.solve(model.gram, (Z * resid[:, None]).T).T
     return out
@@ -377,9 +379,12 @@ def test_views_share_one_label_and_one_ones_buffer(request, fixture, f):
     plain = [(pair_view(ds, strata, pr), outs[pr.key]) for pr in strata.incomplete_pairs()
              if not outs[pr.key].scale_coords]
     assert plain
+    fmap = complete_values(ds, strata, f)
     for view, om in plain:
-        assert np.shares_memory(om.scale_values("case"), ones) and np.shares_memory(om.scale_values("pool"), ones)
-        assert np.array_equal(case_gradient(om), view.design().case.T @ np.ones(view.case.size))
+        m = read_outcome(om, view, fmap, pool=True)
+        assert np.shares_memory(m.factor_case, ones) and np.shares_memory(m.factor_pool, ones)
+        assert np.array_equal(m.factor_case, np.ones(view.case.size))
+        assert np.array_equal(m.factor_pool, np.ones(view.pool.size))
 
 
 def test_design_matrix_input_errors_are_named():

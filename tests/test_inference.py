@@ -21,13 +21,14 @@ from accmv.estimators import (
 )
 from accmv.cli import _refit
 from accmv.glm import (
-    case_gradient,
+    complete_values,
     design_matrix,
     fit_all_odds,
     fit_all_outcomes,
     fit_odds,
     fit_outcome,
     pair_view,
+    read_outcome,
     view_values,
 )
 from accmv.inference import (
@@ -528,11 +529,12 @@ def test_outcome_correction_vanishes_only_under_correct_odds():
     f = default_functional("multiple")
 
     def largest_gradient(ds, strata, odds, outs):
-        norms = []
+        norms, fmap = [], complete_values(ds, strata, f)
         for pr in strata.incomplete_pairs():
             view, om = pair_view(ds, strata, pr), outs[pr.key]
-            o = view_values(odds[pr.key], view, "pool")
-            grad = case_gradient(om) - view.design(om.keep).pool.T @ (om.scale_values("pool") * o)
+            o, Z = view_values(odds[pr.key], view, "pool"), view.design(om.keep)
+            m = read_outcome(om, view, fmap, pool=True)
+            grad = Z.case.T @ m.factor_case - Z.pool.T @ (m.factor_pool * o)
             norms.append(np.abs(grad / ds.n).max())
         return max(norms)
 

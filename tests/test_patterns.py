@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from accmv.data import Dataset
-from accmv.errors import DataError
+from accmv.errors import ConfigError, DataError
 from accmv.glm import design_matrix
 from accmv.patterns import Pattern, PatternPair, dominating
 
@@ -111,11 +111,11 @@ def test_string_roundtrip_and_bits():
 
 
 def test_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Pattern(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Pattern(0, 17)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         Pattern(4, 2)
 
 

@@ -153,6 +153,10 @@ def test_reweight_drops_pairs_without_drawn_records():
         strata.reweight([1, 1, 1])
     with pytest.raises(ConfigError):
         rw.reweight([1, 1, 1, 1])
+    # negative or non-finite frequencies are no draw
+    for bad in (-np.ones(4), [1, 1, -1, 1], [1, np.nan, 1, 1], [1, 1, np.inf, 1]):
+        with pytest.raises(ConfigError, match="finite and non-negative"):
+            strata.reweight(bad)
 
 
 def test_small_stratum_counts_frequencies():

@@ -2,16 +2,18 @@
 
 A fitted model holds the `PairView` it was fitted on.  An odds model's values
 are the exp(eta) of its fit; an outcome model's values, score residuals and
-gradient are formed from its design and coefficients where they are read;
-and the odds model (else the regression) keeps the estimator terms of each
-pair of models, the only estimator work a model keeps.  Reading a fitted
-model on another view (a reweighted index, another index of the same data)
-raises `ConfigError`, and a keep-masked refit keeps pair terms of its own.
-On a table-2 replicate no odds model is evaluated after its fit, each pair
-of models makes its terms once, each outcome model is multiplied into each
-set of rows at most once per pair-term computation, and f is evaluated once
-on the complete rows however many estimator rows read them.  A pair's terms
-add to the influence vector as one increment over the pair's rows.
+observed-factor products are formed from its design and coefficients by one
+`read_outcome` call where the pair terms read them; and the odds model (else
+the regression) keeps the estimator terms of each pair of models, the only
+estimator work a model keeps.  Reading a fitted model on another view (a
+reweighted index, another index of the same data) raises `ConfigError`, and
+a keep-masked refit keeps pair terms of its own.  On a table-2 replicate no
+odds model is evaluated after its fit, each pair of models makes its terms
+once, each outcome model is multiplied into each set of rows at most once
+per pair-term computation, and f is evaluated once, on the complete rows,
+however many fits and estimator rows read it; a bootstrap of an MR fit
+evaluates f once too.  A pair's terms add to the influence vector as one
+increment over the pair's rows.
 """
 
 import dataclasses
@@ -27,13 +29,13 @@ from accmv.data import Functional, build_strata
 from accmv.errors import ConfigError
 from accmv.estimators import estimate_ipw, estimate_mr, estimate_ra
 from accmv.glm import (
-    case_gradient,
     complete_values,
     fit_all_odds,
     fit_all_outcomes,
     fit_odds,
     fit_outcome,
     pair_view,
+    read_outcome,
     score_residuals,
     view_values,
 )
@@ -43,14 +45,13 @@ from accmv.simgen import SimDesign, generate, misspec_masks
 F2 = Functional("product", (0, 1))
 
 
-def pieces(model, view):
-    """Every piece of `model` on `view`, evaluated now."""
-    out = {part: view_values(model, view, part) for part in ("case", "pool")}
-    out["score"] = score_residuals(model)
-    if isinstance(model, glm.OutcomeModel):
-        out["grad"] = case_gradient(model)
-        out["scale_pool"] = model.scale_values("pool")
-    return out
+def pieces(model, view, fmap):
+    """Every piece of `model` on `view`, evaluated now; `fmap` is f on the complete records."""
+    if isinstance(model, glm.OddsModel):
+        return {**{part: view_values(model, view, part) for part in ("case", "pool")}, "score": score_residuals(model)}
+    m = read_outcome(model, view, fmap, pool=True)
+    grad = view.design(model.keep).case.T @ m.factor_case
+    return {"case": m.case, "pool": m.pool, "score": m.score, "grad": grad, "factor_pool": m.factor_pool}
 
 
 def direct(model, view, f):
@@ -65,7 +66,7 @@ def direct(model, view, f):
     L = view.ds.L[view.pool]
     rho = L[:, model.resp_coord] if model.resp_coord is not None else f(L)
     return {"case": d.case @ model.beta * s_case, "pool": d.pool @ model.beta * s_pool,
-            "score": rho - d.pool @ model.beta, "grad": d.case.T @ s_case, "scale_pool": s_pool}
+            "score": rho - d.pool @ model.beta, "grad": d.case.T @ s_case, "factor_pool": s_pool}
 
 
 def assert_same(got, want, exact=True):
@@ -100,20 +101,20 @@ def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
     on a reweighted index and on another index of the same data, reading
     the model raises, also where the estimators hold its terms already."""
     ds, strata, models = fitted_multiple
+    fmap = complete_values(ds, strata, F2)
     others = [strata.reweight(np.random.default_rng(3).integers(0, 3, ds.n)),
               build_strata(ds)]                                              # another index of the same data
     for model, _ in models:
         view = pair_view(ds, strata, model.pair)
         assert model.view is view
-        got = pieces(model, view)
-        assert_same(got, pieces(dataclasses.replace(model), view))
+        got = pieces(model, view, fmap)
+        assert_same(got, pieces(dataclasses.replace(model), view, fmap))
         assert_same(got, direct(model, view, F2), exact=False)
         if isinstance(model, glm.OddsModel):
             assert all(not got[k].flags.writeable and np.shares_memory(got[k], model.e) for k in ("case", "pool"))
         for s in others:
-            for part in ("case", "pool"):
-                with pytest.raises(ConfigError, match="fitted on"):
-                    view_values(model, pair_view(ds, s, model.pair), part)
+            with pytest.raises(ConfigError, match="fitted on"):
+                pieces(model, pair_view(ds, s, model.pair), complete_values(ds, s, F2))
     odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
     for estimate, fits in ((estimate_ipw, (odds,)), (estimate_ra, (outs,)), (estimate_mr, (odds, outs))):
         estimate(ds, strata, *fits, F2)    # the walk keeps the pair terms
@@ -133,9 +134,9 @@ def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):
         if bad is None:
             continue
         view = pair_view(ds, strata, good.pair)
-        good_pieces = pieces(good, view)
-        bad_pieces = pieces(bad, view)
-        assert_same(bad_pieces, pieces(dataclasses.replace(bad), view))
+        good_pieces = pieces(good, view, fmap)
+        bad_pieces = pieces(bad, view, fmap)
+        assert_same(bad_pieces, pieces(dataclasses.replace(bad), view, fmap))
         assert_same(bad_pieces, direct(bad, view, F2), exact=False)
         assert not np.array_equal(bad_pieces["pool"], good_pieces["pool"])
         is_odds = isinstance(good, glm.OddsModel)
@@ -263,17 +264,36 @@ def test_table_rows_evaluate_each_model_once(monkeypatch):
     # every outcome model was evaluated, and no odds model
     assert {key[0] for key in log} == {m.beta.tag for m in outcomes} and len(outcomes) > 10
     assert next(fits) - len(outcomes) > 10
-    # f runs once per outcome fit on f(L), once per pair-term computation that
-    # reads such a fit (for its score residuals), and once on the complete rows
-    # for every estimator row together
-    on_f = sum(m.resp_coord is None for m in outcomes)
-    reads = sum(om is not None and om.resp_coord is None for _, _, om in terms)
-    assert (on_f, reads, len(f_calls)) == (4, 8, 13)
+    # f runs once, on the complete rows, for the outcome fits that regress f(L),
+    # the score residuals of every pair-term computation that reads one, and
+    # every estimator row together
+    ds = generate(SimDesign("multiple", 2000, seed))
+    assert sum(m.resp_coord is None for m in outcomes) == 4
+    assert f_calls == [np.count_nonzero(ds.complete_mask)]
     # the eight rows read, per pair, the odds alone (IPW), the regression alone
     # (RA) and both (MR); the misspecified pairs have two fits of each
-    pairs = len(build_strata(generate(SimDesign("multiple", 2000, seed))).incomplete_pairs())
+    pairs = len(build_strata(ds).incomplete_pairs())
     wrong = len(misspec_masks("multiple", "odds"))
     assert max(terms.values()) == 1 and len(terms) == 3 * (pairs - wrong) + 8 * wrong
+
+
+def test_bootstrap_of_an_mr_fit_evaluates_f_once(tmp_path, monkeypatch, capsys):
+    """`fit --method mr --bootstrap` evaluates f on the complete rows once: the
+    resamples' fits and estimates read the full-data index's values."""
+    path = str(tmp_path / "single.csv")
+    assert cli.main(["simulate", "--design", "single", "--n", "2000", "--seed", "5", "--out", path]) == 0
+    f_calls = []
+    call = Functional.__call__
+
+    def counted_call(self, L):
+        f_calls.append(len(L))
+        return call(self, L)
+
+    monkeypatch.setattr(Functional, "__call__", counted_call)
+    argv = ["fit", "--data", path, "--x-cols", "Y1,Y2", "--l-cols", "Y3", "--method", "mr", "--bootstrap", "16"]
+    assert cli.main(argv) == 0
+    assert "bootstrap" in capsys.readouterr().out
+    assert len(f_calls) == 1
 
 
 @pytest.mark.parametrize("table", [1, 2, 3])
@@ -296,17 +316,18 @@ def separate_increments(view, fmap, gm, om):
     the odds-weighted residual and the outcome fit's correction on the pool,
     the regression on the case rows, and the odds fit's correction on both."""
     n, adds = view.ds.n, []
+    m = read_outcome(om, view, fmap, pool=True) if om is not None else None
     if gm is not None:
         o_pool = view_values(gm, view, "pool")
-        resid = fmap[view.pool] - (view_values(om, view, "pool") if om is not None else 0.0)
+        resid = fmap[view.pool] - (m.pool if om is not None else 0.0)
         adds.append((view.pool, resid * o_pool))
     if om is not None:
-        adds.append((view.case, view_values(om, view, "case")))
+        adds.append((view.case, m.case))
         Zm = view.design(om.keep)
-        grad = case_gradient(om)
+        grad = Zm.case.T @ m.factor_case
         if gm is not None:
-            grad = grad - Zm.pool.T @ (om.scale_values("pool") * o_pool)
-        adds.append((view.pool, score_residuals(om) * (Zm.pool @ (om.gram_inv @ (grad / n)))))
+            grad = grad - Zm.pool.T @ (m.factor_pool * o_pool)
+        adds.append((view.pool, m.score * (Zm.pool @ (om.gram_inv @ (grad / n)))))
     if gm is not None:
         adds.append((view.rows, glm.odds_correction(gm, resid * o_pool)))
     return adds
