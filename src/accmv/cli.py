@@ -88,9 +88,17 @@ def _regression_table_rows(ds, strata):
     return rows
 
 
+def _table_design(table) -> str:
+    """The simulation design of benchmark table 1, 2 or 3; any other table is a ConfigError."""
+    check_integer("table", table, 1)
+    if table not in _TABLE_DESIGNS:
+        raise ConfigError(f"table must be 1, 2, or 3, got {table}")
+    return _TABLE_DESIGNS[table]
+
+
 def table_replicate(table: int, n: int, seed) -> dict:
     """One replicate of a benchmark table; a failed fit raises its AccmvError."""
-    kind = _TABLE_DESIGNS[table]
+    kind = _table_design(table)
     ds = generate(SimDesign(kind, n, seed))
     strata = build_strata(ds)
     if table == 3:
@@ -105,11 +113,9 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     `raw` holds each replicate's rows in stream order, None for a failed one;
     `failures` counts the failed ones by `AccmvError` subclass name.
     """
-    for name, value, least in (("table", table, 1), ("replicates", replicates, 1), ("workers", workers, 0)):
+    kind = _table_design(table)
+    for name, value, least in (("replicates", replicates, 1), ("workers", workers, 0)):
         check_integer(name, value, least)
-    if table not in _TABLE_DESIGNS:
-        raise ConfigError(f"table must be 1, 2, or 3, got {table}")
-    kind = _TABLE_DESIGNS[table]
     SimDesign(kind, n)               # reject a bad design before any replicate runs
     truth = oracle_value(kind).theta_true
     args = [(table, n, child) for child in seed_sequence(seed).spawn(replicates)]

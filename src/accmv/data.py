@@ -49,8 +49,7 @@ class Dataset:
     primary coordinates.  Missing entries are NaN."""
 
     def __init__(self, X, L, x_names=None, l_names=None):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        L = np.atleast_2d(np.asarray(L, dtype=float))
+        X, L = _block("X", X), _block("L", L)
         if X.shape[0] != L.shape[0]:
             raise ConfigError(f"X has {X.shape[0]} rows but L has {L.shape[0]}")
         if X.shape[0] < 1:
@@ -88,6 +87,21 @@ class Dataset:
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
         return Dataset(self.X[rows], self.L[rows], self.x_names, self.l_names)
+
+
+def _block(name, M) -> np.ndarray:
+    """`M` as a 2-D float array, a vector as one row; DataError for values
+    that are not numbers, ConfigError for more than two dimensions."""
+    try:
+        M = np.asarray(M)
+        if M.dtype.kind == "c":         # a cast to float would drop the imaginary parts
+            raise TypeError
+        M = np.atleast_2d(M.astype(float, copy=False))
+    except (TypeError, ValueError, OverflowError):
+        raise DataError(f"{name} must be a rectangular block of real numbers, with NaN marking missing cells") from None
+    if M.ndim != 2:
+        raise ConfigError(f"{name} must be records by coordinates, a 2-D array, got shape {M.shape}")
+    return M
 
 
 def _mask_codes(mask: np.ndarray) -> np.ndarray:
@@ -222,42 +236,43 @@ class StratumIndex:
     rows (see `glm.pair_view`), so they live exactly as long as the index.
 
     `freq` counts each record that many times; None counts every record
-    once.  `reweight` makes such an index from a unit-frequency one.
+    once.  `reweight` makes such an index of the same `ds` from a unit-frequency one.
     """
 
-    p: int
-    d: int
-    n: int
-    r_codes: np.ndarray
+    ds: Dataset
     complete_mask: np.ndarray
     by_pair: dict = field(default_factory=dict)   # (r_code, a_code) -> index array
     pools: dict = field(default_factory=dict)     # r_code -> index array
-    complete_code: int = 0
     freq: np.ndarray | None = field(default=None, repr=False, compare=False)
     parent: "StratumIndex | None" = field(default=None, repr=False, compare=False)
     designs: object = field(default=None, repr=False, compare=False)
     _pairs: list | None = field(default=None, repr=False, compare=False)
+
+    def check_dataset(self, ds: Dataset) -> None:
+        """Raise ConfigError unless `ds` is the dataset this index was built from."""
+        if ds is not self.ds:
+            raise ConfigError("a stratum index serves only the dataset it was built from; see build_strata")
 
     def stratum(self, pair: PatternPair) -> np.ndarray:
         return self.by_pair.get(pair.key, np.empty(0, dtype=int))
 
     def pool(self, r: Pattern) -> np.ndarray:
         if r.value not in self.pools:
-            self.pools[r.value] = np.flatnonzero(self.complete_mask & dominating(self.r_codes, r))
+            self.pools[r.value] = np.flatnonzero(self.complete_mask & dominating(self.ds.r_codes, r))
         return self.pools[r.value]
 
     def pairs(self) -> list[PatternPair]:
         """All pattern pairs present in the data, ascending (r, a) codes."""
         if self._pairs is None:       # by_pair is complete once build_strata returns
             self._pairs = [
-                PatternPair(Pattern(rv, self.p), Pattern(av, self.d))
+                PatternPair(Pattern(rv, self.ds.p), Pattern(av, self.ds.d))
                 for rv, av in sorted(self.by_pair)
             ]
         return list(self._pairs)
 
     def incomplete_pairs(self) -> list[PatternPair]:
         """Pairs with at least one primary missing: the ones needing models."""
-        return [pr for pr in self.pairs() if pr.a.value != self.complete_code]
+        return [pr for pr in self.pairs() if pr.a.value != self.ds.complete_code]
 
     def weights(self, rows) -> np.ndarray:
         """Frequency of each record at `rows`."""
@@ -277,8 +292,8 @@ class StratumIndex:
         if self.freq is not None:
             raise ConfigError("only a unit-frequency stratum index can be reweighted")
         freq = np.asarray(counts, dtype=float)
-        if freq.shape != (self.n,):
-            raise ConfigError(f"need one frequency per record ({self.n}), got shape {freq.shape}")
+        if freq.shape != (self.ds.n,):
+            raise ConfigError(f"need one frequency per record ({self.ds.n}), got shape {freq.shape}")
         if not (np.isfinite(freq) & (freq >= 0)).all():
             raise ConfigError("frequencies must be finite and non-negative")
         drawn = freq > 0
@@ -288,11 +303,9 @@ class StratumIndex:
             if kept.size:
                 by_pair[key] = kept
         return StratumIndex(
-            p=self.p, d=self.d, n=self.n,
-            r_codes=self.r_codes, complete_mask=self.complete_mask & drawn,
+            ds=self.ds, complete_mask=self.complete_mask & drawn,
             by_pair=by_pair,
             pools={rv: rows.compress(drawn[rows]) for rv, rows in self.pools.items()},
-            complete_code=self.complete_code,
             freq=freq,
             parent=self,
             _pairs=[pr for pr in self.pairs() if pr.key in by_pair],
@@ -300,11 +313,7 @@ class StratumIndex:
 
 
 def build_strata(ds: Dataset) -> StratumIndex:
-    idx = StratumIndex(
-        p=ds.p, d=ds.d, n=ds.n,
-        r_codes=ds.r_codes, complete_mask=ds.complete_mask,
-        complete_code=ds.complete_code,
-    )
+    idx = StratumIndex(ds=ds, complete_mask=ds.complete_mask)
     order = np.lexsort((ds.a_codes, ds.r_codes))
     rc, ac = ds.r_codes[order], ds.a_codes[order]
     cut = np.flatnonzero((np.diff(rc) != 0) | (np.diff(ac) != 0)) + 1

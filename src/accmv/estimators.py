@@ -55,6 +55,7 @@ def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict | None) -> Wei
     """The complete-case weight table from the odds models of the pairs
     present in `strata`; every pair present with incomplete primaries needs
     a model, and `odds` None means zero odds in every pair."""
+    strata.check_dataset(ds)
     rows = np.flatnonzero(strata.complete_mask)
     total = np.ones(ds.n)
     for pr in _require_models(strata, odds, "odds"):
@@ -81,6 +82,7 @@ def weighted_score_influence(ds, strata, odds, s, tilt=None, correct=True) -> np
     the score columns `s` (zero off the complete records) plus each pair's
     pool terms s O t and, with `correct`, its fitted odds model's correction.
     `tilt` maps a pair key to t on its pool, else t = 1.  Unit frequencies only."""
+    strata.check_dataset(ds)
     if strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
     u = s.copy()

@@ -153,18 +153,18 @@ def _keep_key(keep):
 
 def _check_pair(ds: Dataset, pair: PatternPair, keep) -> None:
     """Raise ConfigError unless `pair` has one bit per auxiliary and per
-    primary of `ds` and `keep` is None or marks each covariate of `pair` once."""
+    primary of `ds` and `keep` is None or marks each covariate of `pair` once
+    with a bool."""
     if (pair.r.length, pair.a.length) != (ds.p, ds.d):
         raise ConfigError(f"{pair}: patterns need lengths ({ds.p}, {ds.d}) for these data, "
                           f"got ({pair.r.length}, {pair.a.length})")
     k = len(pair.r.indices) + len(pair.a.indices)
-    if keep is not None and np.shape(keep) != (k,):
-        raise ConfigError(f"{pair}: the keep mask needs one entry per covariate ({k}), got {keep!r}")
+    if keep is not None and (np.shape(keep) != (k,) or not all(isinstance(b, (bool, np.bool_)) for b in keep)):
+        raise ConfigError(f"{pair}: the keep mask needs one boolean per covariate ({k}), got {keep!r}")
 
 
 class _DesignCache:
-    def __init__(self, ds: Dataset, strata: StratumIndex):
-        self.ds = ds
+    def __init__(self, strata: StratumIndex):
         self.pairs = {}              # (r, a) codes -> PairView
         self.complete = (None, None)   # (functional, its `complete_values`)
         self.buffers = _unit_buffers(strata) if strata.parent is None else None
@@ -184,15 +184,19 @@ def _unit_buffers(strata: StratumIndex):
 
 
 def _designs(ds: Dataset, strata: StratumIndex) -> _DesignCache:
-    if strata.designs is None or strata.designs.ds is not ds:
-        strata.designs = _DesignCache(ds, strata)
+    strata.check_dataset(ds)
+    if strata.designs is None:
+        strata.designs = _DesignCache(strata)
     return strata.designs
 
 
 def complete_values(ds: Dataset, strata: StratumIndex, f: Functional) -> np.ndarray:
     """f on the complete-primary records of `strata`, zero elsewhere; once per
     index and functional.  A reweighted index shares its parent's: readers
-    weight them by frequency or take the rows they drew.  Read-only."""
+    weight them by frequency or take the rows they drew.  Read-only.  f must
+    be a `Functional`, else ConfigError."""
+    if not isinstance(f, Functional):
+        raise ConfigError(f"f must be a Functional, got {f!r}")
     strata = strata.parent or strata
     cache = _designs(ds, strata)
     if cache.complete[0] is not f:
@@ -367,6 +371,7 @@ def fit_odds(
     first read."""
     check_integer("n_min", n_min)
     _check_pair(ds, pair, keep)
+    view = pair_view(ds, strata, pair)
     case = strata.stratum(pair)
     pool = strata.pool(pair.r)
     if pool.size == 0:
@@ -376,7 +381,6 @@ def fit_odds(
         raise SmallStratumError(
             f"{pair}: case stratum has {n_case} and pool has {n_pool} records, need >= {n_min}"
         )
-    view = pair_view(ds, strata, pair)
     y, w = view.y, view.w
     wy = w * y
     Z, _, _, names = view.design(keep)
@@ -432,7 +436,7 @@ def fit_odds(
     if view._base is None:
         view._fits[key] = (alpha, e)
     return OddsModel(pair=pair, alpha=alpha, names=names, n_case=n_case, n_pool=n_pool, view=view, e=e,
-                     keep=tuple(keep) if keep is not None else None, n_iter=it)
+                     keep=key, n_iter=it)
 
 
 def fit_outcome(
@@ -453,6 +457,7 @@ def fit_outcome(
     """
     check_integer("n_min", n_min)
     _check_pair(ds, pair, keep)
+    view = pair_view(ds, strata, pair)
     pool = strata.pool(pair.r)
     if pool.size == 0:
         raise PositivityError(f"empty pool for {pair}")
@@ -470,7 +475,6 @@ def fit_outcome(
             resp_coord = missing[0]
             scale_coords = present
 
-    view = pair_view(ds, strata, pair)
     rho = complete_values(ds, strata, f)[view.pool] if resp_coord is None else ds.L[view.pool, resp_coord]
     _, _, Z, names = view.design(keep)
     sw = np.sqrt(view.w_pool)
@@ -479,7 +483,7 @@ def fit_outcome(
     if rank < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
     return OutcomeModel(pair=pair, beta=beta, names=names, n_pool=n_pool, gram=Z.T @ Z / ds.n, view=view,
-                        f=f, keep=tuple(keep) if keep is not None else None, resp_coord=resp_coord,
+                        f=f, keep=_keep_key(keep), resp_coord=resp_coord,
                         scale_coords=scale_coords)
 
 

@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .data import Dataset, StratumIndex, check_finite, check_integer
-from .errors import AccmvError, BootstrapInstabilityError, ConfigError
+from .errors import AccmvError, BootstrapInstabilityError, ConfigError, InferenceError
 from .estimators import InfluenceVector, _walk
 
 DEFAULT_B = 500
@@ -143,6 +143,20 @@ def replicate(fn, args, workers: int = 1) -> tuple[list, dict]:
     return [None if isinstance(r, str) else r for r in results], failures_of(results)
 
 
+def _replicate_value(value) -> np.ndarray:
+    """A bootstrap replicate's value as a float array: ConfigError unless it
+    holds only real numbers, InferenceError unless each is finite."""
+    try:
+        v = np.atleast_1d(np.asarray(value))
+    except ValueError:               # a ragged sequence
+        v = np.empty(0, dtype=object)
+    if v.dtype.kind not in "iuf":
+        raise ConfigError(f"a bootstrap pipeline must return a number or a vector of numbers, got {value!r}")
+    if not np.isfinite(v).all():
+        raise InferenceError(f"a bootstrap replicate is not finite: {value!r}")
+    return v.astype(float)
+
+
 @dataclass
 class BootstrapReport:
     estimate: float | list
@@ -174,11 +188,14 @@ def bootstrap(
     on the full data; `pipeline` is rerun serially on each resample,
     nuisance refits included.  A resample is `strata` reweighted by record
     frequencies, so the pipeline must sum over records through the package's
-    fits and estimators, or honour `strata.freq` itself.  More than
+    fits and estimators, or honour `strata.freq` itself, and return numbers:
+    a replicate that is not finite raises InferenceError, one that is not
+    numbers ConfigError.  `ds` must be the dataset of `strata`.  More than
     `MAX_FAILURE_RATE` of the B replicates failing aborts; for B >= 2 that
     leaves at least two for the standard error.
     """
     _check_replicates(B)
+    strata.check_dataset(ds)
     critical_value(level)            # reject a bad level before any replicate runs
     check_finite("the bootstrap's point estimate", np.atleast_1d(estimate))
     point = np.atleast_1d(np.asarray(estimate, dtype=float))
@@ -189,12 +206,12 @@ def bootstrap(
             rows = np.random.default_rng(child).integers(0, ds.n, ds.n)
             yield ds, strata.reweight(np.bincount(rows, minlength=ds.n))
 
-    results, failures = replicate(lambda d, s: np.atleast_1d(np.asarray(pipeline(d, s), dtype=float)),
-                                  resamples())
+    # each value is boxed, so that a pipeline returning None is not read as a failed replicate
+    results, failures = replicate(lambda d, s: (pipeline(d, s),), resamples())
     n_failed = sum(failures.values())
     if n_failed > MAX_FAILURE_RATE * B:
         raise BootstrapInstabilityError(f"bootstrap: {failed_text(B, failures)}, over the {MAX_FAILURE_RATE:.0%} allowed")
-    mat = np.vstack([r for r in results if r is not None])
+    mat = np.vstack([_replicate_value(r[0]) for r in results if r is not None])
     if point.shape != mat.shape[1:]:
         raise ConfigError(f"the point estimate has shape {point.shape} but each replicate {mat.shape[1:]}")
     se = mat.std(axis=0, ddof=1)

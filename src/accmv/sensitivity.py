@@ -58,7 +58,9 @@ def _per_coordinate(name, values, d: int) -> np.ndarray:
 def tilted_estimate(
     ds: Dataset, strata: StratumIndex, odds: dict, f: Functional, spec: TiltSpec, multiplier: float = 1.0
 ) -> float:
-    """Self-normalized IPW estimate under the tilted weights."""
+    """Self-normalized IPW estimate under the tilted weights; a multiplier
+    that is not a finite number is a ConfigError, as a `TiltSpec` grid's is."""
+    check_finite("the tilt multiplier", (multiplier,))
     return float(_tilted_grid(ds, strata, odds, f, spec, [multiplier], {})[0][0])
 
 

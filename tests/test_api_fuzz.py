@@ -6,7 +6,7 @@ the data it is fitted on fails as a `DataError`, and so does a custom one
 that does not return one value per row.  Named bad arguments to `Pattern`,
 the fits (a pattern pair of the wrong lengths is refused before anything is
 cached) and the resampling loops are a `ConfigError` too, raised before any
-replicate runs.  On small datasets of any scale, with missing cells, constant
+replicate runs, and so is a stratum index read with any dataset but its own.  On small datasets of any scale, with missing cells, constant
 columns and tiny strata, the fits, estimators, sweep and marginal model raise
 only `AccmvError`s and return finite numbers."""
 
@@ -17,16 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accmv.cli import run_table
+from accmv.cli import run_table, table_replicate
 from accmv.data import Dataset, Functional, build_strata
 from accmv.errors import AccmvError, ConfigError, DataError
-from accmv.estimators import estimate_complete_case, estimate_ipw, estimate_mr, estimate_ra
-from accmv.glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
+from accmv.estimators import compute_weights, estimate_complete_case, estimate_ipw, estimate_mr, estimate_ra
+from accmv.glm import complete_values, fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome, pair_view
 from accmv.inference import bootstrap
 from accmv.mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from accmv.patterns import Pattern, PatternPair
-from accmv.sensitivity import TiltSpec, sweep
-from accmv.simgen import SimDesign, generate
+from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
+from accmv.simgen import SimDesign, default_functional, generate
 
 ITEMS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -110,12 +110,14 @@ def test_functional_raises_only_config_errors(kind, coords, thresholds, fn):
     lambda: Pattern(True, 1),
     lambda: Pattern(1, 2.0),
     lambda: Pattern(1, True),
+    lambda: table_replicate(4, 2000, 1),
+    lambda: table_replicate(True, 2000, 1),
 ], ids=["delta-text", "grid-none", "delta-scalar", "threshold-text", "coord-negative", "coord-text",
         "coord-float", "coords-scalar", "coord-bool", "table-bool", "table-float", "table-replicates-float",
         "table-replicates-bool", "table-n-float", "table-workers-float", "table-workers-text", "table-workers-negative",
         "design-n-float", "design-seed-float", "design-seed-text", "design-seed-negative-float",
         "pattern-value-float", "pattern-value-text", "pattern-value-bool", "pattern-length-float",
-        "pattern-length-bool"])
+        "pattern-length-bool", "table-replicate-4", "table-replicate-bool"])
 def test_named_bad_inputs(build):
     with pytest.raises(ConfigError):
         build()
@@ -151,6 +153,24 @@ def no_replicate(ds, strata):
     pytest.fail("a replicate ran before the arguments were checked")
 
 
+def ipw_with(f):
+    """`estimate_ipw` with no odds model and functional `f`, on an index that
+    already holds the complete-record values of another functional."""
+    def call(ds, strata):
+        complete_values(ds, strata, Functional("coordinate", (0,)))
+        return estimate_ipw(ds, strata, None, f)
+    return call
+
+
+def two_covariate_pair(strata):
+    return next(pr for pr in strata.incomplete_pairs() if len(pr.r.indices) + len(pr.a.indices) == 2)
+
+
+def tilt_at(multiplier):
+    return lambda ds, s: tilted_estimate(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
+                                         TiltSpec(delta=(1.0,)), multiplier)
+
+
 @pytest.mark.parametrize("call", [
     lambda ds, s: fit_odds(ds, s, s.incomplete_pairs()[0], keep=(True,) * 9),
     lambda ds, s: fit_outcome(ds, s, s.incomplete_pairs()[0], Functional("coordinate", (0,)), keep=(False,)),
@@ -168,15 +188,74 @@ def no_replicate(ds, strata):
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=1),
     lambda ds, s: sweep(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                         TiltSpec(delta=(1.0,), grid=(0.0,)), B=-3),
+    lambda ds, s: estimate_ipw(ds, build_strata(ds), None, None),
+    ipw_with(None),
+    lambda ds, s: estimate_ipw(ds, s, None, "L1"),
+    lambda ds, s: fit_all_odds(generate(SimDesign("multiple", ds.n, 4)), s),
+    lambda ds, s: compute_weights(generate(SimDesign("multiple", 300, 3)), s, fit_all_odds(ds, s)),
+    lambda ds, s: fit_all_odds(ds.subset(np.arange(ds.n)), s),
+    tilt_at(float("nan")),
+    tilt_at(float("inf")),
+    tilt_at("a"),
+    lambda ds, s: fit_odds(ds, s, two_covariate_pair(s), keep=("a", "")),
+    lambda ds, s: fit_odds(ds, s, two_covariate_pair(s), keep=(np.nan, 0)),
 ], ids=["odds-keep-length", "outcome-keep-length", "odds-pattern-length", "outcome-pattern-length",
         "bootstrap-B-float", "bootstrap-B-text",
         "bootstrap-estimate-nan", "bootstrap-estimate-text", "bootstrap-estimate-shape",
         "bootstrap-reweighted-index", "sweep-B-float",
-        "sweep-B-one", "sweep-B-negative"])
+        "sweep-B-one", "sweep-B-negative", "f-none", "f-none-after-another", "f-text",
+        "index-read-with-another-seed", "index-read-with-a-smaller-dataset", "index-read-with-a-subset-copy",
+        "tilt-multiplier-nan", "tilt-multiplier-inf", "tilt-multiplier-text", "odds-keep-text", "odds-keep-nan"])
 def test_named_bad_estimation_inputs(two_primaries, call):
     ds, strata = two_primaries
     with pytest.raises(ConfigError):
         call(ds, strata)
+
+
+@pytest.mark.parametrize("kind", ["single", "multiple"])
+def test_an_index_serves_only_its_dataset(kind):
+    # a same-size draw of another seed and an exact copy are other datasets:
+    # every reader of the index, and of its reweighted copies, refuses them
+    ds = generate(SimDesign(kind, 2000, 1))
+    strata = build_strata(ds)
+    f = default_functional(kind)
+    pr = strata.incomplete_pairs()[0]
+    odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, f)
+    solved = solve_weighted_ee(ds, strata, None, ScoreSpec("gaussian"))
+    spec = TiltSpec(delta=(0.5,), grid=(-1.0, 0.0, 1.0))
+    calls = {
+        "pair_view": lambda d, s: pair_view(d, s, pr),
+        "complete_values": lambda d, s: complete_values(d, s, f),
+        "fit_odds": lambda d, s: fit_odds(d, s, pr),
+        "fit_outcome": lambda d, s: fit_outcome(d, s, pr, f),
+        "fit_all_odds": lambda d, s: fit_all_odds(d, s),
+        "fit_all_outcomes": lambda d, s: fit_all_outcomes(d, s, f),
+        "estimate_ipw": lambda d, s: estimate_ipw(d, s, odds, f),
+        "estimate_ipw_self_normalized": lambda d, s: estimate_ipw(d, s, odds, f, self_normalize=True),
+        "estimate_ra": lambda d, s: estimate_ra(d, s, outs, f),
+        "estimate_mr": lambda d, s: estimate_mr(d, s, odds, outs, f),
+        "estimate_complete_case": lambda d, s: estimate_complete_case(d, s, f),
+        "compute_weights": lambda d, s: compute_weights(d, s, odds),
+        "compute_weights_no_odds": lambda d, s: compute_weights(d, s, None),
+        "solve_weighted_ee": lambda d, s: solve_weighted_ee(d, s, None, ScoreSpec("gaussian")),
+        "sandwich_variance": lambda d, s: sandwich_variance(d, s, None, solved),
+        "tilted_estimate": lambda d, s: tilted_estimate(d, s, odds, f, spec),
+        "sweep": lambda d, s: sweep(d, s, odds, f, spec),
+        "bootstrap": lambda d, s: bootstrap(d, s, no_replicate, 0.0, B=4),
+    }
+    resampled = strata.reweight(np.random.default_rng(1).integers(0, 3, ds.n))
+    for other in (generate(SimDesign(kind, ds.n, 2)), ds.subset(np.arange(ds.n))):
+        for call in calls.values():
+            with pytest.raises(ConfigError, match="built from"):
+                call(other, strata)
+        for name in ("pair_view", "complete_values", "fit_odds", "fit_all_outcomes", "estimate_mr", "sweep"):
+            with pytest.raises(ConfigError, match="built from"):
+                calls[name](other, resampled)
+    # the refusals leave the index serving its own dataset as before
+    assert pair_view(ds, strata, pr) is odds[pr.key].view
+    fresh = build_strata(ds)
+    assert estimate_mr(ds, strata, odds, outs, f).theta_hat == \
+        estimate_mr(ds, fresh, fit_all_odds(ds, fresh), fit_all_outcomes(ds, fresh, f), f).theta_hat
 
 
 def test_pattern_lengths_are_checked_before_any_cache():

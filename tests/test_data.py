@@ -291,6 +291,14 @@ def test_strata_partition(single_20k):
     assert sum(v.size for v in strata.by_pair.values()) == ds.n
 
 
+def test_an_index_holds_the_dataset_it_was_built_from(single_20k):
+    ds, strata = single_20k
+    assert build_strata(ds).ds is ds and strata.ds is ds
+    assert strata.reweight(np.ones(ds.n)).ds is ds
+    for copied in ("p", "d", "n", "r_codes", "complete_code"):      # read from the dataset, not copied
+        assert not hasattr(strata, copied)
+
+
 def test_functionals():
     def at(f, l):                     # f on one fully observed primary vector
         out = f(np.array([l]))
@@ -347,6 +355,19 @@ def test_dimension_cap():
     ):
         with pytest.raises(ConfigError, match=why):
             Dataset(X, L)
+
+
+def test_dataset_blocks_are_2d_arrays_of_numbers():
+    with pytest.raises(ConfigError, match="2-D"):
+        Dataset(np.zeros((3, 1, 1)), np.ones((3, 1)))
+    with pytest.raises(ConfigError, match="2-D"):
+        Dataset(np.zeros((3, 1)), np.ones((3, 1, 2)))
+    for X, L in (([["a"]], [[1.0]]), ([[1.0]], [[1j]]), (np.array([[1 + 1j]]), [[1.0]]),
+                 ([[1.0, 2.0], [3.0]], [[1.0], [2.0]]), ([[1.0]], [[10**400]])):
+        with pytest.raises(DataError, match="real numbers"):
+            Dataset(X, L)
+    ds = Dataset([1.0, np.nan], [[2.0]])       # a vector is one record, as before
+    assert (ds.n, ds.p, ds.d) == (1, 2, 1)
 
 
 def test_record_patterns():

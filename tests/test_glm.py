@@ -387,6 +387,22 @@ def test_views_share_one_label_and_one_ones_buffer(request, fixture, f):
         assert np.array_equal(m.factor_pool, np.ones(view.pool.size))
 
 
+def test_keep_masks_are_booleans_stored_as_the_view_key(single_20k):
+    ds, strata = single_20k
+    pr = pair(3, 0)
+    for keep in (np.array([True, False]), [np.True_, False], (True, False)):
+        m = fit_odds(ds, strata, pr, keep=keep)
+        assert m.keep == (True, False) and all(type(k) is bool for k in m.keep)
+        om = fit_outcome(ds, strata, pr, F1, keep=keep)
+        assert om.keep == (True, False) and all(type(k) is bool for k in om.keep)
+        assert m.view.design(m.keep) is m.view.design(keep)
+    for keep in (("a", ""), (np.nan, 0), (1, 0), (1.0, 0.0)):
+        with pytest.raises(ConfigError, match="keep mask"):
+            fit_odds(ds, strata, pr, keep=keep)
+        with pytest.raises(ConfigError, match="keep mask"):
+            fit_outcome(ds, strata, pr, F1, keep=keep)
+
+
 def test_design_matrix_input_errors_are_named():
     # a wrong-length keep mask is a configuration error, an unobserved
     # covariate a data error naming the pattern pair
@@ -407,7 +423,8 @@ def test_pair_view_cached_on_its_strata(single_20k):
     fresh = pair_view(ds, other, pr)
     assert fresh is not view                               # a new index builds its own
     copy = ds.subset(np.arange(ds.n))
-    assert pair_view(copy, other, pr) is not fresh         # another dataset gets no stale designs
+    with pytest.raises(ConfigError, match="built from"):   # an index serves only its own dataset
+        pair_view(copy, other, pr)
     with pytest.raises(ConfigError, match="keep mask"):
         view.design((True,))
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accmv.data import Dataset, Functional, build_strata
-from accmv.errors import BootstrapInstabilityError, ConfigError, FitError
+from accmv.errors import BootstrapInstabilityError, ConfigError, FitError, InferenceError
 from accmv.estimators import (
     _walk,
     estimate_complete_case,
@@ -272,6 +272,25 @@ def test_bootstrap_guards():
 
     with pytest.raises(BootstrapInstabilityError):
         bootstrap(ds, build_strata(ds), flaky, flaky(ds, build_strata(ds)), B=10, seed=0)
+
+
+@pytest.mark.parametrize("value,error", [
+    (np.nan, InferenceError), (np.inf, InferenceError), ([0.5, np.nan], InferenceError),
+    (None, ConfigError), ("abc", ConfigError), ([0.5, "x"], ConfigError), ([0.5, [1.0]], ConfigError),
+], ids=["nan", "inf", "vector-nan", "none", "text", "vector-text", "ragged"])
+def test_bootstrap_replicate_that_is_not_a_finite_number(value, error):
+    # a pipeline bug, not a failed fit: it stops the bootstrap instead of
+    # leaving a NaN SE, or a replicate shorter than the others, behind
+    ds = Dataset(np.ones((10, 1)), np.arange(10, dtype=float).reshape(-1, 1))
+    calls = {"k": 0}
+
+    def pipeline(d, s):
+        calls["k"] += 1
+        return value if calls["k"] == 3 else [0.5, 0.5] if isinstance(value, list) else 0.5
+
+    point = [0.5, 0.5] if isinstance(value, list) else 0.5
+    with pytest.raises(error, match="bootstrap"):
+        bootstrap(ds, build_strata(ds), pipeline, point, B=5, seed=0)
 
 
 def test_bootstrap_skip_count():
