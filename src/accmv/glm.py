@@ -372,8 +372,7 @@ def fit_odds(
     check_integer("n_min", n_min)
     _check_pair(ds, pair, keep)
     view = pair_view(ds, strata, pair)
-    case = strata.stratum(pair)
-    pool = strata.pool(pair.r)
+    case, pool = view.case, view.pool
     if pool.size == 0:
         raise PositivityError(f"empty pool for {pair}: no records with R >= {pair.r} and complete primaries")
     n_case, n_pool = strata.count(case), strata.count(pool)
@@ -458,7 +457,7 @@ def fit_outcome(
     check_integer("n_min", n_min)
     _check_pair(ds, pair, keep)
     view = pair_view(ds, strata, pair)
-    pool = strata.pool(pair.r)
+    pool = view.pool
     if pool.size == 0:
         raise PositivityError(f"empty pool for {pair}")
     n_pool = strata.count(pool)
