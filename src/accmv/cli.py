@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score-kind", default="linear", choices=["linear", "gaussian"])
     p.add_argument("--response", help="L column regressed on the predictors (linear score)")
     p.add_argument("--predictors", type=_csv_list, default=(), help="L columns used as predictors")
-    p.add_argument("--method", default="ipw", help="only ipw is compatible with a marginal model")
+    p.add_argument("--method", default="ipw", choices=["ipw", "ra", "mr"],
+                   help="only ipw is compatible with a marginal model")
     p.add_argument("--naive-sandwich", action="store_true",
                    help="drop the estimated-weights correction from the sandwich")
     p.add_argument("--level", type=float, default=0.95)

@@ -28,13 +28,15 @@ _WRITE_BLOCK = 1 << 10        # rows held as Python floats at a time by write_cs
 
 @dataclass
 class Schema:
-    """Column roles for CSV ingestion."""
+    """Column roles for CSV ingestion, each a tuple of strings."""
 
     x_cols: tuple[str, ...]
     l_cols: tuple[str, ...]
     missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS
 
     def __post_init__(self):
+        for name in ("x_cols", "l_cols", "missing_tokens"):
+            check_names(name, getattr(self, name))
         roles = (*self.x_cols, *self.l_cols)
         repeated = sorted({c for c in roles if roles.count(c) > 1})
         if repeated:
@@ -46,7 +48,8 @@ class Schema:
 
 class Dataset:
     """Immutable-by-convention container of n records with p auxiliary and d
-    primary coordinates.  Missing entries are NaN."""
+    primary coordinates.  Missing entries are NaN.  `x_names` and `l_names`
+    default to X1.. and L1..; given, each is a tuple of one string per column."""
 
     def __init__(self, X, L, x_names=None, l_names=None):
         X, L = _block("X", X), _block("L", L)
@@ -73,8 +76,8 @@ class Dataset:
         self.n = X.shape[0]
         self.p = p
         self.d = d
-        self.x_names = tuple(x_names) if x_names else tuple(f"X{j+1}" for j in range(p))
-        self.l_names = tuple(l_names) if l_names else tuple(f"L{j+1}" for j in range(d))
+        self.x_names = tuple(f"X{j+1}" for j in range(p)) if x_names is None else check_names("x_names", x_names, p)
+        self.l_names = tuple(f"L{j+1}" for j in range(d)) if l_names is None else check_names("l_names", l_names, d)
         # pattern codes, coordinate 1 = most significant bit
         self.r_codes = _mask_codes(~np.isnan(X))
         self.a_codes = _mask_codes(~np.isnan(L))
@@ -231,9 +234,9 @@ class StratumIndex:
 
     The pool for r is every record with all primaries observed and R >= r;
     it is what both nuisance-model families are fitted on.  Pools for the
-    patterns appearing with incomplete primaries are materialized eagerly,
-    others on demand.  `designs` caches the model designs built from these
-    rows (see `glm.pair_view`), so they live exactly as long as the index.
+    patterns appearing with incomplete primaries are materialized eagerly
+    by `build_strata`, others on demand.  `designs` caches the pair views
+    built from these rows (see `glm.pair_view`), so they live as long as the index.
 
     `freq` counts each record that many times; None counts every record
     once.  `reweight` makes such an index of the same `ds` from a unit-frequency one.
@@ -278,16 +281,13 @@ class StratumIndex:
         """Frequency of each record at `rows`."""
         return np.ones(len(rows)) if self.freq is None else self.freq[rows]
 
-    def count(self, rows) -> int:
-        """Number of records at `rows`, each counted by its frequency."""
-        return len(rows) if self.freq is None else int(self.freq[rows].sum())
-
     def reweight(self, counts) -> "StratumIndex":
         """This index with record i counted `counts[i]` times.
 
-        A case resample drawn as frequencies: strata and pools keep their
-        drawn records only, pairs with no drawn record disappear, and the
-        pair designs are row selections of this index's cached designs.
+        A case resample drawn as frequencies: strata keep their drawn
+        records only, pairs with no drawn record disappear, a pool is formed
+        on demand from the drawn complete records, and the pair views are
+        row selections of this index's views.
         """
         if self.freq is not None:
             raise ConfigError("only a unit-frequency stratum index can be reweighted")
@@ -305,7 +305,6 @@ class StratumIndex:
         return StratumIndex(
             ds=self.ds, complete_mask=self.complete_mask & drawn,
             by_pair=by_pair,
-            pools={rv: rows.compress(drawn[rows]) for rv, rows in self.pools.items()},
             freq=freq,
             parent=self,
             _pairs=[pr for pr in self.pairs() if pr.key in by_pair],
@@ -328,6 +327,15 @@ def check_integer(name, value, least=0) -> None:
     """Raise ConfigError unless `value` is an integer, not a bool, and at least `least`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_names(name, values, count=None) -> tuple[str, ...]:
+    """`values`, after raising ConfigError unless it is a tuple of strings,
+    `count` of them where given."""
+    if not isinstance(values, tuple) or not all(isinstance(v, str) for v in values) or count not in (None, len(values)):
+        need = "a tuple of strings" if count is None else f"a tuple of {count} strings, one per column"
+        raise ConfigError(f"{name} must be {need}, got {values!r}")
+    return values
 
 
 def check_finite(name, values) -> None:

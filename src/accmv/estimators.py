@@ -290,7 +290,7 @@ def estimate_complete_case(ds: Dataset, strata: StratumIndex, f: Functional) -> 
     """Mean of f over records with all primary variables observed: the
     self-normalized IPW with no odds model, reported as its own method."""
     est = estimate_ipw(ds, strata, None, f, self_normalize=True)
-    n_complete = strata.count(np.flatnonzero(strata.complete_mask))
+    n_complete = int(strata.weights(np.flatnonzero(strata.complete_mask)).sum())
     return replace(est, method="complete_case", self_normalized=False, diagnostics={"n_complete": n_complete})
 
 

@@ -81,9 +81,10 @@ class PairView:
     """Case stratum and pool of one pattern pair with their designs.
 
     `rows` stacks the case rows over the pool rows, `y` labels them 1/0 and
-    `w` holds their frequencies.  `y`, and `w` at unit frequencies, are
-    read-only slices of the buffers that the stratum index's views share
-    (see `_DesignCache`).  The design of each keep mask is built on
+    `w` holds their frequencies; `case` and `pool`, `w_case` and `w_pool`
+    are their slices.  `y`, and `w` at unit frequencies, are read-only
+    slices of the buffers that the stratum index's views share (see
+    `_DesignCache`).  The design of each keep mask is built on
     first use with `design_matrix` on `rows`, or taken as a row selection of
     the `base` view's design; its case and pool parts are row slices of it.
     Each is stored feature-major, as the transpose of a C-contiguous (k, m)
@@ -94,19 +95,18 @@ class PairView:
     the fits on its reweighted views take their one-step start (see `_start`).
     """
 
-    def __init__(self, ds: Dataset, case: np.ndarray, pool: np.ndarray, pair: PatternPair,
+    def __init__(self, ds: Dataset, rows: np.ndarray, n_case: int, pair: PatternPair,
                  buffers, w=None, base=None):
         self.ds = ds
         self.pair = pair
-        self.case = case
-        self.pool = pool
-        self.rows = np.concatenate([case, pool])
         c, labels, self._ones = self._buffers = buffers
-        self.y = labels[c - case.size:c + pool.size]
-        self.w = self._ones[:self.rows.size] if w is None else w
-        self.w_case, self.w_pool = self.w[:case.size], self.w[case.size:]
+        self.rows = rows
+        self.w = self._ones[:rows.size] if w is None else w
         for a in (self.rows, self.w):
-            a.flags.writeable = False
+            a.flags.writeable = False    # and so are their case and pool slices
+        self.case, self.pool = rows[:n_case], rows[n_case:]
+        self.y = labels[c - n_case:c + self.pool.size]
+        self.w_case, self.w_pool = self.w[:n_case], self.w[n_case:]
         self._base = base            # (view, row positions) whose designs this view selects from
         self._kept = {}
         self._fits = {}              # keep key -> (alpha, exp(eta)), then (alpha, info inverse or None, y - p)
@@ -115,8 +115,8 @@ class PairView:
         """The rows of this view drawn by the per-record frequencies `freq`."""
         w = freq[self.rows]
         pos = np.flatnonzero(w > 0)      # drawn positions: a take by index beats a boolean mask
-        rows, nc = self.rows.take(pos), np.searchsorted(pos, self.case.size)
-        return PairView(self.ds, rows[:nc], rows[nc:], self.pair, self._buffers, w=w.take(pos), base=(self, pos))
+        return PairView(self.ds, self.rows.take(pos), np.searchsorted(pos, self.case.size), self.pair,
+                        self._buffers, w=w.take(pos), base=(self, pos))
 
     def drawn_from(self) -> tuple["PairView", np.ndarray]:
         """The unit-frequency view whose rows this view holds, and the
@@ -218,7 +218,8 @@ def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
     view = cache.pairs.get(pair.key)
     if view is None:
         if strata.parent is None:
-            view = PairView(ds, strata.stratum(pair), strata.pool(pair.r), pair, cache.buffers)
+            case = strata.stratum(pair)
+            view = PairView(ds, np.concatenate([case, strata.pool(pair.r)]), case.size, pair, cache.buffers)
         else:
             view = pair_view(ds, strata.parent, pair).reweighted(strata.freq)
         cache.pairs[pair.key] = view
@@ -340,13 +341,18 @@ class OutcomeModel:
     beta: np.ndarray
     names: tuple[str, ...]
     n_pool: int
-    gram: np.ndarray                 # (1/n) sum over pool of design outer products
     view: PairView = field(repr=False)
     f: Functional
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
     pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # see estimators._walk
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """(1/n) sum over the pool of weighted design outer products, formed on first read."""
+        Z = self.view.design(self.keep).pool * np.sqrt(self.view.w_pool)[:, None]
+        return Z.T @ Z / self.view.ds.n
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
@@ -372,10 +378,9 @@ def fit_odds(
     check_integer("n_min", n_min)
     _check_pair(ds, pair, keep)
     view = pair_view(ds, strata, pair)
-    case, pool = view.case, view.pool
-    if pool.size == 0:
+    if view.pool.size == 0:
         raise PositivityError(f"empty pool for {pair}: no records with R >= {pair.r} and complete primaries")
-    n_case, n_pool = strata.count(case), strata.count(pool)
+    n_case, n_pool = int(view.w_case.sum()), int(view.w_pool.sum())
     if n_case < n_min or n_pool < n_min:
         raise SmallStratumError(
             f"{pair}: case stratum has {n_case} and pool has {n_pool} records, need >= {n_min}"
@@ -457,10 +462,9 @@ def fit_outcome(
     check_integer("n_min", n_min)
     _check_pair(ds, pair, keep)
     view = pair_view(ds, strata, pair)
-    pool = view.pool
-    if pool.size == 0:
+    if view.pool.size == 0:
         raise PositivityError(f"empty pool for {pair}")
-    n_pool = strata.count(pool)
+    n_pool = int(view.w_pool.sum())
     if n_pool < n_min:
         raise SmallStratumError(f"{pair}: pool has {n_pool} records, need >= {n_min}")
 
@@ -481,7 +485,7 @@ def fit_outcome(
     beta, _, rank, _ = np.linalg.lstsq(Z, rho, rcond=None)
     if rank < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
-    return OutcomeModel(pair=pair, beta=beta, names=names, n_pool=n_pool, gram=Z.T @ Z / ds.n, view=view,
+    return OutcomeModel(pair=pair, beta=beta, names=names, n_pool=n_pool, view=view,
                         f=f, keep=_keep_key(keep), resp_coord=resp_coord,
                         scale_coords=scale_coords)
 

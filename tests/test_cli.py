@@ -237,6 +237,19 @@ def test_regress_congeniality_exits_2(mpm_csv, capsys):
     assert "marginal" in capsys.readouterr().err
 
 
+def test_regress_method_is_one_of_the_estimators(mpm_csv, capsys):
+    # mr is refused by the congeniality policy, an unknown name by the parser,
+    # which no longer reports it as an incongenial outcome regression
+    base = ["regress", "--data", mpm_csv, "--x-cols", "Y1", "--l-cols", "Y2,Y3", "--response", "Y3",
+            "--predictors", "Y2", "--method"]
+    assert run([*base, "mr"]) == 2
+    assert "marginal" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run([*base, "foo"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice: 'foo'" in err and "marginal" not in err
+
+
 def test_table_single_replicate(tmp_path, capsys):
     out = tmp_path / "t.csv"
     code = run(["table", "--table", "1", "--replicates", "1", "--n", "2000",

@@ -370,6 +370,27 @@ def test_dataset_blocks_are_2d_arrays_of_numbers():
     assert (ds.n, ds.p, ds.d) == (1, 2, 1)
 
 
+def test_dataset_names_are_one_string_per_column():
+    X, L = np.ones((3, 2)), np.ones((3, 1))
+    for x_names, l_names in ((("a",), None), (("a", "b", "c"), None), ("ab", None), (["a", "b"], None),
+                             (("a", 1), None), (None, ()), (None, ("l", "m")), (None, "l")):
+        with pytest.raises(ConfigError, match="one per column"):
+            Dataset(X, L, x_names, l_names)
+    ds = Dataset(X, L, ("a", "b"), ("l",))
+    assert (ds.x_names, ds.l_names) == (("a", "b"), ("l",))
+    assert (Dataset(X, L).x_names, Dataset(X, L).l_names) == (("X1", "X2"), ("L1",))
+
+
+def test_schema_roles_are_tuples_of_strings(tmp_path):
+    for args in ((("Y1", "Y2"), ("Y3",), "NA"), ("Y1", ("Y3",)), (("Y1",), "Y3"), (["Y1"], ("Y3",)),
+                 (("Y1", 2), ("Y3",)), (("Y1",), ("Y3",), ("", None))):
+        with pytest.raises(ConfigError, match="tuple of strings"):
+            Schema(*args)
+    # empty cells and NA stay missing under the default tokens
+    ds = load_csv(write(tmp_path, "Y1,Y2,Y3\n1,,NA\n2,3,\n"), Schema(("Y1", "Y2"), ("Y3",)))
+    assert np.isnan(ds.X[0, 1]) and np.isnan(ds.L[:, 0]).all()
+
+
 def test_record_patterns():
     ds = eight_record_fixture()
     strata = build_strata(ds)

@@ -6,6 +6,8 @@ as a case resample (`Dataset.subset` of the drawn rows, strata rebuilt), which
 serves as the reference here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,13 +144,75 @@ def test_reweight_keeps_drawn_rows_and_reuses_designs(single_20k, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind,f", [("single", F1), ("multiple", F2)])
+def test_fitted_counts_are_the_views_frequency_sums(kind, f):
+    # a unit index counts each stratum and pool record once, a reweighted
+    # one by its drawn frequency; the fits read both from their pair view
+    ds = generate(SimDesign(kind, 2000, 5150))
+    strata = build_strata(ds)
+    counts = np.bincount(draw(ds, 3), minlength=ds.n)
+    rw = strata.reweight(counts)
+    for s, freq in ((strata, np.ones(ds.n, dtype=int)), (rw, counts)):
+        odds, outs = fit_all_odds(ds, s), fit_all_outcomes(ds, s, f)
+        assert odds.keys() == outs.keys() == {pr.key for pr in s.incomplete_pairs()}
+        for pr in s.incomplete_pairs():
+            case, pool = strata.stratum(pr), strata.pool(pr.r)
+            assert odds[pr.key].n_case == freq[case].sum()
+            assert odds[pr.key].n_pool == outs[pr.key].n_pool == freq[pool].sum()
+
+
+@pytest.mark.parametrize("kind", ["single", "multiple"])
+def test_reweighted_pools_are_the_drawn_records_of_the_parent_pools(kind):
+    ds = generate(SimDesign(kind, 2000, 5150))
+    strata = build_strata(ds)
+    counts = np.bincount(draw(ds, 4), minlength=ds.n)
+    rw = strata.reweight(counts)
+    assert rw.pools == {}                      # formed on demand only
+    for rv in range(1 << ds.p):
+        r = Pattern(rv, ds.p)
+        parent = strata.pool(r)
+        np.testing.assert_array_equal(rw.pool(r), parent[counts[parent] > 0])
+
+
+def test_pair_views_slice_their_stacked_rows(single_20k):
+    ds, strata = single_20k
+    rw = strata.reweight(np.bincount(draw(ds, 5), minlength=ds.n))
+    for s in (strata, rw):
+        for pr in s.incomplete_pairs():
+            view = pair_view(ds, s, pr)
+            np.testing.assert_array_equal(np.concatenate([view.case, view.pool]), view.rows)
+            for a in (view.case, view.pool, view.w_case, view.w_pool):
+                assert a.base is not None and not a.flags.writeable
+
+
+@pytest.mark.parametrize("kind,f,decompose", [("single", F1, False), ("multiple", F2, True)])
+def test_outcome_gram_is_formed_on_first_read(kind, f, decompose):
+    # the Gram matrix the fit used to form eagerly, bit for bit
+    ds = generate(SimDesign(kind, 2000, 5150))
+    strata = build_strata(ds)
+    rw = strata.reweight(np.bincount(draw(ds, 6), minlength=ds.n))
+    assert "gram" not in {fl.name for fl in dataclasses.fields(glm.OutcomeModel)}
+    for s in (strata, rw):
+        for pr in s.incomplete_pairs():
+            k = len(pr.r.indices) + len(pr.a.indices)
+            for keep in (None, tuple(j != 0 for j in range(k))):
+                m = glm.fit_outcome(ds, s, pr, f, keep=keep, decompose=decompose)
+                assert "gram" not in vars(m)
+                view = pair_view(ds, s, pr)
+                _, _, Z, _ = view.design(keep)
+                sw = np.sqrt(view.w_pool)
+                Z = Z * sw[:, None]
+                np.testing.assert_array_equal(m.gram, Z.T @ Z / ds.n)
+                assert m.gram is m.gram
+
+
 def test_reweight_drops_pairs_without_drawn_records():
     X = np.array([[1.0], [1.0], [np.nan], [1.0]])
     L = np.array([[np.nan], [1.0], [1.0], [2.0]])
     strata = build_strata(Dataset(X, L))
     rw = strata.reweight([0, 2, 1, 1])
     assert [pr.key for pr in rw.pairs()] == [(0, 1), (1, 1)]
-    assert rw.incomplete_pairs() == [] and rw.count(rw.pool(Pattern(1, 1))) == 3
+    assert rw.incomplete_pairs() == [] and int(rw.weights(rw.pool(Pattern(1, 1))).sum()) == 3
     with pytest.raises(ConfigError):
         strata.reweight([1, 1, 1])
     with pytest.raises(ConfigError):
