@@ -29,7 +29,7 @@ from .estimators import (
     estimate_mr,
     estimate_ra,
 )
-from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome
+from .glm import fit_all_odds, fit_all_outcomes, fit_odds, fit_outcome, incomplete_views
 from .inference import bootstrap, critical_value, failed_text, normal_ci, replicate, seed_sequence
 from .mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from .sensitivity import TiltSpec, sweep
@@ -283,10 +283,9 @@ def cmd_fit(args) -> int:
     method = args.method
 
     warnings = []
-    for pr in strata.incomplete_pairs() if method != "cc" else ():      # the complete-case mean fits no model
-        n_case, n_pool = strata.stratum(pr).size, strata.pool(pr.r).size
-        if n_case < 2 * args.n_min or n_pool < 2 * args.n_min:
-            warnings.append(f"small stratum {pr}: case {n_case}, pool {n_pool}")
+    for view in incomplete_views(ds, strata) if method != "cc" else ():      # the complete-case mean fits no model
+        if min(view.case.size, view.pool.size) < 2 * args.n_min:
+            warnings.append(f"small stratum {view.pair}: case {view.case.size}, pool {view.pool.size}")
 
     def estimate(dsx, sx):
         if method == "cc":

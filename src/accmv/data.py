@@ -233,10 +233,9 @@ class StratumIndex:
     """Record positions grouped by exact pattern pair, plus per-r pools.
 
     The pool for r is every record with all primaries observed and R >= r;
-    it is what both nuisance-model families are fitted on.  Pools for the
-    patterns appearing with incomplete primaries are materialized eagerly
-    by `build_strata`, others on demand.  `designs` caches the pair views
-    built from these rows (see `glm.pair_view`), so they live as long as the index.
+    it is what both nuisance-model families are fitted on, formed on first
+    use.  `designs` caches the pair views built from these rows (see
+    `glm.pair_view` and `glm.incomplete_views`), so they live as long as the index.
 
     `freq` counts each record that many times; None counts every record
     once.  `reweight` makes such an index of the same `ds` from a unit-frequency one.
@@ -318,8 +317,6 @@ def build_strata(ds: Dataset) -> StratumIndex:
     cut = np.flatnonzero((np.diff(rc) != 0) | (np.diff(ac) != 0)) + 1
     for grp in np.split(order, cut):
         idx.by_pair[(int(ds.r_codes[grp[0]]), int(ds.a_codes[grp[0]]))] = np.sort(grp)
-    for rv in {rv for rv, av in idx.by_pair if av != ds.complete_code}:
-        idx.pool(Pattern(rv, ds.p))
     return idx
 
 

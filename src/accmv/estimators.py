@@ -25,8 +25,8 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, InferenceError, PositivityError
-from .glm import complete_values, fitted, odds_correction, pair_view, read_outcome, view_values
-from .patterns import PatternPair
+from .glm import (OddsModel, OutcomeModel, PairView, complete_values, fitted, incomplete_views, odds_correction,
+                  read_outcome, view_values)
 
 @dataclass
 class WeightTable:
@@ -55,12 +55,11 @@ def compute_weights(ds: Dataset, strata: StratumIndex, odds: dict | None) -> Wei
     """The complete-case weight table from the odds models of the pairs
     present in `strata`; every pair present with incomplete primaries needs
     a model, and `odds` None means zero odds in every pair."""
-    strata.check_dataset(ds)
+    views = _require_models(ds, strata, odds, "odds")
     rows = np.flatnonzero(strata.complete_mask)
     total = np.ones(ds.n)
-    for pr in _require_models(strata, odds, "odds"):
-        view = pair_view(ds, strata, pr)
-        total[view.pool] += view_values(odds[pr.key], view, "pool")
+    for view in views:
+        total[view.pool] += view_values(odds[view.pair.key], view, "pool")
     return WeightTable(rows=rows, total=total[rows] * strata.weights(rows))
 
 
@@ -82,13 +81,13 @@ def weighted_score_influence(ds, strata, odds, s, tilt=None, correct=True) -> np
     the score columns `s` (zero off the complete records) plus each pair's
     pool terms s O t and, with `correct`, its fitted odds model's correction.
     `tilt` maps a pair key to t on its pool, else t = 1.  Unit frequencies only."""
-    strata.check_dataset(ds)
+    views = _require_models(ds, strata, odds, "odds")
     if strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
     u = s.copy()
-    for pr in _require_models(strata, odds, "odds"):
-        view, model = pair_view(ds, strata, pr), odds[pr.key]
-        ot = view_values(model, view, "pool") * (1.0 if tilt is None else tilt[pr.key])
+    for view in views:
+        model = odds[view.pair.key]
+        ot = view_values(model, view, "pool") * (1.0 if tilt is None else tilt[view.pair.key])
         so = (s[view.pool].T * ot).T
         inc = odds_correction(model, so) if correct and fitted(model) else np.zeros((view.rows.size, *s.shape[1:]))
         inc[view.case.size:] += so
@@ -133,14 +132,23 @@ class ThetaEstimate:
         }
 
 
-def _require_models(strata: StratumIndex, models: dict | None, family: str) -> list[PatternPair]:
-    """The incomplete pairs present in `strata`, each of which needs a model
-    in `models`; None stands for no model (a zero term) in every pair."""
-    pairs = strata.incomplete_pairs() if models is not None else []
-    for pr in pairs:
-        if pr.key not in models:
-            raise ConfigError(f"no {family} model supplied for stratum {pr} present in the data")
-    return pairs
+def _require_models(ds: Dataset, strata: StratumIndex, models: dict | None, family: str) -> tuple[PairView, ...]:
+    """The views of the incomplete pairs present in `strata` (see `glm.incomplete_views`),
+    each of which needs a model of `family` ("odds" or "outcome") in `models`:
+    a fit of that family or an oracle with `predict`, else ConfigError.  None
+    stands for no model (a zero term) in every pair, and lists no view."""
+    if models is None:
+        strata.check_dataset(ds)
+        return ()
+    views = incomplete_views(ds, strata)
+    own, other = (OddsModel, OutcomeModel) if family == "odds" else (OutcomeModel, OddsModel)
+    for view in views:
+        model = models.get(view.pair.key)
+        if model is None:
+            raise ConfigError(f"no {family} model supplied for stratum {view.pair} present in the data")
+        if isinstance(model, other) or not (isinstance(model, own) or hasattr(model, "predict")):
+            raise ConfigError(f"{view.pair}: {type(model).__name__} is neither a fitted {family} model nor an oracle")
+    return views
 
 
 class _Walk(NamedTuple):
@@ -209,18 +217,18 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
     """
     if influence and strata.freq is not None:
         raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
-    _require_models(strata, odds, "odds")
-    _require_models(strata, outcomes, "outcome")
+    odds_views = _require_models(ds, strata, odds, "odds")
+    views = _require_models(ds, strata, outcomes, "outcome") or odds_views
     fmap = complete_values(ds, strata, f)
     sums = {}
     for pr in strata.pairs():
         if pr.a.value == ds.complete_code:
             rows = strata.stratum(pr)
-            sums[(str(pr.r), str(pr.a))] = (fmap[rows] * strata.weights(rows)).sum()
+            sums[pr.label] = (fmap[rows] * strata.weights(rows)).sum()
     phi = fmap.copy() if influence else None
     aug_total = 0.0
-    for pr in strata.incomplete_pairs() if odds is not None or outcomes is not None else ():
-        view = pair_view(ds, strata, pr)
+    for view in views:
+        pr = view.pair
         gm = odds[pr.key] if odds is not None else None
         om = outcomes[pr.key] if outcomes is not None else None
         # kept by the odds model, else the regression, once per functional;
@@ -229,11 +237,11 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
         pieces = owner.pieces if fitted(owner, view) else {}          # oracles keep nothing
         key = (om if gm is not None else None, influence)
         if pieces.get(key, (None,))[0] is not f:
-            if fitted(om) and om.f != f:
+            if isinstance(om, OutcomeModel) and om.f != f:
                 raise ConfigError(f"{pr}: the outcome model was fitted for {om.f.describe()}, not {f.describe()}")
             pieces[key] = (f, _pair_terms(view, fmap, gm, om, influence))
         term, aug, inc = pieces[key][1]
-        sums[(str(pr.r), str(pr.a))] = term
+        sums[pr.label] = term
         aug_total += aug
         if inc is not None:
             phi[view.rows] += inc         # case and pool rows are distinct

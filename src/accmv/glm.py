@@ -14,8 +14,8 @@ index (one each unless the index was reweighted for a resample).
 
 Both retain the normalizing matrices needed to evaluate per-record influence
 contributions of the estimated coefficients.  The designs of each pattern
-pair are built once per stratum index and shared through `pair_view`, and
-a fitted model is read only on the view of its fit (see `fitted`).  Only
+pair are built once per stratum index and shared through `pair_view` and
+`incomplete_views`, and a fitted model is read only on its fit's view.  Only
 `complete_values` evaluates f and only `read_outcome` reads an outcome model;
 a model keeps only the estimators' pair terms (see `estimators._walk`).
 """
@@ -127,9 +127,10 @@ class PairView:
         return view, pos[self.case.size:] - view.case.size
 
     def design(self, keep=None) -> KeptDesign:
-        """Designs restricted to the non-intercept columns `keep` marks."""
-        key = _keep_key(keep)
+        """Designs restricted to the non-intercept columns `keep` (a fit's `keep`, or any mask) marks."""
+        key = keep if keep is None or type(keep) is tuple else _keep_key(keep)
         if key not in self._kept:
+            key = _keep_key(key)
             if self._base is None:
                 Z, names = design_matrix(self.ds, self.rows, self.pair, key)
             else:
@@ -166,6 +167,7 @@ def _check_pair(ds: Dataset, pair: PatternPair, keep) -> None:
 class _DesignCache:
     def __init__(self, strata: StratumIndex):
         self.pairs = {}              # (r, a) codes -> PairView
+        self.incomplete = None       # the views of strata.incomplete_pairs(), once listed
         self.complete = (None, None)   # (functional, its `complete_values`)
         self.buffers = _unit_buffers(strata) if strata.parent is None else None
 
@@ -224,6 +226,14 @@ def pair_view(ds: Dataset, strata: StratumIndex, pair: PatternPair) -> PairView:
             view = pair_view(ds, strata.parent, pair).reweighted(strata.freq)
         cache.pairs[pair.key] = view
     return view
+
+
+def incomplete_views(ds: Dataset, strata: StratumIndex) -> tuple[PairView, ...]:
+    """Views of the pairs of `strata` with incomplete primaries, which need models, listed once per index."""
+    cache = _designs(ds, strata)
+    if cache.incomplete is None:
+        cache.incomplete = tuple(pair_view(ds, strata, pr) for pr in strata.incomplete_pairs())
+    return cache.incomplete
 
 
 def _clamped_eta(Z, coef):
@@ -293,11 +303,11 @@ def _start(view: PairView, key, Z, w, n):
     return alpha.copy(), _clamped_eta(Z, alpha)
 
 
-def _inverse(M, what):
+def _inverse(M, pair, what):
     try:
         return np.linalg.inv(M)
     except np.linalg.LinAlgError:
-        raise SingularityError(f"{what} is singular; no influence correction") from None
+        raise SingularityError(f"{pair}: {what} is singular; no influence correction") from None
 
 
 @dataclass(eq=False)
@@ -324,7 +334,7 @@ class OddsModel:
     @cached_property
     def info_inv(self) -> np.ndarray:
         """Inverse of `info`, shared by every influence correction of this fit."""
-        return _inverse(self.info, f"{self.pair}: odds information matrix")
+        return _inverse(self.info, self.pair, "odds information matrix")
 
 
 @dataclass(eq=False)
@@ -350,14 +360,16 @@ class OutcomeModel:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """(1/n) sum over the pool of weighted design outer products, formed on first read."""
-        Z = self.view.design(self.keep).pool * np.sqrt(self.view.w_pool)[:, None]
-        return Z.T @ Z / self.view.ds.n
+        """(1/n) sum over the pool of weighted design outer products, formed
+        on first read; a unit-frequency view weights each row by one."""
+        v, Z = self.view, self.view.design(self.keep).pool
+        Z = Z if v._base is None else Z * np.sqrt(v.w_pool)[:, None]
+        return Z.T @ Z / v.ds.n
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
         """Inverse of `gram`, shared by every influence correction of this fit."""
-        return _inverse(self.gram, f"{self.pair}: outcome Gram matrix")
+        return _inverse(self.gram, self.pair, "outcome Gram matrix")
 
 
 def fit_odds(
@@ -387,10 +399,10 @@ def fit_odds(
         )
     y, w = view.y, view.w
     wy = w * y
-    Z, _, _, names = view.design(keep)
+    key = _keep_key(keep)
+    Z, _, _, names = view.design(key)
     n = ds.n
 
-    key = _keep_key(keep)
     alpha, eta = _start(view, key, Z, w, n)
     nll, e = _negloglik_at(eta, wy, w, n)
     for it in range(1, MAX_ITER + 2):
@@ -479,27 +491,28 @@ def fit_outcome(
             scale_coords = present
 
     rho = complete_values(ds, strata, f)[view.pool] if resp_coord is None else ds.L[view.pool, resp_coord]
-    _, _, Z, names = view.design(keep)
+    key = _keep_key(keep)
+    _, _, Z, names = view.design(key)
     sw = np.sqrt(view.w_pool)
     Z, rho = Z * sw[:, None], rho * sw
     beta, _, rank, _ = np.linalg.lstsq(Z, rho, rcond=None)
     if rank < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
     return OutcomeModel(pair=pair, beta=beta, names=names, n_pool=n_pool, view=view,
-                        f=f, keep=_keep_key(keep), resp_coord=resp_coord,
+                        f=f, keep=key, resp_coord=resp_coord,
                         scale_coords=scale_coords)
 
 
 def fit_all_odds(ds, strata, n_min: int = DEFAULT_N_MIN) -> dict:
     """Odds models for every pattern pair present with incomplete primaries,
     keyed by (r_value, a_value)."""
-    return {pr.key: fit_odds(ds, strata, pr, n_min=n_min) for pr in strata.incomplete_pairs()}
+    return {v.pair.key: fit_odds(ds, strata, v.pair, n_min=n_min) for v in incomplete_views(ds, strata)}
 
 
 def fit_all_outcomes(ds, strata, f, n_min: int = DEFAULT_N_MIN, decompose: bool = False) -> dict:
     return {
-        pr.key: fit_outcome(ds, strata, pr, f, n_min=n_min, decompose=decompose)
-        for pr in strata.incomplete_pairs()
+        v.pair.key: fit_outcome(ds, strata, v.pair, f, n_min=n_min, decompose=decompose)
+        for v in incomplete_views(ds, strata)
     }
 
 

@@ -32,19 +32,15 @@ class Pattern:
             raise ConfigError(f"pattern length must be in [1, {MAX_LENGTH}], got {self.length}")
         if not 0 <= self.value < (1 << self.length):
             raise ConfigError(f"pattern value {self.value} out of range for length {self.length}")
-        # derived once: patterns are immutable and these are read on every design lookup
+        # derived once: patterns are immutable and these are read on every design lookup;
+        # `indices` holds the 0-based coordinates that are observed, in coordinate order
         bits = tuple((self.value >> (self.length - 1 - j)) & 1 for j in range(self.length))
         object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_indices", tuple(j for j, b in enumerate(bits) if b))
+        object.__setattr__(self, "indices", tuple(j for j, b in enumerate(bits) if b))
 
     @property
     def bits(self) -> tuple[int, ...]:
         return self._bits
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """0-based coordinates that are observed, in coordinate order."""
-        return self._indices
 
     def __str__(self) -> str:
         return format(self.value, f"0{self.length}b")
@@ -52,17 +48,17 @@ class Pattern:
 
 @dataclass(frozen=True)
 class PatternPair:
-    """One stratum index (R = r, A = a)."""
+    """One stratum index (R = r, A = a); `key` holds its codes and `label` (str(r), str(a))."""
 
     r: Pattern
     a: Pattern
 
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.r.value, self.a.value))
+        object.__setattr__(self, "label", (str(self.r), str(self.a)))
+
     def __str__(self) -> str:
         return f"(r={self.r}, a={self.a})"
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.r.value, self.a.value)
 
 
 def dominating(codes, r: Pattern):

@@ -19,7 +19,7 @@ import numpy as np
 from .data import Dataset, Functional, StratumIndex, check_finite
 from .errors import ConfigError, DegenerateNormalizationError
 from .estimators import _require_models, self_normalized_influence
-from .glm import complete_values, fit_all_odds, pair_view, view_values
+from .glm import complete_values, fit_all_odds, view_values
 from .inference import DEFAULT_LEVEL, _check_replicates, bootstrap, normal_ci
 
 TILT_CLAMP = 30.0
@@ -70,7 +70,7 @@ def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid, factors: dict) -> tu
     factors with frequency times odds, one dot per grid point.  `factors`
     keeps each pair's len(grid) x pool factors, formed on the unit-frequency
     pool on first use; a reweighted view takes its pool columns by position."""
-    pairs = _require_models(strata, odds, "odds")
+    views = _require_models(ds, strata, odds, "odds")
     fmap = complete_values(ds, strata, f)
     rows = np.flatnonzero(strata.complete_mask)
     freq = strata.weights(rows)
@@ -78,8 +78,8 @@ def _tilted_grid(ds, strata, odds, f, spec: TiltSpec, grid, factors: dict) -> tu
     if not den.all():
         raise DegenerateNormalizationError("tilted weight sum is zero: no complete-primary records")
     center, deltas = spec.resolved_center(ds.d), [spec.resolved_delta(ds.d, m) for m in grid]
-    for pr in pairs:
-        view = pair_view(ds, strata, pr)
+    for view in views:
+        pr = view.pair
         unit, pos = view.drawn_from()
         if pr.key not in factors:
             miss = [j for j in range(ds.d) if j not in pr.a.indices]     # the coordinates a leaves unobserved

@@ -24,7 +24,7 @@ import numpy as np
 from .data import Dataset, Functional, build_strata, check_integer
 from .errors import ConfigError
 from .estimators import compute_weights
-from .glm import complete_values, pair_view
+from .glm import complete_values, incomplete_views, pair_view
 from .patterns import Pattern, PatternPair
 
 KINDS = ("single", "multiple", "mpm")
@@ -311,30 +311,24 @@ def verify_oracles(design: SimDesign) -> OracleReport:
 
     # odds moment identities: E[g I(case)] = E[O g I(pool)]; on mpm these are
     # the mass ratios its mechanism implies (O = 1/2 for r = 0, exp(x/2) for r = 1)
-    for key in sorted(truth.odds):
-        model = truth.odds[key]
-        pr = model.pair
-        if strata.stratum(pr).size == 0 or strata.pool(pr.r).size == 0:
+    for view in incomplete_views(ds, strata):
+        if view.pool.size == 0:
             continue
-        view = pair_view(ds, strata, pr)
         _, Zc, Zp, names = view.design()
-        ovals = model.predict(*view.blocks("pool"))
+        ovals = truth.odds[view.pair.key].predict(*view.blocks("pool"))
         for j, nm in enumerate(names):
             vals = np.concatenate([Zc[:, j], -ovals * Zp[:, j]])
-            _mean_check(rows, f"odds {pr} moment[{nm}]", vals, n, 0.0)
+            _mean_check(rows, f"odds {view.pair} moment[{nm}]", vals, n, 0.0)
 
     # regression orthogonality: E[(f - m) g I(pool)] = 0
     fmap = complete_values(ds, strata, truth.functional) if truth.functional is not None else None
-    for key in sorted(truth.outcomes):
-        model = truth.outcomes[key]
-        pr = model.pair
-        if strata.pool(pr.r).size == 0:
+    for view in incomplete_views(ds, strata) if truth.outcomes else ():
+        if view.pool.size == 0:
             continue
-        view = pair_view(ds, strata, pr)
         _, _, Zp, names = view.design()
-        resid = fmap[view.pool] - model.predict(*view.blocks("pool"))
+        resid = fmap[view.pool] - truth.outcomes[view.pair.key].predict(*view.blocks("pool"))
         for j, nm in enumerate(names):
-            _mean_check(rows, f"regression {pr} orth[{nm}]", resid * Zp[:, j], n, 0.0)
+            _mean_check(rows, f"regression {view.pair} orth[{nm}]", resid * Zp[:, j], n, 0.0)
 
     if design.kind == "multiple":
         # pointwise windows for the richest pool regression
@@ -354,9 +348,8 @@ def verify_oracles(design: SimDesign) -> OracleReport:
         _mean_check(rows, "theta via oracle weights", v, n, truth.theta_true)
         # target through the regression identity with oracle outcomes
         v = fmap.copy()
-        for pr in strata.incomplete_pairs():
-            view = pair_view(ds, strata, pr)
-            v[view.case] = truth.outcomes[pr.key].predict(*view.blocks("case"))
+        for view in incomplete_views(ds, strata):
+            v[view.case] = truth.outcomes[view.pair.key].predict(*view.blocks("case"))
         _mean_check(rows, "theta via oracle regressions", v, n, truth.theta_true)
 
     if design.kind == "mpm":

@@ -166,6 +166,12 @@ def two_covariate_pair(strata):
     return next(pr for pr in strata.incomplete_pairs() if len(pr.r.indices) + len(pr.a.indices) == 2)
 
 
+def with_fits(call):
+    """`call(ds, s, odds, outcomes, f)` with both model families fitted on `s` for f = L1."""
+    f = Functional("coordinate", (0,))
+    return lambda ds, s: call(ds, s, fit_all_odds(ds, s), fit_all_outcomes(ds, s, f), f)
+
+
 def tilt_at(multiplier):
     return lambda ds, s: tilted_estimate(ds, s, fit_all_odds(ds, s), Functional("coordinate", (0,)),
                                          TiltSpec(delta=(1.0,)), multiplier)
@@ -199,13 +205,21 @@ def tilt_at(multiplier):
     tilt_at("a"),
     lambda ds, s: fit_odds(ds, s, two_covariate_pair(s), keep=("a", "")),
     lambda ds, s: fit_odds(ds, s, two_covariate_pair(s), keep=(np.nan, 0)),
+    with_fits(lambda ds, s, odds, outs, f: estimate_ipw(ds, s, outs, f)),
+    with_fits(lambda ds, s, odds, outs, f: sweep(ds, s, outs, f, TiltSpec(delta=(1.0,), grid=(0.0,)))),
+    with_fits(lambda ds, s, odds, outs, f: solve_weighted_ee(ds, s, outs, ScoreSpec("gaussian"))),
+    with_fits(lambda ds, s, odds, outs, f: estimate_ra(ds, s, odds, f)),
+    with_fits(lambda ds, s, odds, outs, f: estimate_mr(ds, s, outs, odds, f)),
+    with_fits(lambda ds, s, odds, outs, f: estimate_ipw(ds, s, dict.fromkeys(odds, 1.0), f)),
 ], ids=["odds-keep-length", "outcome-keep-length", "odds-pattern-length", "outcome-pattern-length",
         "bootstrap-B-float", "bootstrap-B-text",
         "bootstrap-estimate-nan", "bootstrap-estimate-text", "bootstrap-estimate-shape",
         "bootstrap-reweighted-index", "sweep-B-float",
         "sweep-B-one", "sweep-B-negative", "f-none", "f-none-after-another", "f-text",
         "index-read-with-another-seed", "index-read-with-a-smaller-dataset", "index-read-with-a-subset-copy",
-        "tilt-multiplier-nan", "tilt-multiplier-inf", "tilt-multiplier-text", "odds-keep-text", "odds-keep-nan"])
+        "tilt-multiplier-nan", "tilt-multiplier-inf", "tilt-multiplier-text", "odds-keep-text", "odds-keep-nan",
+        "ipw-given-outcome-models", "sweep-given-outcome-models", "mpm-given-outcome-models",
+        "ra-given-odds-models", "mr-given-swapped-families", "odds-given-numbers"])
 def test_named_bad_estimation_inputs(two_primaries, call):
     ds, strata = two_primaries
     with pytest.raises(ConfigError):
