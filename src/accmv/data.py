@@ -11,6 +11,7 @@ primary variables observed and at least the same auxiliaries observed.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 import warnings
@@ -122,14 +123,15 @@ def load_csv(path, schema: Schema) -> Dataset:
     only whitespace is not a record.  numpy's tokenizer reads a regular
     file; a file it rejects, or input that cannot be opened twice, such as
     a pipe, is read record by record, so that an error names its line,
-    column and cell.
+    column and cell.  A UTF-8 byte-order mark before the header is dropped.
     """
     try:
         fh = open(path, newline="")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
-        reader = csv.reader(fh)
+        # a UTF-8 byte-order mark, which "CSV UTF-8" files begin with, is not part of the header
+        reader = csv.reader(itertools.chain((line.removeprefix("\ufeff") for line in itertools.islice(fh, 1)), fh))
         rows = _rows(reader, path)
         try:
             _, header = next(rows)

@@ -9,7 +9,8 @@ with the regression set to zero, RA with the odds set to zero, and the
 complete-case mean is the IPW with no odds model, divided by its own weight
 total.  One pass over the pairs gives the estimate and, on a unit-frequency
 index, its influence vector.  Strata absent from the data contribute no term
-and require no model.  Which complete records
+and require no model.  Every entry that reads models checks them once, in
+`_require_models`, and the readers past it trust them.  Which complete records
 lie in the pool of a pattern is decided by `StratumIndex.pool` alone; the
 kernel and the weight tables read it through each pair's view.  Every sum
 over records counts each record by its frequency in the stratum index, so
@@ -25,8 +26,8 @@ import numpy as np
 
 from .data import Dataset, Functional, StratumIndex
 from .errors import ConfigError, InferenceError, PositivityError
-from .glm import (OddsModel, OutcomeModel, PairView, complete_values, fitted, incomplete_views, odds_correction,
-                  read_outcome, view_values)
+from .glm import (OddsModel, OutcomeModel, PairView, complete_values, incomplete_views, odds_correction, read_outcome,
+                  view_values)
 
 @dataclass
 class WeightTable:
@@ -89,7 +90,8 @@ def weighted_score_influence(ds, strata, odds, s, tilt=None, correct=True) -> np
         model = odds[view.pair.key]
         ot = view_values(model, view, "pool") * (1.0 if tilt is None else tilt[view.pair.key])
         so = (s[view.pool].T * ot).T
-        inc = odds_correction(model, so) if correct and fitted(model) else np.zeros((view.rows.size, *s.shape[1:]))
+        inc = (odds_correction(model, so) if correct and isinstance(model, OddsModel)
+               else np.zeros((view.rows.size, *s.shape[1:])))
         inc[view.case.size:] += so
         u[view.rows] += inc           # case and pool rows are distinct
     return u
@@ -135,8 +137,8 @@ class ThetaEstimate:
 def _require_models(ds: Dataset, strata: StratumIndex, models: dict | None, family: str) -> tuple[PairView, ...]:
     """The views of the incomplete pairs present in `strata` (see `glm.incomplete_views`),
     each of which needs a model of `family` ("odds" or "outcome") in `models`:
-    a fit of that family or an oracle with `predict`, else ConfigError.  None
-    stands for no model (a zero term) in every pair, and lists no view."""
+    a fit of that family fitted on that view, or an oracle with `predict`, else
+    ConfigError.  None stands for no model (a zero term) in every pair, and lists no view."""
     if models is None:
         strata.check_dataset(ds)
         return ()
@@ -148,6 +150,8 @@ def _require_models(ds: Dataset, strata: StratumIndex, models: dict | None, fami
             raise ConfigError(f"no {family} model supplied for stratum {view.pair} present in the data")
         if isinstance(model, other) or not (isinstance(model, own) or hasattr(model, "predict")):
             raise ConfigError(f"{view.pair}: {type(model).__name__} is neither a fitted {family} model nor an oracle")
+        if isinstance(model, own) and model.view is not view:
+            raise ConfigError(f"{view.pair}: a fitted model is read only on the stratum index it was fitted on")
     return views
 
 
@@ -166,7 +170,7 @@ def _pair_terms(view, fmap, gm, om, influence):
     n = view.ds.n
     term, aug = 0.0, 0.0
     if om is not None:
-        m = read_outcome(om, view, fmap, pool=gm is not None or (influence and fitted(om)))
+        m = read_outcome(om, view, fmap, pool=gm is not None or (influence and isinstance(om, OutcomeModel)))
         term = (m.case * view.w_case).sum()
     if gm is not None:
         o_pool = view_values(gm, view, "pool")
@@ -185,14 +189,14 @@ def _pair_terms(view, fmap, gm, om, influence):
     if gm is not None:
         ro = resid * o_pool
         pool += ro
-    if fitted(om):
+    if isinstance(om, OutcomeModel):
         # the gradient in beta of the case-row sum of m, less the odds-weighted pool sum
-        Zm = view.design(om.keep)
+        Zm = om.design
         grad = Zm.case.T @ m.factor_case
         if gm is not None:
             grad = grad - Zm.pool.T @ (m.factor_pool * o_pool)
         pool += m.score * (Zm.pool @ (om.gram_inv @ (grad / n)))
-    if fitted(gm):
+    if isinstance(gm, OddsModel):
         inc += odds_correction(gm, ro)
     inc.flags.writeable = False
     return term, aug, inc
@@ -215,10 +219,10 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
     over its case and pool rows, which holds the pair's terms and one
     correction per fitted model).
     """
-    if influence and strata.freq is not None:
-        raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
     odds_views = _require_models(ds, strata, odds, "odds")
     views = _require_models(ds, strata, outcomes, "outcome") or odds_views
+    if influence and strata.freq is not None:
+        raise ConfigError("influence values are defined for unit frequencies only, not on a reweighted index")
     fmap = complete_values(ds, strata, f)
     sums = {}
     for pr in strata.pairs():
@@ -234,7 +238,7 @@ def _walk(ds, strata, f, odds=None, outcomes=None, influence=False) -> _Walk:
         # kept by the odds model, else the regression, once per functional;
         # the key holds no model that holds it, so no reference cycle forms
         owner = gm if gm is not None else om
-        pieces = owner.pieces if fitted(owner, view) else {}          # oracles keep nothing
+        pieces = owner.pieces if isinstance(owner, (OddsModel, OutcomeModel)) else {}    # oracles keep nothing
         key = (om if gm is not None else None, influence)
         if pieces.get(key, (None,))[0] is not f:
             if isinstance(om, OutcomeModel) and om.f != f:

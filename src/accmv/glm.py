@@ -15,9 +15,10 @@ index (one each unless the index was reweighted for a resample).
 Both retain the normalizing matrices needed to evaluate per-record influence
 contributions of the estimated coefficients.  The designs of each pattern
 pair are built once per stratum index and shared through `pair_view` and
-`incomplete_views`, and a fitted model is read only on its fit's view.  Only
-`complete_values` evaluates f and only `read_outcome` reads an outcome model;
-a model keeps only the estimators' pair terms (see `estimators._walk`).
+`incomplete_views`.  A fit holds its view and design and is read only there,
+as `estimators._require_models` checks once per call.  Only `complete_values`
+evaluates f and only `read_outcome` reads an outcome model; a model keeps
+only the estimators' pair terms (see `estimators._walk`).
 """
 
 from __future__ import annotations
@@ -312,14 +313,14 @@ def _inverse(M, pair, what):
 
 @dataclass(eq=False)
 class OddsModel:
-    """Fitted logistic odds for one pattern pair, read only on `view`, the view of its fit."""
+    """Fitted logistic odds for one pattern pair on `view` and its `design`, those of its fit."""
 
     pair: PatternPair
     alpha: np.ndarray
-    names: tuple[str, ...]
     n_case: int
     n_pool: int
     view: PairView = field(repr=False)
+    design: KeptDesign = field(repr=False)
     e: np.ndarray = field(repr=False)   # the model's values: read-only exp(eta) at alpha on view.rows
     keep: tuple | None = None
     n_iter: int = 0
@@ -329,7 +330,7 @@ class OddsModel:
     def info(self) -> np.ndarray:
         """(1/n) sum of weighted design outer products at alpha, formed on first read."""
         v = self.view
-        return -_score_hessian_at(self.e, v.design(self.keep).stacked, v.y, v.ds.n, v.w)[1]
+        return -_score_hessian_at(self.e, self.design.stacked, v.y, v.ds.n, v.w)[1]
 
     @cached_property
     def info_inv(self) -> np.ndarray:
@@ -339,7 +340,7 @@ class OddsModel:
 
 @dataclass(eq=False)
 class OutcomeModel:
-    """Fitted least-squares outcome regression of `f` for one pattern pair, read only on `view`.
+    """Fitted least-squares outcome regression of `f` for one pattern pair on `view` and its `design`.
 
     When `scale_coords` is nonempty the fit regressed the product of the
     unobserved target coordinates on the design and prediction multiplies the
@@ -349,9 +350,9 @@ class OutcomeModel:
 
     pair: PatternPair
     beta: np.ndarray
-    names: tuple[str, ...]
     n_pool: int
     view: PairView = field(repr=False)
+    design: KeptDesign = field(repr=False)
     f: Functional
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
@@ -362,7 +363,7 @@ class OutcomeModel:
     def gram(self) -> np.ndarray:
         """(1/n) sum over the pool of weighted design outer products, formed
         on first read; a unit-frequency view weights each row by one."""
-        v, Z = self.view, self.view.design(self.keep).pool
+        v, Z = self.view, self.design.pool
         Z = Z if v._base is None else Z * np.sqrt(v.w_pool)[:, None]
         return Z.T @ Z / v.ds.n
 
@@ -400,8 +401,8 @@ def fit_odds(
     y, w = view.y, view.w
     wy = w * y
     key = _keep_key(keep)
-    Z, _, _, names = view.design(key)
-    n = ds.n
+    design = view.design(key)
+    Z, n = design.stacked, ds.n
 
     alpha, eta = _start(view, key, Z, w, n)
     nll, e = _negloglik_at(eta, wy, w, n)
@@ -451,7 +452,7 @@ def fit_odds(
     e.flags.writeable = False        # the model's values, shared by every reader
     if view._base is None:
         view._fits[key] = (alpha, e)
-    return OddsModel(pair=pair, alpha=alpha, names=names, n_case=n_case, n_pool=n_pool, view=view, e=e,
+    return OddsModel(pair=pair, alpha=alpha, n_case=n_case, n_pool=n_pool, view=view, design=design, e=e,
                      keep=key, n_iter=it)
 
 
@@ -492,13 +493,13 @@ def fit_outcome(
 
     rho = complete_values(ds, strata, f)[view.pool] if resp_coord is None else ds.L[view.pool, resp_coord]
     key = _keep_key(keep)
-    _, _, Z, names = view.design(key)
+    design = view.design(key)
     sw = np.sqrt(view.w_pool)
-    Z, rho = Z * sw[:, None], rho * sw
+    Z, rho = design.pool * sw[:, None], rho * sw
     beta, _, rank, _ = np.linalg.lstsq(Z, rho, rcond=None)
     if rank < Z.shape[1]:
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
-    return OutcomeModel(pair=pair, beta=beta, names=names, n_pool=n_pool, view=view,
+    return OutcomeModel(pair=pair, beta=beta, n_pool=n_pool, view=view, design=design,
                         f=f, keep=key, resp_coord=resp_coord,
                         scale_coords=scale_coords)
 
@@ -519,12 +520,12 @@ def fit_all_outcomes(ds, strata, f, n_min: int = DEFAULT_N_MIN, decompose: bool 
 def view_values(model, view: PairView, part: str) -> np.ndarray:
     """Values of an odds model or an oracle on the "case" or "pool" rows of `view`.
 
-    A fitted odds model is read only on the view of its fit (see `fitted`),
-    and its values are slices of its `e`; an oracle goes through its `predict`.
+    A fitted odds model's values are slices of its `e` on its own view, which
+    the estimators have checked is `view`; an oracle goes through its `predict`.
     """
-    if not fitted(model, view):
+    if not isinstance(model, OddsModel):
         return model.predict(*view.blocks(part))
-    return model.e[:view.case.size] if part == "case" else model.e[view.case.size:]
+    return model.e[:model.view.case.size] if part == "case" else model.e[model.view.case.size:]
 
 
 class OutcomeRead(NamedTuple):
@@ -539,15 +540,15 @@ class OutcomeRead(NamedTuple):
 
 def read_outcome(model, view: PairView, fmap: np.ndarray, pool: bool) -> OutcomeRead:
     """An outcome model or oracle on the case rows of `view` and, with `pool`,
-    on its pool rows, each product formed once.  A fitted model is read only
-    on the view of its fit (see `fitted`): its values are design times beta
+    on its pool rows, each product formed once.  A fit is read on its own view,
+    which the estimators have checked is `view`: its values are design times beta
     times the observed factors of a decomposed product (the view's shared ones
     where there are none), and its score residuals its response, `fmap` (f on
     the complete records) or the L column `resp_coord`, minus design times beta."""
     parts = ("case", "pool") if pool else ("case",)
-    if not fitted(model, view):
+    if not isinstance(model, OutcomeModel):
         return OutcomeRead(*(view_values(model, view, p) for p in parts))
-    Z, coords = view.design(model.keep), model.scale_coords
+    view, Z, coords = model.view, model.design, model.scale_coords
     pos = [model.pair.a.indices.index(c) for c in coords]
     factors = [view.blocks(p)[1][:, pos].prod(axis=1) if coords else view._ones[:getattr(view, p).size] for p in parts]
     linear = [getattr(Z, p) @ model.beta for p in parts]
@@ -562,20 +563,9 @@ def odds_correction(model: OddsModel, ro: np.ndarray) -> np.ndarray:
     """Influence correction of the odds fit `model` on the stacked rows of
     its view for the pool terms `ro` (odds times a residual), one per pool
     row or one column per estimating-function coordinate, as the result is."""
-    Z = model.view.design(model.keep)
+    Z = model.design
     M = Z.stacked @ (model.info_inv @ (Z.pool.T @ ro / model.view.ds.n))
     return (score_residuals(model) * M.T).T
-
-
-def fitted(model, view: PairView | None = None) -> bool:
-    """True for estimated models, which carry the matrices their influence
-    corrections need; known functions contribute no correction.  Such a
-    model read on `view` must have been fitted on it, else ConfigError."""
-    if not isinstance(model, (OddsModel, OutcomeModel)):
-        return False
-    if view is not None and view is not model.view:
-        raise ConfigError(f"{model.pair}: a fitted model is read only on the stratum index it was fitted on")
-    return True
 
 
 def score_residuals(model: OddsModel) -> np.ndarray:

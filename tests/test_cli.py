@@ -499,6 +499,72 @@ def test_fit_golden(design, method, single_csv, multiple_csv, tmp_path, capsys):
     assert abs(report["influence"]["se"] - se) <= 1e-12
 
 
+# The outputs below, as computed when every read of a fitted model checked
+# its view: the sweep, regression and bootstrap paths, each to 1e-12.
+SWEEP_ARGS = ["--x-cols", "Y1,Y2", "--l-cols", "Y3,Y4", "--delta", "0.5,-0.3", "--center", "1,0.5", "--grid=-1,0,1"]
+
+# (estimate, ci_lo, ci_hi) per grid point of `accmv sensitivity` on the `multiple`
+# CSV, by bootstrap count B: influence intervals at B = 0
+GOLDEN_SWEEPS = {
+    0: [(0.7283138952493753, 0.6466650235363984, 0.8099627669623521),
+        (0.9241490232932363, 0.8542989063011589, 0.9939991402853138),
+        (1.1223009340520125, 1.0360669057210488, 1.2085349623829762)],
+    16: [(0.7283138952493753, 0.6604391476514756, 0.796188642847275),
+         (0.9241490232932363, 0.8627116486857545, 0.9855863979007182),
+         (1.1223009340520125, 1.0522673769137798, 1.1923344911902451)],
+}
+
+
+@pytest.mark.parametrize("B", sorted(GOLDEN_SWEEPS))
+def test_sensitivity_golden(B, multiple_csv, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    boot = ["--bootstrap", str(B), "--seed", "1"] if B else []
+    assert run(["sensitivity", "--data", multiple_csv, *SWEEP_ARGS, *boot, "--out", str(out)]) == 0
+    capsys.readouterr()
+    got = [(row["estimate"], row["ci_lo"], row["ci_hi"]) for row in read_curve(out)]
+    np.testing.assert_allclose(got, GOLDEN_SWEEPS[B], rtol=0, atol=1e-12)
+
+
+# (coef, estimate, SE) rows of `accmv regress` on the `mpm` CSV
+GOLDEN_REGRESSIONS = {
+    "linear": [("intercept", -0.9792012985616351, 0.02951776370830609),
+               ("Y2", 0.4773194335761553, 0.04038734211391511)],
+    "naive-sandwich": [("intercept", -0.9792012985616351, 0.03730160904190864),
+                       ("Y2", 0.4773194335761553, 0.04135545883826752)],
+    "gaussian": [("mu_Y2", 0.01877336555953203, 0.029914864387668796),
+                 ("mu_Y3", -0.9702404063464415, 0.03033577421514),
+                 ("c_11", -0.01422125459358818, 0.033933194256266966),
+                 ("c_21", 0.47057939190715364, 0.0421607363439141),
+                 ("c_22", -0.14129556320793124, 0.02887154080533381)],
+}
+REGRESSION_ARGS = {
+    "linear": ["--response", "Y3", "--predictors", "Y2"],
+    "naive-sandwich": ["--response", "Y3", "--predictors", "Y2", "--naive-sandwich"],
+    "gaussian": ["--score-kind", "gaussian"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_REGRESSIONS))
+def test_regress_golden(kind, mpm_csv, tmp_path, capsys):
+    out = tmp_path / "reg.json"
+    assert run(["regress", "--data", mpm_csv, "--x-cols", "Y1", "--l-cols", "Y2,Y3", *REGRESSION_ARGS[kind],
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["coefficients"]
+    want = GOLDEN_REGRESSIONS[kind]
+    assert [row["coef"] for row in rows] == [coef for coef, *_ in want]
+    np.testing.assert_allclose([(row["estimate"], row["se"]) for row in rows], [values for _, *values in want],
+                               rtol=0, atol=1e-12)
+
+
+def test_fit_bootstrap_golden(single_csv, tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    assert run(["fit", "--data", single_csv, *DATA_ARGS, "--method", "mr", "--bootstrap", "16", "--seed", "1",
+                "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert abs(json.loads(out.read_text())["bootstrap"]["se"] - 0.07993282839596064) <= 1e-12
+
+
 def test_trailing_blank_lines_are_not_records(single_csv, tmp_path, capsys):
     padded = tmp_path / "padded.csv"
     with open(single_csv, "rb") as fh:

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from accmv import data
 from accmv.data import Dataset, Functional, Schema, build_strata, load_csv, write_csv
 from accmv.errors import AccmvError, ConfigError, DataError, ParseError, SchemaError
+from accmv.estimators import estimate_mr
+from accmv.glm import fit_all_odds, fit_all_outcomes
 from accmv.patterns import Pattern
 from accmv.simgen import SimDesign, generate
 
@@ -173,21 +175,57 @@ def test_write_csv_block_boundaries(tmp_path, monkeypatch):
     assert written[0].count(b"\r\n") == 1 + n
 
 
+def load_from_a_pipe(tmp_path, raw, schema, name="pipe"):
+    """`load_csv` of the bytes `raw` as another thread writes them into a named pipe."""
+    fifo = tmp_path / name
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(raw))
+    writer.start()
+    try:
+        back = load_csv(fifo, schema)
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    return back
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_load_from_a_pipe(tmp_path):
     # a pipe cannot be reopened, so it is read record by record
     ds = generate(SimDesign("single", 2000, 3))
-    path, fifo = tmp_path / "d.csv", tmp_path / "pipe"
+    path = tmp_path / "d.csv"
     write_csv(path, ds)
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
-    writer.start()
-    try:
-        back = load_csv(fifo, Schema(ds.x_names, ds.l_names))
-    finally:
-        writer.join(timeout=30)
-    assert not writer.is_alive()
+    back = load_from_a_pipe(tmp_path, path.read_bytes(), Schema(ds.x_names, ds.l_names))
     assert ds.X.tobytes() == back.X.tobytes() and ds.L.tobytes() == back.L.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_byte_order_mark_before_the_header(tmp_path):
+    """A file saved with a UTF-8 byte-order mark, as spreadsheet programs
+    write "CSV UTF-8", reads as the file without it and fits to the same
+    estimate, through numpy's reader and through the record reader of a
+    pipe, also where the header names are quoted."""
+    ds = generate(SimDesign("single", 2000, 3))
+    schema = Schema(ds.x_names, ds.l_names)
+    path = tmp_path / "d.csv"
+    write_csv(path, ds)
+    header, body = path.read_bytes().split(b"\r\n", 1)
+    quoted = b",".join(b'"' + name + b'"' for name in header.split(b","))
+    f = Functional("coordinate", (0,))
+
+    def estimate(d):
+        strata = build_strata(d)
+        return estimate_mr(d, strata, fit_all_odds(d, strata), fit_all_outcomes(d, strata, f), f).theta_hat
+
+    want = estimate(ds)
+    for i, head in enumerate((header, quoted)):
+        raw = b"\xef\xbb\xbf" + head + b"\r\n" + body
+        assert raw.decode("utf-8").startswith("\ufeff")
+        marked = tmp_path / f"bom{i}.csv"
+        marked.write_bytes(raw)
+        for back in (load_csv(marked, schema), load_from_a_pipe(tmp_path, raw, schema, f"pipe{i}")):
+            assert ds.X.tobytes() == back.X.tobytes() and ds.L.tobytes() == back.L.tobytes()
+            assert estimate(back) == want
 
 
 GOOD_CELLS = st.one_of(

@@ -308,9 +308,9 @@ def test_psi_outcome_zero_outside_pool(single_20k):
 def test_keep_mask_and_serialization(single_20k):
     ds, strata = single_20k
     m = fit_odds(ds, strata, pair(3, 0), keep=(False, False))
-    assert m.alpha.size == 1 and m.names == ("intercept",)
+    assert m.alpha.size == 1 and m.design.names == ("intercept",)
     om = fit_outcome(ds, strata, pair(3, 0), F1, keep=(True, False))
-    assert om.names == ("intercept", "Y1")
+    assert om.design.names == ("intercept", "Y1")
 
 
 def test_fit_all_families(multiple_20k):
@@ -395,7 +395,8 @@ def test_keep_masks_are_booleans_stored_as_the_view_key(single_20k):
         assert m.keep == (True, False) and all(type(k) is bool for k in m.keep)
         om = fit_outcome(ds, strata, pr, F1, keep=keep)
         assert om.keep == (True, False) and all(type(k) is bool for k in om.keep)
-        assert m.view.design(m.keep) is m.view.design(keep)
+        # a fit holds the design of its view under its keep mask
+        assert m.design is om.design is m.view.design(m.keep) is m.view.design(keep)
     for keep in (("a", ""), (np.nan, 0), (1, 0), (1.0, 0.0)):
         with pytest.raises(ConfigError, match="keep mask"):
             fit_odds(ds, strata, pr, keep=keep)

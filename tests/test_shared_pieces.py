@@ -5,9 +5,10 @@ are the exp(eta) of its fit; an outcome model's values, score residuals and
 observed-factor products are formed from its design and coefficients by one
 `read_outcome` call where the pair terms read them; and the odds model (else
 the regression) keeps the estimator terms of each pair of models, the only
-estimator work a model keeps.  Reading a fitted model on another view (a
-reweighted index, another index of the same data) raises `ConfigError`, and
-a keep-masked refit keeps pair terms of its own.  On a table-2 replicate no
+estimator work a model keeps.  Every public entry that reads models raises
+`ConfigError` when given fits from another index (a reweighted index,
+another index of the same data), and a keep-masked refit keeps pair terms
+of its own.  On a table-2 replicate no
 odds model is evaluated after its fit, each pair of models makes its terms
 once, each outcome model is multiplied into each set of rows at most once
 per pair-term computation, and f is evaluated once, on the complete rows,
@@ -27,7 +28,7 @@ import pytest
 from accmv import cli, estimators, glm
 from accmv.data import Functional, build_strata
 from accmv.errors import ConfigError
-from accmv.estimators import estimate_ipw, estimate_mr, estimate_ra
+from accmv.estimators import augmentation_mean, compute_weights, estimate_ipw, estimate_mr, estimate_ra
 from accmv.glm import (
     complete_values,
     fit_all_odds,
@@ -39,7 +40,9 @@ from accmv.glm import (
     score_residuals,
     view_values,
 )
-from accmv.inference import seed_sequence
+from accmv.inference import if_variance_ipw, if_variance_mr, if_variance_ra, seed_sequence
+from accmv.mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
+from accmv.sensitivity import TiltSpec, sweep, tilted_estimate
 from accmv.simgen import SimDesign, generate, misspec_masks
 
 F2 = Functional("product", (0, 1))
@@ -96,31 +99,65 @@ def fitted_multiple():
 
 
 def test_pieces_match_a_fresh_evaluation_on_every_view(fitted_multiple):
-    """On the view a model was fitted on, its pieces are a direct evaluation,
-    and an odds model's values are read-only slices of its fit's exp(eta);
-    on a reweighted index and on another index of the same data, reading
-    the model raises, also where the estimators hold its terms already."""
+    """On the view a model was fitted on, which it holds with that view's
+    design, its pieces are a direct evaluation, and an odds model's values
+    are read-only slices of its fit's exp(eta)."""
     ds, strata, models = fitted_multiple
     fmap = complete_values(ds, strata, F2)
-    others = [strata.reweight(np.random.default_rng(3).integers(0, 3, ds.n)),
-              build_strata(ds)]                                              # another index of the same data
     for model, _ in models:
         view = pair_view(ds, strata, model.pair)
-        assert model.view is view
+        assert model.view is view and model.design is view.design(model.keep)
         got = pieces(model, view, fmap)
         assert_same(got, pieces(dataclasses.replace(model), view, fmap))
         assert_same(got, direct(model, view, F2), exact=False)
         if isinstance(model, glm.OddsModel):
             assert all(not got[k].flags.writeable and np.shares_memory(got[k], model.e) for k in ("case", "pool"))
-        for s in others:
-            with pytest.raises(ConfigError, match="fitted on"):
-                pieces(model, pair_view(ds, s, model.pair), complete_values(ds, s, F2))
+
+
+SPEC = TiltSpec(delta=(0.5, -0.3), center=(1.0, 0.5), grid=(-1.0, 0.0, 1.0))
+LINEAR = ScoreSpec("linear", response=1, predictors=(0,))
+
+# every public entry that reads models, as call(ds, s, odds, outs), which reads
+# the fits `odds` and `outs` on the index `s`
+ENTRIES = {
+    "compute_weights": lambda ds, s, odds, outs: compute_weights(ds, s, odds),
+    "estimate_ipw": lambda ds, s, odds, outs: estimate_ipw(ds, s, odds, F2),
+    "estimate_ipw_self_normalized": lambda ds, s, odds, outs: estimate_ipw(ds, s, odds, F2, self_normalize=True),
+    "estimate_ra": lambda ds, s, odds, outs: estimate_ra(ds, s, outs, F2),
+    "estimate_mr": lambda ds, s, odds, outs: estimate_mr(ds, s, odds, outs, F2),
+    # only the outcome fits come from elsewhere: each family is checked
+    "estimate_mr_odds_refitted": lambda ds, s, odds, outs: estimate_mr(ds, s, fit_all_odds(ds, s), outs, F2),
+    "augmentation_mean": lambda ds, s, odds, outs: augmentation_mean(ds, s, odds, outs, F2),
+    "if_variance_ipw": lambda ds, s, odds, outs: if_variance_ipw(ds, s, odds, F2, 0.0),
+    "if_variance_ra": lambda ds, s, odds, outs: if_variance_ra(ds, s, outs, F2, 0.0),
+    "if_variance_mr": lambda ds, s, odds, outs: if_variance_mr(ds, s, odds, outs, F2, 0.0),
+    "tilted_estimate": lambda ds, s, odds, outs: tilted_estimate(ds, s, odds, F2, SPEC),
+    "sweep": lambda ds, s, odds, outs: sweep(ds, s, odds, F2, SPEC),
+    "solve_weighted_ee": lambda ds, s, odds, outs: solve_weighted_ee(ds, s, odds, LINEAR),
+    # solved on `s` with odds refitted there, so only the odds fits come from elsewhere
+    "sandwich_variance": lambda ds, s, odds, outs: sandwich_variance(
+        ds, s, odds, solve_weighted_ee(ds, s, fit_all_odds(ds, s), LINEAR)),
+}
+
+
+@pytest.mark.parametrize("place", ["reweighted", "rebuilt"])
+@pytest.mark.parametrize("entry", list(ENTRIES))
+def test_every_entry_refuses_fits_from_another_index(entry, place, fitted_multiple):
+    """Each public entry that reads models runs with fits of its own index,
+    and raises `ConfigError` when given fits from a reweighted index or
+    another index of the same data, also where the estimators hold their
+    pair terms already: the estimators check the models once, where they
+    take them, and the readers past that check trust them."""
+    ds, strata, _ = fitted_multiple
     odds, outs = fit_all_odds(ds, strata), fit_all_outcomes(ds, strata, F2, decompose=True)
-    for estimate, fits in ((estimate_ipw, (odds,)), (estimate_ra, (outs,)), (estimate_mr, (odds, outs))):
-        estimate(ds, strata, *fits, F2)    # the walk keeps the pair terms
-        for s in others:
-            with pytest.raises(ConfigError, match="fitted on"):
-                estimate(ds, s, *fits, F2)
+    call = ENTRIES[entry]
+    call(ds, strata, odds, outs)                # the walks keep the pair terms
+    if place == "reweighted":
+        other = strata.reweight(np.random.default_rng(3).integers(0, 3, ds.n))
+    else:
+        other = build_strata(ds)                # another index of the same data
+    with pytest.raises(ConfigError, match="fitted on"):
+        call(ds, other, odds, outs)
 
 
 def test_keep_masked_refit_has_its_own_pieces(fitted_multiple):

@@ -32,7 +32,7 @@ F1 = Functional("coordinate", (0,))
 SPEC = TiltSpec(delta=(1.0,), center=(1.0,), grid=(-1.0, -0.5, 0.0, 0.5, 1.0))
 
 # named `accmv` calls of each operation
-NAMED_CALLS = {"table1": 810, "table2": 1724, "table3": 367, "bootstrap": 231, "sweep": 165}
+NAMED_CALLS = {"table1": 661, "table2": 1310, "table3": 337, "bootstrap": 215, "sweep": 161}
 
 
 def counts(op) -> tuple[int, int, int]:
