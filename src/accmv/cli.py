@@ -6,7 +6,7 @@ A JSON config file (--config) overrides the corresponding flags.  Exit codes:
 broken pipe), 2 config error (also a run that asks for more memory than it
 can get, a ResourceError), 3 data error, 4 fit error, 5 inference error,
 6 oracle-verification discrepancy.  `table --workers` is capped at the
-number of CPUs.  The --out and --dump-replicates files
+number of CPUs this process may run on.  The --out and --dump-replicates files
 are written before the summary is printed, so a closed pipe does not lose them.
 """
 
@@ -112,6 +112,9 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
 
     `raw` holds each replicate's rows in stream order, None for a failed one;
     `failures` counts the failed ones by `AccmvError` subclass name.
+    `workers` processes compute the replicates, this one included (see
+    `inference.replicate`); 0 means one per CPU this process may run on, and
+    no more than that nor than `replicates` run.
     """
     kind = _table_design(table)
     for name, value, least in (("replicates", replicates, 1), ("workers", workers, 0)):
@@ -119,7 +122,7 @@ def run_table(table: int, replicates: int, n: int, seed: int, workers: int = 0) 
     SimDesign(kind, n)               # reject a bad design before any replicate runs
     truth = oracle_value(kind).theta_true
     args = [(table, n, child) for child in seed_sequence(seed).spawn(replicates)]
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     results, failures = replicate(table_replicate, args, min(workers or cpus, cpus, replicates))
     ok = [r for r in results if r is not None]
     if not ok:
@@ -506,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=0, help="0 uses all cores; capped at the number of cores")
+    p.add_argument("--workers", type=int, default=0, help="0 uses all usable CPUs; capped at their number")
     p.add_argument("--out", help="summary CSV path")
     p.add_argument("--dump-replicates", help="optional per-replicate CSV dump")
     p.set_defaults(func=cmd_table, parser=p)

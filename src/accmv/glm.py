@@ -345,7 +345,8 @@ class OutcomeModel:
     When `scale_coords` is nonempty the fit regressed the product of the
     unobserved target coordinates on the design and prediction multiplies the
     affine part by the observed target coordinates (used for product
-    functionals where part of the product is observed in the stratum).
+    functionals where part of the product is observed in the stratum), which
+    it reads from `unmasked`, the view's cached design under no keep mask.
     """
 
     pair: PatternPair
@@ -357,6 +358,7 @@ class OutcomeModel:
     keep: tuple | None = None
     resp_coord: int | None = None    # L coordinate regressed on; None means f(L)
     scale_coords: tuple[int, ...] = ()
+    unmasked: KeptDesign | None = field(default=None, repr=False)   # None unless scale_coords
     pieces: dict = field(default_factory=dict, init=False, repr=False, compare=False)   # see estimators._walk
 
     @cached_property
@@ -501,7 +503,7 @@ def fit_outcome(
         raise SingularityError(f"{pair}: rank-deficient outcome design on the pool")
     return OutcomeModel(pair=pair, beta=beta, n_pool=n_pool, view=view, design=design,
                         f=f, keep=key, resp_coord=resp_coord,
-                        scale_coords=scale_coords)
+                        scale_coords=scale_coords, unmasked=view.design() if scale_coords else None)
 
 
 def fit_all_odds(ds, strata, n_min: int = DEFAULT_N_MIN) -> dict:
@@ -549,8 +551,9 @@ def read_outcome(model, view: PairView, fmap: np.ndarray, pool: bool) -> Outcome
     if not isinstance(model, OutcomeModel):
         return OutcomeRead(*(view_values(model, view, p) for p in parts))
     view, Z, coords = model.view, model.design, model.scale_coords
-    pos = [model.pair.a.indices.index(c) for c in coords]
-    factors = [view.blocks(p)[1][:, pos].prod(axis=1) if coords else view._ones[:getattr(view, p).size] for p in parts]
+    cols = [1 + len(model.pair.r.indices) + model.pair.a.indices.index(c) for c in coords]
+    factors = [getattr(model.unmasked, p)[:, cols].prod(axis=1) if coords else view._ones[:getattr(view, p).size]
+               for p in parts]
     linear = [getattr(Z, p) @ model.beta for p in parts]
     values = [lin * s for lin, s in zip(linear, factors)] if coords else linear
     if not pool:

@@ -126,17 +126,63 @@ def failed_text(B, failures) -> str:
     return f"{sum(failures.values())} of {B} replicates failed" + (f" ({why})" if why else "")
 
 
+def _take(work, args, counter) -> list:
+    """(i, work(*args[i])) for each index i drawn from the shared `counter`
+    until it passes the end of `args`."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(args):
+            return done
+        done.append((i, work(*args[i])))
+
+
+def _helper(work, args, counter, conn) -> None:
+    """A helper process of `replicate`: its share of `args`, or the exception
+    that stopped it, sent back in one message."""
+    try:
+        conn.send(_take(work, args, counter))
+    except Exception as e:           # AccmvErrors are tallied by `work`; any other is the caller's to raise
+        conn.send(e)
+    conn.close()
+
+
 def replicate(fn, args, workers: int = 1) -> tuple[list, dict]:
     """`attempt(fn, *a)` for each tuple `a` of `args` in order, None for a
     failed one (so `fn` returns neither None nor a str), and the failures
-    tallied by `failures_of`.  With `workers` > 1 the sequence `args` runs in
-    a pool of that many processes (fork where available, else spawn, which
-    needs `fn` importable by name); otherwise it is drawn lazily, serially."""
+    tallied by `failures_of`.  With `workers` > 1 the sequence `args` is
+    shared by that many processes: this one and `workers` - 1 helpers
+    (forked where available, else spawned, which needs `fn` importable by
+    name) draw indices from one shared counter, and each helper sends its
+    results back when the indices run out.  An exception other than an
+    `AccmvError` in any share is raised here, and every helper is stopped
+    and joined before this returns or raises.  Otherwise `args` is drawn
+    lazily, serially."""
     work = functools.partial(attempt, fn)
     if workers > 1:
         ctx = mp.get_context("fork" if os.name == "posix" else "spawn")
-        with ctx.Pool(workers) as pool:
-            results = pool.starmap(work, args, chunksize=max(1, len(args) // (workers * 8)))
+        counter, helpers = ctx.Value("q", 0), []
+        try:
+            for _ in range(workers - 1):
+                recv, send = ctx.Pipe(duplex=False)
+                process = ctx.Process(target=_helper, args=(work, args, counter, send), daemon=True)
+                process.start()
+                helpers.append((process, recv))
+                send.close()             # the helper holds its own end; EOF here if it dies
+            done = _take(work, args, counter)
+            for _, recv in helpers:
+                got = recv.recv()
+                if isinstance(got, BaseException):
+                    raise got
+                done += got
+        finally:
+            for process, recv in helpers:
+                process.terminate()
+                process.join()
+                recv.close()
+        results = [r for _, r in sorted(done)]     # indices are distinct, so no two results are compared
     else:
         # starmap drops each tuple before drawing the next: one is alive at a time
         results = list(itertools.starmap(work, args))

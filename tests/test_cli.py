@@ -1,8 +1,11 @@
+import contextlib
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -633,6 +636,7 @@ def test_run_table_workers_give_identical_raw(table):
     # replicate i always draws from stream i, whichever process runs it
     serial = run_table(table, 4, 500, seed=5, workers=1)["raw"]
     forked = run_table(table, 4, 500, seed=5, workers=2)["raw"]
+    assert multiprocessing.active_children() == []     # no helper outlives the call
     assert [r is None for r in serial] == [r is None for r in forked]
     for a, b in zip(serial, forked):
         if a is not None:
@@ -654,6 +658,7 @@ def test_table_reports_why_replicates_failed(workers, capsys):
     assert "5 of 8 replicates failed (SeparationError 1, SmallStratumError 4)" in capsys.readouterr().out
     with pytest.raises(FitError, match=r"8 of 8 replicates failed \(SmallStratumError 8\)"):
         run_table(1, 8, 80, seed=2, workers=workers)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command", [
@@ -829,24 +834,26 @@ def test_dump_replicates_reads_back_as_raw(table, tmp_path, capsys):
 
 
 class RecordingContext:
-    """A multiprocessing context whose pool records the size it is asked
-    for and runs its work in this process, so no process is started."""
+    """A multiprocessing context that counts the helper processes it is asked
+    to start and runs each one's share in this process as it starts, so no
+    process is started."""
 
     def __init__(self):
-        self.sizes = []
+        self.helpers = 0
 
-    def Pool(self, size):
-        self.sizes.append(size)
-        return self
+    def Value(self, typecode, value):
+        return SimpleNamespace(value=value, get_lock=contextlib.nullcontext)
 
-    def __enter__(self):
-        return self
+    def Pipe(self, duplex):
+        sent = []
+        end = SimpleNamespace(send=sent.append, recv=lambda: sent.pop(0), close=lambda: None)
+        return end, end
 
-    def __exit__(self, *exc):
-        return False
-
-    def starmap(self, fn, args, chunksize=1):
-        return [fn(*a) for a in args]
+    def Process(self, target, args, daemon):
+        def start():
+            self.helpers += 1
+            target(*args)
+        return SimpleNamespace(start=start, terminate=lambda: None, join=lambda: None)
 
 
 @pytest.mark.parametrize("workers,replicates,size", [(5000, 8, 3), (0, 8, 3), (2, 8, 2), (5000, 2, 2)])
@@ -855,12 +862,25 @@ def test_run_table_caps_workers_at_the_cpu_count(workers, replicates, size, monk
 
     ctx = RecordingContext()
     monkeypatch.setattr(accmv.inference.mp, "get_context", lambda method: ctx)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     pooled = run_table(1, replicates, 300, seed=5, workers=workers)["raw"]
-    assert ctx.sizes == [size]
+    assert ctx.helpers == size - 1                 # this process is one of the workers
     serial = run_table(1, replicates, 300, seed=5, workers=1)["raw"]
-    assert ctx.sizes == [size]                     # one worker runs serially, with no pool
+    assert ctx.helpers == size - 1                 # one worker runs serially, with no helper
     assert repr(pooled) == repr(serial)
+
+
+def test_run_table_caps_workers_at_the_usable_cpus(monkeypatch):
+    # a process pinned to one CPU of many runs every replicate itself
+    import accmv.inference
+
+    ctx = RecordingContext()
+    monkeypatch.setattr(accmv.inference.mp, "get_context", lambda method: ctx)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_table(1, 4, 300, seed=5, workers=0)
+    assert ctx.helpers == 0
 
 
 EXHAUSTED = """

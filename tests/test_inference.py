@@ -1,7 +1,9 @@
 import json
+import multiprocessing as mp
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +42,7 @@ from accmv.inference import (
     if_variance_mr,
     if_variance_ra,
     normal_ci,
+    replicate,
 )
 from accmv.mpm import ScoreSpec, sandwich_variance, solve_weighted_ee
 from accmv.sensitivity import TiltSpec, _tilted_grid, sweep
@@ -339,6 +342,50 @@ def test_attempt_and_failures_of():
     assert list(failures_of(results).items()) == [("ConfigError", 1), ("FitError", 2)]
     with pytest.raises(TypeError):
         attempt(fit, "a")
+
+
+def tallied(i, gate):
+    """Replicate i of the tally test: indices 0 and 1 meet at `gate`, so two
+    processes take them, and every index but the multiples of 3 fails."""
+    if gate is not None and i < 2:
+        gate.wait(timeout=30)
+    if i % 3 == 1:
+        raise FitError("one")
+    if i % 3 == 2:
+        raise ConfigError("two")
+    return i * i
+
+
+def failing_in(i, gate, caller, where):
+    """Replicate i of the error tests: indices 0 and 1 meet at `gate`, so the
+    caller and the helper each take one; the share that `where` names raises
+    a RuntimeError there, and a helper whose caller fails stalls."""
+    if i < 2:
+        gate.wait(timeout=30)
+        here = "caller" if os.getpid() == caller else "helper"
+        if here == where:
+            raise RuntimeError(f"the {here}'s share failed")
+        if here == "helper":
+            time.sleep(60)
+    return i
+
+
+def test_replicate_with_a_helper_tallies_as_serially():
+    gate = mp.get_context("fork" if os.name == "posix" else "spawn").Barrier(2)
+    pooled = replicate(tallied, [(i, gate) for i in range(12)], 2)
+    assert mp.active_children() == []
+    assert pooled == replicate(tallied, [(i, None) for i in range(12)], 1)
+    assert pooled[1] == {"ConfigError": 4, "FitError": 4}
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_replicate_raises_an_error_of_either_share_and_stops_the_helper(where):
+    gate = mp.get_context("fork" if os.name == "posix" else "spawn").Barrier(2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=f"the {where}'s share failed"):
+        replicate(failing_in, [(i, gate, os.getpid(), where) for i in range(6)], 2)
+    assert mp.active_children() == []
+    assert time.monotonic() - start < 30      # a stalled helper is stopped, not waited for
 
 
 def test_normal_ci_ordering():
